@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -69,4 +70,38 @@ func BenchmarkIngestSteady(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*len(obs))/b.Elapsed().Seconds(), "records/s")
+}
+
+// benchSummary keeps BenchmarkSummary's result live.
+var benchSummary Summary
+
+// BenchmarkSummary measures the /v1/fleet/summary roll-up on a store
+// with the server's 16 shards, at 3,000 drives and at the paper's
+// 23,395, with the default at-risk list (top=10) and without one
+// (top=0, the /metrics view). Each drive holds a distinct degradation
+// spread over [-1, 1], so every alert level is populated.
+func BenchmarkSummary(b *testing.B) {
+	const hours = 3
+	for _, drives := range []int{3000, 23395} {
+		s, err := New(testModels(), testNormalizer(), Config{Shards: 16})
+		if err != nil {
+			b.Fatal(err)
+		}
+		obs := make([]Observation, 0, drives*hours)
+		for h := 0; h < hours; h++ {
+			for d := 0; d < drives; d++ {
+				score := 1 - 2*math.Mod(float64(d)*0.6180339887, 1)
+				obs = append(obs, Observation{Serial: fmt.Sprintf("SER-%05d", d), Record: record(h, score)})
+			}
+		}
+		s.IngestBatch(obs)
+		for _, top := range []int{10, 0} {
+			b.Run(fmt.Sprintf("drives=%d/top=%d", drives, top), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					benchSummary = s.Summary(top)
+				}
+			})
+		}
+	}
 }

@@ -481,14 +481,14 @@ func (s *Store) EvictStale() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		for _, st := range sh.mon.Snapshot() {
+		sh.mon.Each(func(st monitor.DriveStatus) {
 			if st.LastHour < cutoff {
 				sh.mon.Forget(st.DriveID)
 				delete(sh.ids, sh.serials[st.DriveID])
 				delete(sh.history, st.DriveID)
 				n++
 			}
-		}
+		})
 		sh.mu.Unlock()
 	}
 	return n

@@ -1,9 +1,9 @@
 package fleet
 
 import (
-	"sort"
-
+	"disksig/internal/core"
 	"disksig/internal/monitor"
+	"disksig/internal/smart"
 )
 
 // ShardStats is one shard's occupancy, the load-balance view of the
@@ -49,69 +49,166 @@ type Summary struct {
 	AtRisk []DriveHealth
 }
 
+// numSeverities and numTypes size Summary's counters: every tracked
+// drive has a severity in [Healthy, Critical], and every model trained
+// by the pipeline has one of the three core failure types.
+const (
+	numSeverities = int(monitor.Critical) + 1
+	numTypes      = int(core.ReadWriteHead) + 1
+)
+
 // Summary computes the fleet-wide roll-up. topN caps the AtRisk list;
-// <= 0 means no at-risk list. Shards are snapshotted one at a time, so
-// the summary is per-shard consistent but not a global atomic cut —
-// the right trade for a dashboard read that must not stall ingestion.
+// <= 0 means no at-risk list. Each shard is walked once under its lock,
+// counting into fixed arrays and offering every drive to bounded top-N
+// heaps, so a call costs O(drives) time and O(topN) memory. Shards are
+// read one at a time, so the summary is per-shard consistent but not a
+// global atomic cut — the right trade for a dashboard read that must
+// not stall ingestion.
 func (s *Store) Summary(topN int) Summary {
-	sum := Summary{
-		MaxHour:    -1,
-		BySeverity: map[string]int{},
-		ByType:     map[string]int{},
-		ByClass:    map[string]*ClassSummary{},
-		Shards:     make([]ShardStats, len(s.shards)),
+	sum := Summary{MaxHour: -1, Shards: make([]ShardStats, len(s.shards))}
+	var (
+		bySev  [numSeverities]int
+		byType [numTypes]int
+		// otherTypes counts types outside [0, numTypes), which only a
+		// hand-built or corrupted model set can carry.
+		otherTypes map[core.FailureType]int
+		classN     [smart.NumClasses]int
+		classSev   [smart.NumClasses][numSeverities]int
+		top        = atRiskHeap{n: topN}
+		classTop   [smart.NumClasses]atRiskHeap
+	)
+	for c := range classTop {
+		classTop[c].n = topN
 	}
-	var all []DriveHealth
-	perClass := map[string][]DriveHealth{}
 	for si, sh := range s.shards {
 		sh.mu.Lock()
-		snap := sh.mon.Snapshot()
-		sum.Shards[si] = ShardStats{Shard: si, Drives: sh.mon.Tracked()}
-		if sh.mon.Tracked() > 0 && sh.maxHour > sum.MaxHour {
+		tracked := sh.mon.Tracked()
+		sum.Shards[si] = ShardStats{Shard: si, Drives: tracked}
+		if tracked > 0 && sh.maxHour > sum.MaxHour {
 			sum.MaxHour = sh.maxHour
 		}
-		for _, st := range snap {
-			sum.Drives++
-			sum.BySeverity[st.Severity.String()]++
+		sh.mon.Each(func(st monitor.DriveStatus) {
+			bySev[st.Severity]++
+			classN[st.Class]++
+			classSev[st.Class][st.Severity]++
 			if st.Severity >= monitor.Watch {
-				sum.ByType[st.Type.String()]++
+				if st.Type >= 0 && int(st.Type) < numTypes {
+					byType[st.Type]++
+				} else {
+					if otherTypes == nil {
+						otherTypes = map[core.FailureType]int{}
+					}
+					otherTypes[st.Type]++
+				}
 			}
-			cname := st.Class.String()
-			cs := sum.ByClass[cname]
-			if cs == nil {
-				cs = &ClassSummary{BySeverity: map[string]int{}}
-				sum.ByClass[cname] = cs
-			}
-			cs.Drives++
-			cs.BySeverity[st.Severity.String()]++
 			if topN > 0 {
 				dh := DriveHealth{Serial: sh.serials[st.DriveID], DriveStatus: st}
-				all = append(all, dh)
-				perClass[cname] = append(perClass[cname], dh)
+				top.offer(dh)
+				classTop[st.Class].offer(dh)
 			}
-		}
+		})
 		sh.mu.Unlock()
 	}
-	if topN > 0 {
-		sum.AtRisk = topAtRisk(all, topN)
-		for cname, drives := range perClass {
-			sum.ByClass[cname].AtRisk = topAtRisk(drives, topN)
+
+	sum.BySeverity = severityCounts(&bySev)
+	sum.ByType = map[string]int{}
+	for t, n := range byType {
+		if n > 0 {
+			sum.ByType[core.FailureType(t).String()] = n
 		}
 	}
+	for t, n := range otherTypes {
+		sum.ByType[t.String()] = n
+	}
+	sum.ByClass = map[string]*ClassSummary{}
+	for c, n := range classN {
+		if n == 0 {
+			continue
+		}
+		sum.Drives += n
+		sum.ByClass[smart.DeviceClass(c).String()] = &ClassSummary{
+			Drives:     n,
+			BySeverity: severityCounts(&classSev[c]),
+			AtRisk:     classTop[c].sorted(),
+		}
+	}
+	sum.AtRisk = top.sorted()
 	return sum
 }
 
-// topAtRisk sorts drives ascending by degradation (ties by serial) and
-// keeps the worst topN.
-func topAtRisk(all []DriveHealth, topN int) []DriveHealth {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Degradation != all[j].Degradation {
-			return all[i].Degradation < all[j].Degradation
+// severityCounts names the non-zero severity counters.
+func severityCounts(counts *[numSeverities]int) map[string]int {
+	out := map[string]int{}
+	for sev, n := range counts {
+		if n > 0 {
+			out[monitor.Severity(sev).String()] = n
 		}
-		return all[i].Serial < all[j].Serial
-	})
-	if len(all) > topN {
-		all = all[:topN]
 	}
-	return all
+	return out
+}
+
+// atRiskHeap keeps the n (> 0) most degraded drives offered to it. It
+// is a max-heap in the at-risk order (degradation ascending, ties by
+// serial), so its root is the least degraded drive kept and the one a
+// more degraded drive displaces. It stays nil until a drive is kept,
+// and never holds more than n drives.
+type atRiskHeap struct {
+	n     int
+	items []DriveHealth
+}
+
+// atRiskBefore reports whether a ranks ahead of b in the at-risk order.
+func atRiskBefore(a, b *DriveHealth) bool {
+	if a.Degradation != b.Degradation {
+		return a.Degradation < b.Degradation
+	}
+	return a.Serial < b.Serial
+}
+
+func (h *atRiskHeap) offer(dh DriveHealth) {
+	if len(h.items) < h.n {
+		h.items = append(h.items, dh)
+		for i := len(h.items) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !atRiskBefore(&h.items[parent], &h.items[i]) {
+				break
+			}
+			h.items[parent], h.items[i] = h.items[i], h.items[parent]
+			i = parent
+		}
+		return
+	}
+	if !atRiskBefore(&dh, &h.items[0]) {
+		return
+	}
+	h.items[0] = dh
+	h.siftDown(len(h.items))
+}
+
+// siftDown restores the heap order of items[:end] after its root
+// changed.
+func (h *atRiskHeap) siftDown(end int) {
+	for i := 0; ; {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < end && atRiskBefore(&h.items[worst], &h.items[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h.items[i], h.items[worst] = h.items[worst], h.items[i]
+		i = worst
+	}
+}
+
+// sorted heap-sorts the kept drives in place into the at-risk order and
+// returns them.
+func (h *atRiskHeap) sorted() []DriveHealth {
+	for end := len(h.items) - 1; end > 0; end-- {
+		h.items[0], h.items[end] = h.items[end], h.items[0]
+		h.siftDown(end)
+	}
+	return h.items
 }

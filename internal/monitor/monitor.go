@@ -631,6 +631,21 @@ func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
 	if !ok {
 		return DriveStatus{}, false
 	}
+	return m.status(driveID, st), true
+}
+
+// Each calls fn with the current status of every tracked drive, in no
+// particular order. Each status is built from the state being iterated,
+// so a fleet-wide roll-up costs no lookup, slice or sort per drive. fn
+// may Forget the drive it is handed, and must not otherwise change the
+// monitor.
+func (m *Monitor) Each(fn func(DriveStatus)) {
+	for id, st := range m.drives {
+		fn(m.status(id, st))
+	}
+}
+
+func (m *Monitor) status(driveID int, st *driveState) DriveStatus {
 	group, deg := m.worstGroup(st)
 	gm := m.models[group]
 	return DriveStatus{
@@ -642,7 +657,7 @@ func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
 		Type:           gm.Type,
 		Degradation:    deg,
 		HoursToFailure: hoursToFailure(gm, deg),
-	}, true
+	}
 }
 
 // Tracked returns the number of drives the monitor has seen.
@@ -685,10 +700,7 @@ func (m *Monitor) Quality() *quality.Report { return &m.quality }
 // fleet dashboard view of the middleware.
 func (m *Monitor) Snapshot() []DriveStatus {
 	out := make([]DriveStatus, 0, len(m.drives))
-	for id := range m.drives {
-		st, _ := m.Status(id)
-		out = append(out, st)
-	}
+	m.Each(func(st DriveStatus) { out = append(out, st) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Degradation != out[j].Degradation {
 			return out[i].Degradation < out[j].Degradation

@@ -244,6 +244,40 @@ func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 	}
 }
 
+// TestEachVisitsEveryDriveOnce: Each hands over every tracked drive
+// once, with the status Status reports, and a visitor may Forget the
+// drive it is handed (the eviction pattern).
+func TestEachVisitsEveryDriveOnce(t *testing.T) {
+	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 50; id++ {
+		m.Ingest(id, record(id, 1-float64(id)/25))
+	}
+	seen := map[int]bool{}
+	m.Each(func(st DriveStatus) {
+		if seen[st.DriveID] {
+			t.Fatalf("drive %d visited twice", st.DriveID)
+		}
+		seen[st.DriveID] = true
+		if want, _ := m.Status(st.DriveID); st != want {
+			t.Errorf("Each status %+v, Status %+v", st, want)
+		}
+	})
+	if len(seen) != 50 {
+		t.Fatalf("Each visited %d drives, want 50", len(seen))
+	}
+	m.Each(func(st DriveStatus) {
+		if st.DriveID%2 == 1 {
+			m.Forget(st.DriveID)
+		}
+	})
+	if m.Tracked() != 25 {
+		t.Fatalf("Tracked = %d after forgetting odd drives during Each, want 25", m.Tracked())
+	}
+}
+
 func TestSnapshotAndJSON(t *testing.T) {
 	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
 	if err != nil {

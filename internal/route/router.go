@@ -651,15 +651,114 @@ func (rt *Router) handleDrive(w http.ResponseWriter, r *http.Request) {
 
 // summaryDoc is the slice of a node summary the router merges.
 type summaryDoc struct {
-	Drives     int               `json:"drives"`
-	MaxHour    int               `json:"max_hour"`
-	BySeverity map[string]int    `json:"by_severity"`
-	ByType     map[string]int    `json:"alerting_by_type"`
-	AtRisk     []json.RawMessage `json:"at_risk"`
-	EvictedNow int               `json:"evicted_now"`
-	Quality    ledgerDoc         `json:"quality"`
+	Drives     int                         `json:"drives"`
+	MaxHour    int                         `json:"max_hour"`
+	BySeverity map[string]int              `json:"by_severity"`
+	ByType     map[string]int              `json:"alerting_by_type"`
+	ByClass    map[string]*classSummaryDoc `json:"by_class"`
+	AtRisk     []rankedDrive               `json:"at_risk"`
+	EvictedNow int                         `json:"evicted_now"`
+	Quality    ledgerDoc                   `json:"quality"`
 }
 
+// classSummaryDoc is one device class's roll-up within a summary.
+type classSummaryDoc struct {
+	Drives     int            `json:"drives"`
+	BySeverity map[string]int `json:"by_severity"`
+	AtRisk     []rankedDrive  `json:"at_risk"`
+}
+
+// rankedDrive is one at-risk entry of a node summary: its JSON, passed
+// through byte-identical, and the keys the merged list is ranked by.
+type rankedDrive struct {
+	raw         json.RawMessage
+	degradation float64
+	serial      string
+}
+
+func (d *rankedDrive) UnmarshalJSON(b []byte) error {
+	var keys struct {
+		Serial      string  `json:"serial"`
+		Degradation float64 `json:"degradation"`
+	}
+	if err := json.Unmarshal(b, &keys); err != nil {
+		return err
+	}
+	*d = rankedDrive{raw: append(json.RawMessage(nil), b...), degradation: keys.Degradation, serial: keys.Serial}
+	return nil
+}
+
+func (d rankedDrive) MarshalJSON() ([]byte, error) { return d.raw, nil }
+
+// rankAtRisk re-ranks merged per-node at-risk lists the way each node
+// ranks its own — degradation ascending (worst first), ties by serial —
+// and keeps the first topN. Every drive of the fleet-wide top N is in
+// its owner's top N, so the result is the top N of the whole cluster.
+// The result is never nil, so an empty list renders as [].
+func rankAtRisk(ds []rankedDrive, topN int) []rankedDrive {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].degradation != ds[j].degradation {
+			return ds[i].degradation < ds[j].degradation
+		}
+		return ds[i].serial < ds[j].serial
+	})
+	if len(ds) > topN {
+		ds = ds[:topN]
+	}
+	if ds == nil {
+		ds = []rankedDrive{}
+	}
+	return ds
+}
+
+// add folds one node's summary into a merged one; the at-risk lists
+// are concatenated for rankAtRisk.
+func (d *summaryDoc) add(o *summaryDoc) {
+	d.Drives += o.Drives
+	d.MaxHour = max(d.MaxHour, o.MaxHour)
+	for k, c := range o.BySeverity {
+		d.BySeverity[k] += c
+	}
+	for k, c := range o.ByType {
+		d.ByType[k] += c
+	}
+	for cname, oc := range o.ByClass {
+		c := d.ByClass[cname]
+		if c == nil {
+			c = &classSummaryDoc{BySeverity: map[string]int{}}
+			d.ByClass[cname] = c
+		}
+		c.Drives += oc.Drives
+		for k, n := range oc.BySeverity {
+			c.BySeverity[k] += n
+		}
+		c.AtRisk = append(c.AtRisk, oc.AtRisk...)
+	}
+	d.AtRisk = append(d.AtRisk, o.AtRisk...)
+	d.EvictedNow += o.EvictedNow
+	d.Quality.add(o.Quality)
+}
+
+// fetchSummary asks one node for its summary.
+func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*summaryDoc, error) {
+	resp, body, err := rt.forward(ctx, n, "GET", "/v1/fleet/summary?top="+fmt.Sprint(topN), "", nil)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("status %d", resp.StatusCode)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("summary from node %s: %v", n.ID, err)
+	}
+	var doc summaryDoc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		return nil, fmt.Errorf("node %s sent an unreadable summary: %v", n.ID, err)
+	}
+	return &doc, nil
+}
+
+// handleSummary asks every node for its summary at once and merges the
+// answers in node order, so the merged body, and the error reported
+// when nodes fail (the first failing node in node order), do not depend
+// on which node answers first.
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 	topN := rt.cfg.SummaryTopN
 	if v := r.URL.Query().Get("top"); v != "" {
@@ -674,76 +773,39 @@ func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	merged := summaryDoc{AtRisk: []json.RawMessage{}, ByType: map[string]int{}, BySeverity: map[string]int{}}
-	type atRiskEntry struct {
-		raw json.RawMessage
-		deg float64
-		ser string
+	docs := make([]*summaryDoc, len(rt.cur.Nodes))
+	errs := make([]error, len(rt.cur.Nodes))
+	var wg sync.WaitGroup
+	for i, n := range rt.cur.Nodes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			docs[i], errs[i] = rt.fetchSummary(r.Context(), n, topN)
+		}()
 	}
-	var atRisk []atRiskEntry
-	nodes := make([]map[string]any, 0, len(rt.cur.Nodes))
-	for _, n := range rt.cur.Nodes {
-		resp, body, err := rt.forward(r.Context(), n, "GET", "/v1/fleet/summary?top="+fmt.Sprint(topN), "", nil)
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("status %d", resp.StatusCode)
-		}
-		if err != nil {
+	wg.Wait()
+	merged := summaryDoc{MaxHour: -1, BySeverity: map[string]int{}, ByType: map[string]int{},
+		ByClass: map[string]*classSummaryDoc{}}
+	nodes := make([]map[string]any, len(rt.cur.Nodes))
+	for i, n := range rt.cur.Nodes {
+		if errs[i] != nil {
 			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
-				"error": fmt.Sprintf("summary from node %s: %v", n.ID, err),
-			})
+			writeJSON(w, http.StatusBadGateway, map[string]any{"error": errs[i].Error()})
 			return
 		}
-		var doc summaryDoc
-		if err := json.Unmarshal(body, &doc); err != nil {
-			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
-				"error": fmt.Sprintf("node %s sent an unreadable summary: %v", n.ID, err),
-			})
-			return
-		}
-		merged.Drives += doc.Drives
-		if doc.MaxHour > merged.MaxHour {
-			merged.MaxHour = doc.MaxHour
-		}
-		for k, c := range doc.BySeverity {
-			merged.BySeverity[k] += c
-		}
-		for k, v := range doc.ByType {
-			merged.ByType[k] += v
-		}
-		merged.EvictedNow += doc.EvictedNow
-		merged.Quality.add(doc.Quality)
-		for _, raw := range doc.AtRisk {
-			var d struct {
-				Serial      string  `json:"serial"`
-				Degradation float64 `json:"degradation"`
-			}
-			_ = json.Unmarshal(raw, &d)
-			atRisk = append(atRisk, atRiskEntry{raw: raw, deg: d.Degradation, ser: d.Serial})
-		}
-		nodes = append(nodes, map[string]any{"id": n.ID, "drives": doc.Drives, "max_hour": doc.MaxHour})
+		merged.add(docs[i])
+		nodes[i] = map[string]any{"id": n.ID, "drives": docs[i].Drives, "max_hour": docs[i].MaxHour}
 	}
-	// The merged at-risk list re-ranks the per-node lists the way each
-	// node ranks its own: worst degradation first.
-	sort.Slice(atRisk, func(i, j int) bool {
-		if atRisk[i].deg != atRisk[j].deg {
-			return atRisk[i].deg > atRisk[j].deg
-		}
-		return atRisk[i].ser < atRisk[j].ser
-	})
-	if len(atRisk) > topN {
-		atRisk = atRisk[:topN]
-	}
-	for _, e := range atRisk {
-		merged.AtRisk = append(merged.AtRisk, e.raw)
+	for _, c := range merged.ByClass {
+		c.AtRisk = rankAtRisk(c.AtRisk, topN)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"drives":           merged.Drives,
 		"max_hour":         merged.MaxHour,
 		"by_severity":      merged.BySeverity,
 		"alerting_by_type": merged.ByType,
-		"at_risk":          merged.AtRisk,
+		"by_class":         merged.ByClass,
+		"at_risk":          rankAtRisk(merged.AtRisk, topN),
 		"evicted_now":      merged.EvictedNow,
 		"quality":          merged.Quality,
 		"nodes":            nodes,

@@ -30,8 +30,7 @@ func (rampPredictor) Predict(x []float64) float64 { return x[smart.RRER] }
 // predictor must be registered like any real model's would be.
 func init() { gob.Register(rampPredictor{}) }
 
-func testStore(t testing.TB) *fleet.Store {
-	t.Helper()
+func testNormalizer() *smart.Normalizer {
 	norm := smart.NewNormalizer()
 	var lo, hi smart.Values
 	for a := range lo {
@@ -40,6 +39,12 @@ func testStore(t testing.TB) *fleet.Store {
 	}
 	norm.Observe(lo)
 	norm.Observe(hi)
+	return norm
+}
+
+func testStore(t testing.TB) *fleet.Store {
+	t.Helper()
+	norm := testNormalizer()
 	models := []monitor.GroupModel{{
 		Group:     1,
 		Type:      core.Logical,
@@ -64,10 +69,17 @@ type testNode struct {
 
 func startCluster(t *testing.T, n int) ([]testNode, *Map) {
 	t.Helper()
+	return startClusterOf(t, n, testStore)
+}
+
+// startClusterOf is startCluster with every node's store built by
+// newStore.
+func startClusterOf(t *testing.T, n int, newStore func(testing.TB) *fleet.Store) ([]testNode, *Map) {
+	t.Helper()
 	nodes := make([]testNode, n)
 	mapNodes := make([]Node, n)
 	for i := range nodes {
-		store := testStore(t)
+		store := newStore(t)
 		srv := server.New(store, server.Config{})
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(ts.Close)
@@ -115,12 +127,16 @@ func jsonBody(t *testing.T, obs []fleet.Observation) []byte {
 	t.Helper()
 	type rec struct {
 		Serial string    `json:"serial"`
+		Class  string    `json:"class,omitempty"`
 		Hour   int       `json:"hour"`
 		Values []float64 `json:"values"`
 	}
 	rs := make([]rec, len(obs))
 	for i, o := range obs {
 		rs[i] = rec{Serial: o.Serial, Hour: o.Record.Hour, Values: o.Record.Values[:]}
+		if o.Class != smart.HDD {
+			rs[i].Class = o.Class.String()
+		}
 	}
 	body, err := json.Marshal(map[string]any{"records": rs})
 	if err != nil {
