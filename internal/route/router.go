@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"sort"
@@ -328,9 +329,8 @@ func ledgerDocOf(rep *quality.Report) ledgerDoc {
 // any record in the batch is mid-move.
 type splitBatch struct {
 	primary  [][]byte
-	primaryN []int // record count per primary body
 	dual     [][]byte
-	dualN    []int
+	dualN    []int // record count per dual body
 	records  int
 	hasMover bool
 	rep      quality.Report
@@ -414,27 +414,27 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // splitIngest splits the raw batch body per owning node under the given
-// route state. If it wrote a terminal response (malformed frame), it
-// reports handled=true.
+// route state, copying each record's bytes verbatim: binary frames with
+// wire.SplitFrame, JSON bodies with wire.SplitJSON, which runs the
+// nodes' own scanner. If it wrote a terminal response (malformed
+// body), it reports handled=true.
 func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, body []byte) (*splitBatch, bool) {
+	split := wire.SplitJSON
 	if ct == wire.ContentType {
-		return rt.splitBinary(w, st, body)
+		split = wire.SplitFrame
 	}
-	return rt.splitJSON(st, body)
-}
-
-func (rt *Router) splitBinary(w http.ResponseWriter, st routeState, frame []byte) (*splitBatch, bool) {
 	sb := &splitBatch{}
-	assign := func(serial []byte) int {
+	bodies, err := split(body, len(st.cur.Nodes), func(serial []byte) int {
 		if st.moving(serial) {
 			sb.hasMover = true
 		}
 		sb.records++
 		return st.cur.OwnerIndex(serial)
-	}
-	bodies, err := wire.SplitFrame(frame, len(st.cur.Nodes), assign, &sb.rep)
+	}, &sb.rep)
 	if err != nil {
-		// Frame-level defect: same contract and ledger shape as a node.
+		// A body a node would reject: both splitters return the node's
+		// own error, so this is the node's 400 and ledger, and no node
+		// sees any part of the batch.
 		var rep quality.Report
 		if fe, ok := wire.IsFrameError(err); ok {
 			rep.Note(fe.Issue(), quality.Config{})
@@ -448,103 +448,27 @@ func (rt *Router) splitBinary(w http.ResponseWriter, st routeState, frame []byte
 		return nil, true
 	}
 	sb.primary = bodies
-	sb.primaryN = frameCounts(bodies)
 	if st.stage == stageDual && sb.hasMover {
-		dual, err := wire.SplitFrame(frame, len(st.next.Nodes), func(serial []byte) int {
+		sb.dualN = make([]int, len(st.next.Nodes))
+		dual, err := split(body, len(st.next.Nodes), func(serial []byte) int {
 			if !st.moving(serial) {
 				return -1
 			}
-			return st.next.OwnerIndex(serial)
+			j := st.next.OwnerIndex(serial)
+			sb.dualN[j]++
+			return j
 		}, nil)
 		if err != nil {
-			// The first pass accepted this frame; the second sees the same
+			// The first pass accepted this body; the second sees the same
 			// bytes. Defensive only.
 			writeJSON(w, http.StatusInternalServerError, map[string]any{
-				"error": fmt.Sprintf("splitting dual-write frame: %v", err),
+				"error": fmt.Sprintf("splitting dual-write body: %v", err),
 			})
 			return nil, true
 		}
 		sb.dual = dual
-		sb.dualN = frameCounts(dual)
 	}
 	return sb, false
-}
-
-// frameCounts reads each split frame's record count from its header.
-func frameCounts(bodies [][]byte) []int {
-	counts := make([]int, len(bodies))
-	for i, b := range bodies {
-		if len(b) >= 5 {
-			counts[i] = int(uint32(b[1]) | uint32(b[2])<<8 | uint32(b[3])<<16 | uint32(b[4])<<24)
-		}
-	}
-	return counts
-}
-
-// jsonSerial is the one field the router reads out of a JSON record.
-type jsonSerial struct {
-	Serial string `json:"serial"`
-}
-
-func (rt *Router) splitJSON(st routeState, body []byte) (*splitBatch, bool) {
-	var req struct {
-		Records []json.RawMessage `json:"records"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		// The router cannot split what it cannot parse. Hand the whole
-		// body to the first node verbatim: its stricter ingest path
-		// produces the canonical 400 with the defect in the ledger.
-		sb := &splitBatch{primary: make([][]byte, len(st.cur.Nodes)), primaryN: make([]int, len(st.cur.Nodes))}
-		sb.primary[0] = body
-		return sb, false
-	}
-	groups := make([][]json.RawMessage, len(st.cur.Nodes))
-	var dualGroups [][]json.RawMessage
-	if st.next != nil {
-		dualGroups = make([][]json.RawMessage, len(st.next.Nodes))
-	}
-	sb := &splitBatch{records: len(req.Records)}
-	for _, raw := range req.Records {
-		var rec jsonSerial
-		// A record the router cannot read a serial from (wrong shape,
-		// empty serial) goes to the first node, whose per-record
-		// validation quarantines it with the right ledger entry.
-		_ = json.Unmarshal(raw, &rec)
-		idx := 0
-		if rec.Serial != "" {
-			serial := []byte(rec.Serial)
-			idx = st.cur.OwnerIndex(serial)
-			if st.moving(serial) {
-				sb.hasMover = true
-				if st.stage == stageDual {
-					j := st.next.OwnerIndex(serial)
-					dualGroups[j] = append(dualGroups[j], raw)
-				}
-			}
-		}
-		groups[idx] = append(groups[idx], raw)
-	}
-	sb.primary, sb.primaryN = marshalGroups(groups)
-	if st.stage == stageDual && sb.hasMover {
-		sb.dual, sb.dualN = marshalGroups(dualGroups)
-	}
-	return sb, false
-}
-
-func marshalGroups(groups [][]json.RawMessage) ([][]byte, []int) {
-	bodies := make([][]byte, len(groups))
-	counts := make([]int, len(groups))
-	for i, g := range groups {
-		if g == nil {
-			continue
-		}
-		b, _ := json.Marshal(map[string][]json.RawMessage{"records": g})
-		bodies[i] = b
-		counts[i] = len(g)
-	}
-	return bodies, counts
 }
 
 // forwardIngest sends the split batch: dual-write bodies to the new
@@ -587,8 +511,8 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 			return
 		}
 		if resp.StatusCode != http.StatusOK {
-			// A single-node verdict (malformed sub-batch, 429, …) is the
-			// batch's verdict; relay it as the node shaped it.
+			// A single-node verdict (429, 413, …) is the batch's
+			// verdict; relay it as the node shaped it.
 			rt.relay(w, resp, rb)
 			return
 		}
@@ -676,15 +600,22 @@ type rankedDrive struct {
 	serial      string
 }
 
+// UnmarshalJSON reads the ranking keys. A null degradation is a drive
+// whose windows are empty after a model swap (+Inf on its node), so it
+// ranks last.
 func (d *rankedDrive) UnmarshalJSON(b []byte) error {
 	var keys struct {
-		Serial      string  `json:"serial"`
-		Degradation float64 `json:"degradation"`
+		Serial      string   `json:"serial"`
+		Degradation *float64 `json:"degradation"`
 	}
 	if err := json.Unmarshal(b, &keys); err != nil {
 		return err
 	}
-	*d = rankedDrive{raw: append(json.RawMessage(nil), b...), degradation: keys.Degradation, serial: keys.Serial}
+	deg := math.Inf(1)
+	if keys.Degradation != nil {
+		deg = *keys.Degradation
+	}
+	*d = rankedDrive{raw: append(json.RawMessage(nil), b...), degradation: deg, serial: keys.Serial}
 	return nil
 }
 

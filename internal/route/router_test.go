@@ -268,9 +268,8 @@ func TestRouterMergesQuarantineAccounting(t *testing.T) {
 	}
 }
 
-// A body the router cannot parse goes to a node verbatim, which answers
-// the canonical 400; unsupported content types are rejected at the
-// router with the nodes' message shape.
+// A body a node would reject is rejected at the router with the node's
+// 400 and ledger shape, and so are unsupported content types.
 func TestRouterIngestErrorContract(t *testing.T) {
 	_, m := startCluster(t, 2)
 	_, ts := startRouter(t, m, nil)

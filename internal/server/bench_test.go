@@ -93,16 +93,21 @@ func BenchmarkIngestBinary(b *testing.B) {
 	b.ReportMetric(float64(b.N*drives)/b.Elapsed().Seconds(), "records/s")
 }
 
-// BenchmarkIngestJSON is the same workload through the JSON path, the
-// baseline the binary format is judged against. The request body is
-// patched in place (fixed-width hour digits), so client-side encoding
-// does not pollute the server-side allocation count.
-func BenchmarkIngestJSON(b *testing.B) {
-	const drives = 512
-	const hourBase = 1000000 // 7 digits, never a leading zero
-	srv := testServer(b, fleet.Config{Shards: 16, Workers: 8}, Config{})
-	h := srv.Handler()
+// jsonBatch is a JSON ingest body of benchObs records whose hours are
+// written in a fixed width, so a steady-state loop can renumber them in
+// place and client-side encoding does not pollute the server-side
+// allocation count.
+type jsonBatch struct {
+	body     []byte
+	hourOffs []int
+}
 
+// jsonHourBase is the first hour of a jsonBatch: 7 digits, never a
+// leading zero.
+const jsonHourBase = 1000000
+
+func newJSONBatch(tb testing.TB, drives int) *jsonBatch {
+	tb.Helper()
 	type rec struct {
 		Serial string     `json:"serial"`
 		Hour   int        `json:"hour"`
@@ -117,48 +122,116 @@ func BenchmarkIngestJSON(b *testing.B) {
 		}
 		score := 0.9
 		vals[smart.RRER] = &score
-		rs[d] = rec{Serial: fmt.Sprintf("SER-%04d", d), Hour: hourBase, Values: vals}
+		rs[d] = rec{Serial: fmt.Sprintf("SER-%04d", d), Hour: jsonHourBase, Values: vals}
 	}
-	frame, err := json.Marshal(map[string]any{"records": rs})
+	body, err := json.Marshal(map[string]any{"records": rs})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Locate every fixed-width hour so iterations can renumber in place.
-	marker := []byte(`"hour":` + strconv.Itoa(hourBase))
-	var hourOffs []int
+	jb := &jsonBatch{body: body}
+	marker := []byte(`"hour":` + strconv.Itoa(jsonHourBase))
 	for off := 0; ; {
-		i := bytes.Index(frame[off:], marker)
+		i := bytes.Index(body[off:], marker)
 		if i < 0 {
 			break
 		}
-		hourOffs = append(hourOffs, off+i+len(`"hour":`))
+		jb.hourOffs = append(jb.hourOffs, off+i+len(`"hour":`))
 		off += i + len(marker)
 	}
-	if len(hourOffs) != drives {
-		b.Fatalf("found %d hour fields, want %d", len(hourOffs), drives)
+	if len(jb.hourOffs) != drives {
+		tb.Fatalf("found %d hour fields, want %d", len(jb.hourOffs), drives)
 	}
+	return jb
+}
+
+// setHour renumbers every record to jsonHourBase+h.
+func (jb *jsonBatch) setHour(tb testing.TB, h int) {
+	var digits [8]byte
+	hs := strconv.AppendInt(digits[:0], int64(jsonHourBase+h), 10)
+	if len(hs) != 7 {
+		tb.Fatalf("hour %d is not 7 digits", jsonHourBase+h)
+	}
+	for _, off := range jb.hourOffs {
+		copy(jb.body[off:], hs)
+	}
+}
+
+// BenchmarkIngestJSON is the same workload through the JSON path, the
+// baseline the binary format is judged against.
+func BenchmarkIngestJSON(b *testing.B) {
+	const drives = 512
+	srv := testServer(b, fleet.Config{Shards: 16, Workers: 8}, Config{})
+	h := srv.Handler()
+	jb := newJSONBatch(b, drives)
 
 	req := httptest.NewRequest("POST", "/v1/ingest", nil)
 	req.Header.Set("Content-Type", "application/json")
 	var body reusableBody
 	w := &nullResponseWriter{}
-	serveBatch(h, req, &body, frame, w) // warm-up
+	serveBatch(h, req, &body, jb.body, w) // warm-up
 
-	b.SetBytes(int64(len(frame)))
+	b.SetBytes(int64(len(jb.body)))
 	b.ReportAllocs()
 	b.ResetTimer()
-	var digits [8]byte
 	for i := 0; i < b.N; i++ {
-		hs := strconv.AppendInt(digits[:0], int64(hourBase+i+1), 10)
-		if len(hs) != 7 {
-			b.Fatalf("hour %d is not 7 digits", hourBase+i+1)
-		}
-		for _, off := range hourOffs {
-			copy(frame[off:], hs)
-		}
-		serveBatch(h, req, &body, frame, w)
+		jb.setHour(b, i+1)
+		serveBatch(h, req, &body, jb.body, w)
 	}
 	b.ReportMetric(float64(b.N*drives)/b.Elapsed().Seconds(), "records/s")
+}
+
+// TestIngestJSONAllocsMatchBinary pins the JSON ingest path to the
+// binary one's allocation budget: a warm JSON request through Handler()
+// makes at most 4 more allocations than the same batch as a frame, and
+// as many at 64 records as at 512, so none per record. Skipped under
+// the race detector, whose sync.Pool drops items at random.
+func TestIngestJSONAllocsMatchBinary(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	allocs := func(drives int, binary bool) float64 {
+		srv := testServer(t, fleet.Config{Shards: 16, Workers: 8}, Config{})
+		h := srv.Handler()
+		req := httptest.NewRequest("POST", "/v1/ingest", nil)
+		var body reusableBody
+		w := &nullResponseWriter{}
+		var next func() []byte
+		hour := 0
+		if binary {
+			req.Header.Set("Content-Type", wire.ContentType)
+			obs := benchObs(drives, 0)
+			frame := wire.EncodeBatch(obs)
+			next = func() []byte {
+				hour++
+				for j := range obs {
+					obs[j].Record.Hour = hour
+				}
+				frame, _ = wire.AppendBatch(frame[:0], obs)
+				return frame
+			}
+		} else {
+			req.Header.Set("Content-Type", "application/json")
+			jb := newJSONBatch(t, drives)
+			next = func() []byte {
+				hour++
+				jb.setHour(t, hour)
+				return jb.body
+			}
+		}
+		serveBatch(h, req, &body, next(), w) // warm-up: creates all drive state
+		return testing.AllocsPerRun(50, func() { serveBatch(h, req, &body, next(), w) })
+	}
+	for _, drives := range []int{64, 512} {
+		bin, js := allocs(drives, true), allocs(drives, false)
+		t.Logf("%d records: binary %.0f, JSON %.0f allocs per request", drives, bin, js)
+		if js > bin+4 {
+			t.Errorf("%d records: JSON ingest makes %.0f allocs, binary %.0f; want at most 4 more", drives, js, bin)
+		}
+	}
+	if small, large := allocs(64, false), allocs(512, false); small != large {
+		t.Errorf("JSON ingest makes %.0f allocs at 64 records and %.0f at 512; want the same", small, large)
+	}
 }
 
 var _ io.ReadCloser = (*reusableBody)(nil)

@@ -50,13 +50,22 @@ func TestIngestBodySizeBoundary(t *testing.T) {
 		name string
 		size int
 		want int
+		// earlyEnd pads with whitespace after a short JSON value instead
+		// of inside it, so the value ends long before the limit does.
+		earlyEnd bool
 	}{
 		{name: "at-limit", size: limit, want: http.StatusOK},
 		{name: "one-over", size: limit + 1, want: http.StatusRequestEntityTooLarge},
+		{name: "value-ends-early-one-over", size: limit + 1, want: http.StatusRequestEntityTooLarge, earlyEnd: true},
+		{name: "value-ends-early-16x-over", size: 16 * limit, want: http.StatusRequestEntityTooLarge, earlyEnd: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			body := sizedIngestBody(t, tc.size)
+			if tc.earlyEnd {
+				short := sizedIngestBody(t, 80)
+				body = append(short, bytes.Repeat([]byte(" "), tc.size-len(short))...)
+			}
 			resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
@@ -99,6 +108,24 @@ func TestIngestMalformedBodies(t *testing.T) {
 		{name: "not-json", body: `{not json`, want: http.StatusBadRequest},
 		{name: "wrong-shape", body: `{"records":42}`, want: http.StatusBadRequest},
 		{name: "empty-body", body: ``, want: http.StatusBadRequest},
+		// Bodies encoding/json would have acknowledged while dropping
+		// part of them: a second top-level value, trailing bytes, and
+		// repeated keys (last-wins, or merged element by element).
+		{name: "two-top-level-values",
+			body: `{"records":[{"serial":"A","hour":0,"values":[0,0,0,0,0,0,0,0,0,0,0,0]}]}` +
+				`{"records":[{"serial":"B","hour":0,"values":[0,0,0,0,0,0,0,0,0,0,0,0]}]}`,
+			want: http.StatusBadRequest},
+		{name: "trailing-garbage", body: `{"records":[]}x`, want: http.StatusBadRequest},
+		{name: "repeated-record-field",
+			body: `{"records":[{"serial":"A","serial":"B","hour":0,"values":[0,0,0,0,0,0,0,0,0,0,0,0]}]}`,
+			want: http.StatusBadRequest},
+		{name: "repeated-record-field-case-folded",
+			body: `{"records":[{"serial":"A","hour":0,"values":[0,0,0,0,0,0,0,0,0,0,0,0],"Hour":1}]}`,
+			want: http.StatusBadRequest},
+		{name: "repeated-records-key",
+			body: `{"records":[{"serial":"A","hour":0,"values":[0,0,0,0,0,0,0,0,0,0,0,0]}],"records":[{"hour":5}]}`,
+			want: http.StatusBadRequest},
+		{name: "top-level-null", body: `null`, want: http.StatusOK, wantIngested: 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -119,6 +146,9 @@ func TestIngestMalformedBodies(t *testing.T) {
 				t.Fatal("400 response has no error field")
 			}
 		})
+	}
+	if n := srv.store.Tracked(); n != 0 {
+		t.Fatalf("%d drives stored from bodies that ingest nothing", n)
 	}
 }
 

@@ -32,7 +32,6 @@ import (
 	"disksig/internal/parallel"
 	"disksig/internal/persist"
 	"disksig/internal/quality"
-	"disksig/internal/smart"
 	"disksig/internal/wire"
 )
 
@@ -265,30 +264,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return srv.Shutdown(ctx)
 }
 
-// ingestRecord is the wire form of one observation. Values must have
-// exactly smart.NumAttrs entries in Table I order; a null entry means
-// the field was missing at the source and is treated as NaN, which the
-// store quarantines (or repairs, per its monitor policy) — JSON cannot
-// carry NaN directly. Values are decoded as json.Number, not float64:
-// a magnitude beyond float64's range (e.g. 1e999) parses to ±Inf with
-// only a range error to show for it, and letting that through would
-// silently coerce the wire value. Such records are quarantined
-// per-record here instead of failing the whole batch.
-type ingestRecord struct {
-	Serial string `json:"serial"`
-	Hour   int    `json:"hour"`
-	// Class names the device class ("hdd" or "ssd"); absent or empty
-	// means HDD, so pre-class agents keep working unchanged. An unknown
-	// name quarantines the record — DisallowUnknownFields already rejects
-	// typo'd field names, so a typo'd value must not slip through either.
-	Class  string         `json:"class,omitempty"`
-	Values []*json.Number `json:"values"`
-}
-
-type ingestRequest struct {
-	Records []ingestRecord `json:"records"`
-}
-
 // mediaType extracts the bare media type of a Content-Type header value,
 // dropping parameters like charset. An absent header negotiates as JSON
 // (the format the API launched with).
@@ -305,7 +280,8 @@ func mediaType(ct string) string {
 // default) or the binary frame format of internal/wire. Anything else is
 // a 415 — silently parsing a mislabeled body would quarantine the whole
 // batch as garbage instead of telling the client it spoke the wrong
-// format.
+// format. Either format is read whole into a pooled buffer, so every
+// body past MaxBodyBytes is a 413, and decoded by a pooled wire decoder.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if rp := s.repl; rp != nil {
 		rp.mu.Lock()
@@ -321,119 +297,19 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// tests see a server whose capacity is genuinely bounded.
 		time.Sleep(s.cfg.IngestDelay)
 	}
-	switch ct := mediaType(r.Header.Get("Content-Type")); ct {
+	ct := mediaType(r.Header.Get("Content-Type"))
+	switch ct {
 	case "", "application/json":
 		s.m.ingestReqJSON.Add(1)
-		s.handleIngestJSON(w, r)
 	case wire.ContentType:
 		s.m.ingestReqBinary.Add(1)
-		s.handleIngestBinary(w, r)
 	default:
 		writeJSON(w, http.StatusUnsupportedMediaType, map[string]any{
 			"error": fmt.Sprintf("unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentType),
 		})
-	}
-}
-
-func (s *Server) handleIngestJSON(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	// Unknown fields are rejected rather than silently dropped: a typo'd
-	// field name in a telemetry agent would otherwise discard data with a
-	// 200.
-	dec.DisallowUnknownFields()
-	var req ingestRequest
-	if err := dec.Decode(&req); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
-				"error": fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
-			})
-			return
-		}
-		// Malformed JSON: nothing was ingested; the ledger names the
-		// defect so clients can account for the lost batch.
-		var rep quality.Report
-		rep.Note(quality.Issue{Kind: quality.MalformedRow, Detail: err.Error()}, quality.Config{})
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error":   fmt.Sprintf("malformed request body: %v", err),
-			"quality": ledgerJSON(&rep),
-		})
 		return
 	}
 
-	// Per-record validation: structurally defective records are
-	// quarantined here (they cannot be scored at all); value-level
-	// defects are the store's quarantine to judge.
-	var rep quality.Report
-	obs := make([]fleet.Observation, 0, len(req.Records))
-	for i, rec := range req.Records {
-		class, classErr := smart.ParseClass(rec.Class)
-		switch {
-		case rec.Serial == "":
-			rep.Note(quality.Issue{
-				Kind: quality.BadField, Field: "serial",
-				Detail: fmt.Sprintf("record %d has no serial", i),
-			}, quality.Config{})
-			rep.AddRows(1, 1, 0)
-		case classErr != nil:
-			rep.Note(quality.Issue{
-				Kind: quality.BadField, Field: "device_class", Drive: rec.Serial,
-				Detail: fmt.Sprintf("record %d: %v", i, classErr),
-			}, quality.Config{})
-			rep.AddRows(1, 1, 0)
-		case len(rec.Values) != int(smart.NumAttrs):
-			rep.Note(quality.Issue{
-				Kind: quality.ShortRow, Drive: rec.Serial,
-				Detail: fmt.Sprintf("record %d has %d values, want %d", i, len(rec.Values), smart.NumAttrs),
-			}, quality.Config{})
-			rep.AddRows(1, 1, 0)
-		default:
-			var v smart.Values
-			bad := false
-			for a, p := range rec.Values {
-				if p == nil {
-					// Missing at source: NaN, judged by the store-side
-					// quarantine like any other non-finite value.
-					v[a] = math.NaN()
-					continue
-				}
-				x, err := strconv.ParseFloat(p.String(), 64)
-				if err != nil || math.IsInf(x, 0) {
-					rep.Note(quality.Issue{
-						Kind: quality.NonFinite, Drive: rec.Serial, Field: smart.Attr(a).String(),
-						Detail: fmt.Sprintf("record %d value %q is not a finite float64", i, p.String()),
-					}, quality.Config{})
-					bad = true
-					continue
-				}
-				v[a] = x
-			}
-			if bad {
-				rep.AddRows(1, 1, 0)
-				continue
-			}
-			obs = append(obs, fleet.Observation{
-				Serial: rec.Serial,
-				Class:  class,
-				Record: smart.Record{Hour: rec.Hour, Values: v},
-			})
-		}
-	}
-
-	s.finishIngest(w, r, obs, &rep)
-}
-
-// bodyPool recycles the binary-path request body buffers; sized bodies
-// are the norm (loadgen batches are tens of KiB), so reuse matters.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decoderPool recycles wire decoders across requests. A warm decoder
-// carries its interned serial table and observation buffer, which is
-// what makes the steady-state binary path allocation-free.
-var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
-
-func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	buf := bodyPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -455,11 +331,16 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	dec := decoderPool.Get().(*wire.Decoder)
 	defer decoderPool.Put(dec)
 	var rep quality.Report
-	obs, err := dec.Decode(buf.Bytes(), &rep)
+	var obs []fleet.Observation
+	var err error
+	if ct == wire.ContentType {
+		obs, err = dec.Decode(buf.Bytes(), &rep)
+	} else {
+		obs, err = dec.DecodeJSON(buf.Bytes(), &rep)
+	}
 	if err != nil {
-		// Frame-level failure: nothing in the batch can be trusted, so
-		// nothing was ingested — the same contract as malformed JSON, with
-		// the frame defect named in the ledger.
+		// A malformed body or frame: nothing in the batch can be trusted,
+		// so nothing was ingested, and the ledger names the defect.
 		if fe, ok := wire.IsFrameError(err); ok {
 			rep.Note(fe.Issue(), quality.Config{})
 		} else {
@@ -473,6 +354,15 @@ func (s *Server) handleIngestBinary(w http.ResponseWriter, r *http.Request) {
 	}
 	s.finishIngest(w, r, obs, &rep)
 }
+
+// bodyPool recycles request body buffers; sized bodies are the norm
+// (loadgen batches are tens of KiB), so reuse matters.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decoderPool recycles wire decoders across requests. A warm decoder
+// carries its interned serial table and observation buffer, which is
+// what makes the steady-state ingest path allocation-free.
+var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // ingestAck is the POST /v1/ingest response. It is a struct, not a
 // map[string]any, so the hot path hands the encoder a shape it can walk
@@ -681,8 +571,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, doc)
 }
 
-// driveJSON renders a drive health snapshot; +Inf hours-to-failure
-// becomes null (JSON has no Inf).
+// driveJSON renders a drive health snapshot; a non-finite degradation
+// (+Inf right after a model swap, until the drive reports again) or
+// hours-to-failure becomes null (JSON has no Inf).
 func driveJSON(dh fleet.DriveHealth) map[string]any {
 	out := map[string]any{
 		"serial":      dh.Serial,
@@ -691,7 +582,7 @@ func driveJSON(dh fleet.DriveHealth) map[string]any {
 		"severity":    dh.Severity.String(),
 		"group":       dh.Group,
 		"type":        dh.Type.String(),
-		"degradation": dh.Degradation,
+		"degradation": finiteOrNil(dh.Degradation),
 	}
 	out["hours_to_failure"] = finiteOrNil(dh.HoursToFailure)
 	return out

@@ -26,8 +26,8 @@ type rampPredictor struct{}
 
 func (rampPredictor) Predict(x []float64) float64 { return x[smart.RRER] }
 
-func testStore(t testing.TB, cfg fleet.Config) *fleet.Store {
-	t.Helper()
+// testModels is the ramp model set over a [-1, 1] normalizer.
+func testModels() ([]monitor.GroupModel, *smart.Normalizer) {
 	norm := smart.NewNormalizer()
 	var lo, hi smart.Values
 	for a := range lo {
@@ -43,6 +43,12 @@ func testStore(t testing.TB, cfg fleet.Config) *fleet.Store {
 		WindowD:   12,
 		Predictor: rampPredictor{},
 	}}
+	return models, norm
+}
+
+func testStore(t testing.TB, cfg fleet.Config) *fleet.Store {
+	t.Helper()
+	models, norm := testModels()
 	s, err := fleet.New(models, norm, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -466,6 +472,52 @@ func TestAccessLog(t *testing.T) {
 	for _, want := range []string{"method=GET", "path=/healthz", "status=200", "dur="} {
 		if !strings.Contains(line, want) {
 			t.Errorf("access log %q missing %q", line, want)
+		}
+	}
+}
+
+// TestInfiniteDegradationRendersNull: right after a model swap a
+// drive's smoothing windows are empty and its degradation is +Inf until
+// it reports again. The drive and summary reads render it as null, the
+// way hours_to_failure already is, instead of failing to encode.
+func TestInfiniteDegradationRendersNull(t *testing.T) {
+	srv := testServer(t, fleet.Config{Shards: 2, Monitor: monitor.Config{Smoothing: 2}}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json",
+		bytes.NewReader(ingestBody(t, [3]any{"SER-1", 0, 0.5}, [3]any{"SER-2", 0, -0.5})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	models, norm := testModels()
+	if err := srv.store.SwapModels(models, norm, 2); err != nil {
+		t.Fatal(err)
+	}
+
+	get := func(path string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("GET %s: status %d: %s", path, resp.StatusCode, body)
+		}
+		return decodeJSON(t, resp.Body)
+	}
+	if deg, ok := get("/v1/drives/SER-1")["degradation"]; !ok || deg != nil {
+		t.Fatalf("degradation after swap = %v (present %v), want null", deg, ok)
+	}
+	atRisk := get("/v1/fleet/summary")["at_risk"].([]any)
+	if len(atRisk) != 2 {
+		t.Fatalf("at_risk lists %d drives, want 2", len(atRisk))
+	}
+	for _, d := range atRisk {
+		if deg := d.(map[string]any)["degradation"]; deg != nil {
+			t.Fatalf("at_risk degradation after swap = %v, want null", deg)
 		}
 	}
 }

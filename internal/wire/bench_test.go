@@ -48,3 +48,42 @@ func BenchmarkIngestEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIngestDecodeJSON is BenchmarkIngestDecode for the same 512
+// records as a JSON body: a warm decoder re-reading batches from the
+// same drives.
+func BenchmarkIngestDecodeJSON(b *testing.B) {
+	obs := testObs(512)
+	body := jsonFixture(obs)
+	var d Decoder
+	var rep quality.Report
+	if _, err := d.DecodeJSON(body, &rep); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := d.DecodeJSON(body, &rep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(got) != len(obs) {
+			b.Fatalf("kept %d of %d", len(got), len(obs))
+		}
+	}
+	b.ReportMetric(float64(b.N*len(obs))/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkSplitJSON measures the router's JSON split of the same body
+// across three nodes.
+func BenchmarkSplitJSON(b *testing.B) {
+	body := jsonFixture(testObs(512))
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := SplitJSON(body, 3, splitAssign, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

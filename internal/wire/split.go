@@ -22,14 +22,16 @@ import (
 // The frame-level checks (version, CRC, record count, torn records,
 // trailing bytes) are exactly Decode's — a frame that Decode rejects
 // with a *FrameError is rejected here identically, so the router's 400
-// matches what the node would have said. Records whose headers are
-// structurally defective (bad serial length, impossible triple count)
-// cannot be re-framed — forwarded alone they would fail the target
-// node's own prechecks and poison the whole sub-batch — so they are
-// judged at the split with the same per-record quarantine notes Decode
-// writes, into rep (which may be nil when assign never selects them).
-// Triple-level defects (bad attribute index, flags, infinities) pass
-// through untouched; the owning node quarantines those, keeping the
+// matches what the node would have said. Each part is framed in the
+// input's version. Records whose headers are structurally defective
+// (bad serial length, impossible triple count) cannot be re-framed —
+// forwarded alone they would fail the target node's own prechecks and
+// poison the whole sub-batch — so they are judged at the split with the
+// same per-record quarantine notes Decode writes, into rep (which may
+// be nil when assign never selects them). An unknown version-2 class
+// byte, which Decode judges before the triple count, and triple-level
+// defects (bad attribute index, flags, infinities) pass through
+// untouched; the owning node quarantines those, keeping the
 // split-and-forward accounting identical to a direct ingest.
 func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
 	if parts <= 0 {
@@ -38,33 +40,40 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 	if len(frame) < minFrameSize {
 		return nil, truncated("frame of %d bytes is shorter than the %d-byte minimum", len(frame), minFrameSize)
 	}
-	if frame[0] != Version {
-		return nil, malformed("unsupported wire version %d (want %d)", frame[0], Version)
+	version := frame[0]
+	if version != Version && version != Version2 {
+		return nil, malformed("unsupported wire version %d (want %d or %d)", version, Version, Version2)
 	}
 	body, trailer := frame[:len(frame)-trailerSize], frame[len(frame)-trailerSize:]
 	if sum := crc32.Checksum(body, castagnoli); sum != u32(trailer) {
 		return nil, malformed("frame checksum mismatch (computed %08x, trailer %08x)", sum, u32(trailer))
 	}
+	recHeader := recHeaderSize
+	if version == Version2 {
+		recHeader = recHeaderSize2
+	}
 	count := u32(body[1:])
 	p := body[headerSize:]
-	if uint64(count)*(recHeaderSize+1) > uint64(len(p)) {
+	if uint64(count)*uint64(recHeader+1) > uint64(len(p)) {
 		return nil, malformed("record count %d exceeds the %d-byte frame body", count, len(p))
 	}
 
 	bodies := make([][]byte, parts)
 	counts := make([]uint32, parts)
 	for i := uint32(0); i < count; i++ {
-		if len(p) < recHeaderSize {
-			return nil, truncated("record %d torn: %d bytes left, need a %d-byte record header", i, len(p), recHeaderSize)
+		if len(p) < recHeader {
+			return nil, truncated("record %d torn: %d bytes left, need a %d-byte record header", i, len(p), recHeader)
 		}
 		slen := int(u16(p))
-		triples := int(u16(p[6:]))
-		need := recHeaderSize + slen + triples*tripleSize
+		// The triple count closes the record header in both versions.
+		triples := int(u16(p[recHeader-2:]))
+		classKnown := version == Version || smart.DeviceClass(p[6]).Valid()
+		need := recHeader + slen + triples*tripleSize
 		if len(p) < need {
-			return nil, truncated("record %d torn: %d bytes left, need %d", i, len(p)-recHeaderSize, need-recHeaderSize)
+			return nil, truncated("record %d torn: %d bytes left, need %d", i, len(p)-recHeader, need-recHeader)
 		}
 		rec := p[:need]
-		serial := p[recHeaderSize : recHeaderSize+slen]
+		serial := p[recHeader : recHeader+slen]
 		p = p[need:]
 
 		// Same header-level judgment as Decode: these records cannot be
@@ -80,7 +89,7 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 				rep.AddRows(1, 1, 0)
 			}
 			continue
-		case triples > int(smart.NumAttrs):
+		case classKnown && triples > int(smart.NumAttrs):
 			if rep != nil {
 				rep.Note(quality.Issue{
 					Kind: quality.ShortRow, Drive: string(serial),
@@ -102,7 +111,7 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 			// Size for the remaining body: every unassigned record could
 			// still land here.
 			bodies[idx] = make([]byte, 0, headerSize+len(rec)+len(p)+trailerSize)
-			bodies[idx] = append(bodies[idx], Version, 0, 0, 0, 0)
+			bodies[idx] = append(bodies[idx], version, 0, 0, 0, 0)
 		}
 		bodies[idx] = append(bodies[idx], rec...)
 		counts[idx]++

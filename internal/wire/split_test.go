@@ -4,14 +4,26 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"disksig/internal/fleet"
 	"disksig/internal/quality"
+	"disksig/internal/smart"
 )
 
 // TestSplitFrameRoundTrip checks the router contract: splitting a frame
 // into parts and decoding each part yields exactly the original records,
 // in original order within each part.
 func TestSplitFrameRoundTrip(t *testing.T) {
-	obs := testObs(50)
+	checkSplitRoundTrip(t, testObs(50))
+}
+
+// TestSplitFrameRoundTripV2 is the same contract for a mixed-class batch:
+// a version-2 frame splits into version-2 parts that keep every class.
+func TestSplitFrameRoundTripV2(t *testing.T) {
+	checkSplitRoundTrip(t, testMixedObs(50))
+}
+
+func checkSplitRoundTrip(t *testing.T, obs []fleet.Observation) {
+	t.Helper()
 	frame := EncodeBatch(obs)
 	const parts = 3
 	assign := func(serial []byte) int {
@@ -33,6 +45,9 @@ func TestSplitFrameRoundTrip(t *testing.T) {
 		if body == nil {
 			continue
 		}
+		if body[0] != frame[0] {
+			t.Fatalf("part %d framed as version %d, input as %d", p, body[0], frame[0])
+		}
 		var partRep quality.Report
 		decoded, err := d.Decode(body, &partRep)
 		if err != nil {
@@ -50,8 +65,8 @@ func TestSplitFrameRoundTrip(t *testing.T) {
 				t.Fatalf("part %d has extra record %q", p, o.Serial)
 			}
 			want := obs[next[p]]
-			if o.Serial != want.Serial || o.Record.Hour != want.Record.Hour || !nanEqual(o.Record.Values, want.Record.Values) {
-				t.Fatalf("part %d: got %q h%d, want %q h%d", p, o.Serial, o.Record.Hour, want.Serial, want.Record.Hour)
+			if o.Serial != want.Serial || o.Class != want.Class || o.Record.Hour != want.Record.Hour || !nanEqual(o.Record.Values, want.Record.Values) {
+				t.Fatalf("part %d: got %q %v h%d, want %q %v h%d", p, o.Serial, o.Class, o.Record.Hour, want.Serial, want.Class, want.Record.Hour)
 			}
 			next[p]++
 			got++
@@ -59,6 +74,56 @@ func TestSplitFrameRoundTrip(t *testing.T) {
 	}
 	if got != len(obs) {
 		t.Fatalf("parts carry %d records, frame had %d", got, len(obs))
+	}
+}
+
+// An unknown version-2 class byte is the owner's to judge, even on a
+// record whose triple count the split would otherwise quarantine: the
+// split forwards the record untouched and the owner's Decode writes the
+// same device-class quarantine a direct ingest would.
+func TestSplitFrameV2PassesUnknownClass(t *testing.T) {
+	for _, triples := range []int{3, int(smart.NumAttrs) + 1} {
+		// Hand-build: an unknown-class record, then a good SSD record.
+		body := []byte{Version2}
+		body = appendU32(body, 2)
+		body = appendU16(body, 1)
+		body = appendU32(body, 5)
+		body = append(body, 0x7f)
+		body = appendU16(body, uint16(triples))
+		body = append(body, 'x')
+		for k := 0; k < triples; k++ {
+			body = append(body, byte(k%int(smart.NumAttrs)), 0)
+			body = appendU64(body, 0)
+		}
+		body = appendU16(body, 3)
+		body = appendU32(body, 7)
+		body = append(body, byte(smart.SSD))
+		body = appendU16(body, 0)
+		body = append(body, "abc"...)
+		frame := appendU32(body, crc32.Checksum(body, castagnoli))
+
+		var d Decoder
+		var direct quality.Report
+		if _, err := d.Decode(frame, &direct); err != nil {
+			t.Fatalf("%d triples: direct decode: %v", triples, err)
+		}
+		var splitRep quality.Report
+		bodies, err := SplitFrame(frame, 1, func([]byte) int { return 0 }, &splitRep)
+		if err != nil {
+			t.Fatalf("%d triples: SplitFrame: %v", triples, err)
+		}
+		if splitRep.RowsRead != 0 {
+			t.Fatalf("%d triples: split quarantined the record itself: %+v", triples, splitRep)
+		}
+		var routed quality.Report
+		kept, err := d.Decode(bodies[0], &routed)
+		if err != nil {
+			t.Fatalf("%d triples: decoding the part: %v", triples, err)
+		}
+		if len(kept) != 1 || kept[0].Class != smart.SSD || routed.RowsQuarantined != 1 ||
+			routed.Count(quality.BadField) != 1 || routed.ByKind != direct.ByKind {
+			t.Fatalf("%d triples: routed ledger %+v (kept %d), direct %+v", triples, routed, len(kept), direct)
+		}
 	}
 }
 
@@ -136,15 +201,19 @@ func TestSplitFrameQuarantinesDefectiveHeaders(t *testing.T) {
 // Frame-level failures must match Decode's judgment exactly: same error
 // class for the same bytes.
 func TestSplitFrameErrorsMatchDecode(t *testing.T) {
-	obs := testObs(5)
-	good := EncodeBatch(obs)
+	good := EncodeBatch(testObs(5))
+	good2 := EncodeBatch(testMixedObs(5))
 	cases := map[string][]byte{
-		"short":    good[:minFrameSize-1],
-		"version":  append([]byte{99}, good[1:]...),
-		"crc":      append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^1),
-		"count":    corruptCount(good),
-		"torn":     tornTail(good),
-		"trailing": trailingBytes(good),
+		"short":       good[:minFrameSize-1],
+		"version":     append([]byte{99}, good[1:]...),
+		"crc":         append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^1),
+		"count":       corruptCount(good),
+		"torn":        tornTail(good),
+		"trailing":    trailingBytes(good),
+		"v2 crc":      append(append([]byte{}, good2[:len(good2)-1]...), good2[len(good2)-1]^1),
+		"v2 count":    corruptCount(good2),
+		"v2 torn":     tornTail(good2),
+		"v2 trailing": trailingBytes(good2),
 	}
 	for name, frame := range cases {
 		var d Decoder

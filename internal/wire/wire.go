@@ -1,15 +1,16 @@
-// Package wire is the binary batch wire format of the ingest API: a
-// compact, CRC-framed encoding of one POST /v1/ingest batch, negotiated
-// with the Content-Type "application/x-disksig-batch" alongside the JSON
-// format. It exists because JSON decode dominates the ingest hot path —
-// parsing a float64 out of a quoted decimal costs more than scoring the
-// record — and a fleet of millions of drives emitting hourly telemetry
-// cannot afford that per record. The binary decoder parses frames
-// directly into reusable observation buffers (serials are interned, so
-// the steady state allocates nothing per record) and routes every defect
-// through the internal/quality taxonomy, keeping the
-// kept+quarantined+dropped accounting invariant identical to the JSON
-// path's.
+// Package wire decodes both encodings of one POST /v1/ingest batch: the
+// JSON body (application/json, the default; see DecodeJSON) and a
+// compact, CRC-framed binary batch frame negotiated with the
+// Content-Type "application/x-disksig-batch". One pooled Decoder reads
+// either into a reusable observation buffer with interned serials, so
+// the steady state allocates nothing per record in either format, and
+// routes every defect through the internal/quality taxonomy, keeping the
+// kept+quarantined+dropped accounting identical across the two.
+// SplitFrame and SplitJSON let a router partition a batch by owning node
+// by copying each record's bytes, with the nodes' own checks. The frame
+// remains the cheaper format: a value travels as its float64 bits
+// instead of a decimal to parse, so decoding it costs a fraction of the
+// JSON scan.
 //
 // # Frame layout (version 1)
 //
@@ -213,14 +214,19 @@ func EncodedSize(obs []fleet.Observation) int {
 	return n
 }
 
-// Decoder parses binary batch frames into observations. It is built for
+// Decoder parses binary batch frames (Decode) and JSON bodies
+// (DecodeJSON) into observations. It is built for
 // the ingest hot path: the observation buffer is reused across calls and
 // serials are interned, so decoding a steady-state batch (every drive
 // already seen) allocates nothing per record. A Decoder is not safe for
 // concurrent use; pool one per in-flight request.
 type Decoder struct {
-	obs    []fleet.Observation
-	intern map[string]string
+	obs     []fleet.Observation
+	interns map[string]string
+	// js and held are DecodeJSON's scanner and the issues it holds back
+	// until the whole body has scanned.
+	js   jsonScanner
+	held []quality.Issue
 }
 
 // Decode parses one frame. Kept observations are returned (the slice is
@@ -351,7 +357,7 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 			continue
 		}
 		d.obs = append(d.obs, fleet.Observation{
-			Serial: d.internSerial(serial),
+			Serial: d.intern(serial),
 			Class:  class,
 			Record: smart.Record{Hour: hour, Values: v},
 		})
@@ -366,24 +372,25 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 // via interning (the frame buffer is the caller's to reuse).
 func (d *Decoder) noteBadRecord(rep *quality.Report, serial []byte, kind quality.Kind, format string, args ...any) {
 	rep.Note(quality.Issue{
-		Kind: kind, Drive: d.internSerial(serial),
+		Kind: kind, Drive: d.intern(serial),
 		Detail: fmt.Sprintf(format, args...),
 	}, quality.Config{})
 }
 
-// internSerial returns a stable string for a serial's bytes, allocating
-// only the first time a serial is seen (map lookups keyed by a byte
-// slice conversion do not allocate). The table resets past its cap so a
-// flood of unique serials bounds at a table, not a leak.
-func (d *Decoder) internSerial(b []byte) string {
-	if s, ok := d.intern[string(b)]; ok {
+// intern returns a stable string for a serial's (or a class name's)
+// bytes, allocating only the first time they are seen (map lookups
+// keyed by a byte slice conversion do not allocate). The table resets
+// past its cap so a flood of unique serials bounds at a table, not a
+// leak.
+func (d *Decoder) intern(b []byte) string {
+	if s, ok := d.interns[string(b)]; ok {
 		return s
 	}
-	if d.intern == nil || len(d.intern) >= maxInternedSerials {
-		d.intern = make(map[string]string, 1024)
+	if d.interns == nil || len(d.interns) >= maxInternedSerials {
+		d.interns = make(map[string]string, 1024)
 	}
 	s := string(b)
-	d.intern[s] = s
+	d.interns[s] = s
 	return s
 }
 
