@@ -29,39 +29,50 @@ func buildSamples(failed []*smart.Profile, goodPool []smart.Values, cfg Degradat
 	if cfg.WindowD <= 0 {
 		return nil, nil, nil, nil, fmt.Errorf("predict: WindowD must be positive, got %v", cfg.WindowD)
 	}
-	var xs [][]float64
-	var ys []float64
+	const w = int(smart.NumAttrs)
+	failedN := 0
+	for _, p := range failed {
+		failedN += p.Len()
+	}
+	// Every sample row is a window of one backing array.
+	total := failedN * (1 + cfg.GoodFactor)
+	backing := make([]float64, total*w)
+	ys := make([]float64, total)
+	k := 0
 	for _, p := range failed {
 		n := p.Len()
-		for i, r := range p.Records {
+		for i := range p.Records {
 			t := float64(n - 1 - i)
 			target := cfg.Form.Eval(t, cfg.WindowD)
 			if t > cfg.WindowD {
 				target = 0
 			}
-			xs = append(xs, r.Values.Slice())
-			ys = append(ys, target)
+			copy(backing[k*w:], p.Records[i].Values[:])
+			ys[k] = target
+			k++
 		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	goodN := cfg.GoodFactor * len(xs)
-	for i := 0; i < goodN; i++ {
-		v := goodPool[rng.Intn(len(goodPool))]
-		xs = append(xs, v.Slice())
-		ys = append(ys, 1)
+	for ; k < total; k++ {
+		copy(backing[k*w:], goodPool[rng.Intn(len(goodPool))][:])
+		ys[k] = 1
+	}
+	xs := make([][]float64, total)
+	for i := range xs {
+		xs[i] = backing[i*w : (i+1)*w : (i+1)*w]
 	}
 	perm := rng.Perm(len(xs))
 	split := int(cfg.TrainFrac * float64(len(xs)))
 	if split < 1 || split >= len(xs) {
 		return nil, nil, nil, nil, fmt.Errorf("predict: degenerate split %d of %d", split, len(xs))
 	}
+	trainX, trainY = make([][]float64, split), make([]float64, split)
+	testX, testY = make([][]float64, len(xs)-split), make([]float64, len(xs)-split)
 	for i, pi := range perm {
 		if i < split {
-			trainX = append(trainX, xs[pi])
-			trainY = append(trainY, ys[pi])
+			trainX[i], trainY[i] = xs[pi], ys[pi]
 		} else {
-			testX = append(testX, xs[pi])
-			testY = append(testY, ys[pi])
+			testX[i-split], testY[i-split] = xs[pi], ys[pi]
 		}
 	}
 	return trainX, trainY, testX, testY, nil

@@ -69,33 +69,11 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 	}
 	cfg = cfg.withDefaults()
 	d := len(x[0])
+	samples, featureSets := cfg.draw(len(x), d)
 	f := &Forest{
 		trees:       make([]*Tree, cfg.Trees),
 		features:    d,
-		featureSets: make([][]int, cfg.Trees),
-	}
-	nFeat := int(cfg.FeatureFraction * float64(d))
-	if nFeat < 1 {
-		nFeat = 1
-	}
-	sampleN := int(cfg.SampleFraction * float64(len(x)))
-	if sampleN < 1 {
-		sampleN = 1
-	}
-
-	// Pre-draw all randomness sequentially so training is deterministic
-	// regardless of scheduling.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	bootstraps := make([][]int, cfg.Trees)
-	for t := range bootstraps {
-		idx := make([]int, sampleN)
-		for i := range idx {
-			idx[i] = rng.Intn(len(x))
-		}
-		bootstraps[t] = idx
-		if nFeat < d {
-			f.featureSets[t] = rng.Perm(d)[:nFeat]
-		}
+		featureSets: featureSets,
 	}
 
 	var wg sync.WaitGroup
@@ -107,22 +85,7 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		go func(t int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			idx := bootstraps[t]
-			bx := make([][]float64, len(idx))
-			by := make([]float64, len(idx))
-			feats := f.featureSets[t]
-			for i, j := range idx {
-				if feats == nil {
-					bx[i] = x[j]
-				} else {
-					row := make([]float64, len(feats))
-					for k, fi := range feats {
-						row[k] = x[j][fi]
-					}
-					bx[i] = row
-				}
-				by[i] = y[j]
-			}
+			bx, by := bootstrap(x, y, samples[t], featureSets[t])
 			tr, err := Train(bx, by, cfg.Tree)
 			if err != nil {
 				errs[t] = err
@@ -138,6 +101,55 @@ func TrainForest(x [][]float64, y []float64, cfg ForestConfig) (*Forest, error) 
 		}
 	}
 	return f, nil
+}
+
+// draw pre-draws every member tree's bootstrap resample of n samples
+// and, when FeatureFraction < 1, its subset of the d features. All
+// randomness is drawn here, in sequence, so training is deterministic
+// regardless of scheduling. cfg must have its defaults applied.
+func (cfg ForestConfig) draw(n, d int) (samples, featureSets [][]int) {
+	nFeat := int(cfg.FeatureFraction * float64(d))
+	if nFeat < 1 {
+		nFeat = 1
+	}
+	sampleN := int(cfg.SampleFraction * float64(n))
+	if sampleN < 1 {
+		sampleN = 1
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	samples = make([][]int, cfg.Trees)
+	featureSets = make([][]int, cfg.Trees)
+	for t := range samples {
+		idx := make([]int, sampleN)
+		for i := range idx {
+			idx[i] = rng.Intn(n)
+		}
+		samples[t] = idx
+		if nFeat < d {
+			featureSets[t] = rng.Perm(d)[:nFeat]
+		}
+	}
+	return samples, featureSets
+}
+
+// bootstrap builds one member tree's training set: the rows idx of x,
+// restricted to the features feats (nil keeps every feature).
+func bootstrap(x [][]float64, y []float64, idx, feats []int) ([][]float64, []float64) {
+	bx := make([][]float64, len(idx))
+	by := make([]float64, len(idx))
+	for i, j := range idx {
+		if feats == nil {
+			bx[i] = x[j]
+		} else {
+			row := make([]float64, len(feats))
+			for k, fi := range feats {
+				row[k] = x[j][fi]
+			}
+			bx[i] = row
+		}
+		by[i] = y[j]
+	}
+	return bx, by
 }
 
 // Predict returns the ensemble mean prediction for one observation.

@@ -7,7 +7,6 @@ package tree
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 
@@ -27,7 +26,8 @@ type Config struct {
 	// split scans and concurrent subtree growth on large nodes; 0 means
 	// GOMAXPROCS, 1 trains sequentially. The fitted tree is bit-for-bit
 	// identical at every setting: feature scans are self-contained and
-	// merged in feature order, and sibling subtrees share no state.
+	// merged in feature order, and sibling subtrees own disjoint
+	// segments of the working set.
 	Workers int
 }
 
@@ -70,6 +70,13 @@ type node struct {
 }
 
 // Train fits a regression tree to the row observations X with targets y.
+//
+// Induction is presorted CART (the SLIQ layout): X is copied
+// column-major once and each feature is sorted once, by (value, sample
+// index), so a tree level costs O(n·d) rather than re-sorting every
+// node. That order is the canonical tie rule: among equal feature values
+// (−0 and +0 included) the lower sample index comes first, and the split
+// scan accumulates targets in that order.
 func Train(x [][]float64, y []float64, cfg Config) (*Tree, error) {
 	if len(x) == 0 {
 		return nil, fmt.Errorf("tree: no training samples")
@@ -77,27 +84,125 @@ func Train(x [][]float64, y []float64, cfg Config) (*Tree, error) {
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("tree: %d observations but %d targets", len(x), len(y))
 	}
+	if len(x) > math.MaxInt32 {
+		return nil, fmt.Errorf("tree: %d observations exceed the %d-sample limit", len(x), math.MaxInt32)
+	}
 	d := len(x[0])
 	for i, row := range x {
 		if len(row) != d {
 			return nil, fmt.Errorf("tree: observation %d has %d features, want %d", i, len(row), d)
 		}
 	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	rootMean, rootSSE := meanSSE(idx, y)
+	p := newPresort(x, y)
+	rootMean, rootSSE := p.meanSSE(0, len(x))
 	cfg = cfg.withDefaults(rootSSE)
 	cfg.Workers = parallel.Workers(cfg.Workers)
+	p.cfg = cfg
 	t := &Tree{features: d}
-	t.root = grow(x, y, idx, rootMean, rootSSE, 0, cfg)
+	t.root = p.grow(0, len(x), rootMean, rootSSE, 0)
 	return t, nil
 }
 
+// presort is Train's working set. A node owns the segment [lo,hi) of
+// every list in sorted; splitting it partitions each list's segment
+// stably, so both children inherit sorted lists and sibling subtrees
+// never touch each other's segments.
+type presort struct {
+	cols [][]float64 // cols[f][i] is x[i][f]
+	y    []float64
+	// sorted[f] orders the samples by (cols[f][i], i) for each feature f;
+	// the last list keeps them in index order, the order in which node
+	// means and SSEs sum.
+	sorted [][]int32
+	// scratch holds a segment's right side while it is partitioned, at
+	// the segment's own positions; left marks each sample's side of the
+	// split being applied.
+	scratch []int32
+	left    []bool
+	cfg     Config
+}
+
+func newPresort(x [][]float64, y []float64) *presort {
+	n, d := len(x), len(x[0])
+	p := &presort{
+		cols:    make([][]float64, d),
+		y:       y,
+		sorted:  make([][]int32, d+1),
+		scratch: make([]int32, n),
+		left:    make([]bool, n),
+	}
+	vals := make([]float64, d*n)
+	lists := make([]int32, (d+1)*n)
+	keys, keyBuf := make([]uint64, n), make([]uint64, n)
+	for f := range p.sorted {
+		p.sorted[f] = lists[f*n : (f+1)*n : (f+1)*n]
+	}
+	for f := range p.cols {
+		col := vals[f*n : (f+1)*n : (f+1)*n]
+		for i, row := range x {
+			col[i] = row[f]
+		}
+		p.cols[f] = col
+		sortByValue(p.sorted[f], col, keys, keyBuf, p.scratch)
+	}
+	for i := range p.sorted[d] {
+		p.sorted[d][i] = int32(i)
+	}
+	return p
+}
+
+// sortKey maps a feature value to a key whose unsigned order is the
+// value's numeric order, with −0 and +0 equal.
+func sortKey(v float64) uint64 {
+	if v == 0 {
+		v = 0 // −0 takes +0's key
+	}
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// sortByValue fills s with the sample indices ordered by (col[i], i): a
+// stable LSD radix sort of the keys, one byte per pass, starting from
+// index order. keys, keyBuf and buf are scratch of len(col).
+func sortByValue(s []int32, col []float64, keys, keyBuf []uint64, buf []int32) {
+	var counts [8][256]int
+	for i, v := range col {
+		k := sortKey(v)
+		keys[i] = k
+		s[i] = int32(i)
+		for b := range counts {
+			counts[b][byte(k>>(8*b))]++
+		}
+	}
+	src, dst, srcKeys, dstKeys := s, buf, keys, keyBuf
+	for b := range counts {
+		c := &counts[b]
+		shift := 8 * b
+		if c[byte(srcKeys[0]>>shift)] == len(col) {
+			continue // every key has this byte
+		}
+		pos := 0
+		for digit, count := range c {
+			c[digit] = pos
+			pos += count
+		}
+		for j, k := range srcKeys {
+			at := &c[byte(k>>shift)]
+			dst[*at] = src[j]
+			dstKeys[*at] = k
+			*at++
+		}
+		src, dst, srcKeys, dstKeys = dst, src, dstKeys, srcKeys
+	}
+	copy(s, src)
+}
+
 // meanSSE computes the mean target and sum of squared errors of a sample
-// subset.
-func meanSSE(idx []int, y []float64) (mean, sse float64) {
+// subset, summing in the order idx lists the samples.
+func meanSSE[I int | int32](idx []I, y []float64) (mean, sse float64) {
 	for _, i := range idx {
 		mean += y[i]
 	}
@@ -109,43 +214,73 @@ func meanSSE(idx []int, y []float64) (mean, sse float64) {
 	return mean, sse
 }
 
-func grow(x [][]float64, y []float64, idx []int, mean, sse float64, depth int, cfg Config) *node {
-	n := &node{feature: -1, value: mean, n: len(idx)}
-	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf || sse <= cfg.MinImprovement {
+// meanSSE computes the mean target and SSE of the segment [lo,hi) in
+// ascending sample order.
+func (p *presort) meanSSE(lo, hi int) (mean, sse float64) {
+	return meanSSE(p.sorted[len(p.cols)][lo:hi], p.y)
+}
+
+func (p *presort) grow(lo, hi int, mean, sse float64, depth int) *node {
+	n := &node{feature: -1, value: mean, n: hi - lo}
+	cfg := &p.cfg
+	if depth >= cfg.MaxDepth || hi-lo < 2*cfg.MinLeaf || sse <= cfg.MinImprovement {
 		return n
 	}
-	feat, thr, gain, ok := bestSplit(x, y, idx, sse, cfg.MinLeaf, cfg.Workers)
+	feat, thr, gain, ok := p.bestSplit(lo, hi, sse)
 	if !ok || gain < cfg.MinImprovement {
 		return n
 	}
-	var leftIdx, rightIdx []int
-	for _, i := range idx {
-		if x[i][feat] < thr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
-		}
-	}
+	mid := p.partition(lo, hi, feat, thr)
 	n.feature = feat
 	n.threshold = thr
-	lm, ls := meanSSE(leftIdx, y)
-	rm, rs := meanSSE(rightIdx, y)
-	if cfg.Workers > 1 && len(leftIdx) >= subtreeParallelMin && len(rightIdx) >= subtreeParallelMin {
-		// Sibling subtrees read shared x/y but write disjoint nodes, so
-		// growing them concurrently produces the same tree.
+	lm, ls := p.meanSSE(lo, mid)
+	rm, rs := p.meanSSE(mid, hi)
+	if cfg.Workers > 1 && mid-lo >= subtreeParallelMin && hi-mid >= subtreeParallelMin {
+		// Sibling subtrees read shared columns and targets but write
+		// only their own segments, marks and nodes, so growing them
+		// concurrently produces the same tree.
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			n.left = grow(x, y, leftIdx, lm, ls, depth+1, cfg)
+			n.left = p.grow(lo, mid, lm, ls, depth+1)
 		}()
-		n.right = grow(x, y, rightIdx, rm, rs, depth+1, cfg)
+		n.right = p.grow(mid, hi, rm, rs, depth+1)
 		wg.Wait()
 	} else {
-		n.left = grow(x, y, leftIdx, lm, ls, depth+1, cfg)
-		n.right = grow(x, y, rightIdx, rm, rs, depth+1, cfg)
+		n.left = p.grow(lo, mid, lm, ls, depth+1)
+		n.right = p.grow(mid, hi, rm, rs, depth+1)
 	}
 	return n
+}
+
+// partition applies the split cols[feat] < thr to the segment [lo,hi) of
+// every list and returns mid: the left child owns [lo,mid), the right
+// child [mid,hi).
+func (p *presort) partition(lo, hi, feat int, thr float64) (mid int) {
+	col, left := p.cols[feat], p.left
+	mid = lo
+	for _, i := range p.sorted[len(p.cols)][lo:hi] {
+		l := col[i] < thr
+		left[i] = l
+		if l {
+			mid++
+		}
+	}
+	for _, s := range p.sorted {
+		w, r := lo, lo
+		for _, i := range s[lo:hi] {
+			if left[i] {
+				s[w] = i
+				w++
+			} else {
+				p.scratch[r] = i
+				r++
+			}
+		}
+		copy(s[w:hi], p.scratch[lo:r])
+	}
+	return mid
 }
 
 // featureSplit is one feature's best candidate split.
@@ -155,67 +290,71 @@ type featureSplit struct {
 	ok        bool
 }
 
-// scanFeature finds feature f's lowest-SSE split over the node samples
-// using sorted prefix sums. order is scratch space of len(idx). The scan
-// is self-contained (it never reads other features' state), so scans can
-// run concurrently and be merged in feature order with results identical
-// to a single sequential pass.
-func scanFeature(x [][]float64, y []float64, idx []int, f, minLeaf int, order []int) featureSplit {
-	n := len(idx)
-	copy(order, idx)
-	sort.Slice(order, func(a, b int) bool { return x[order[a]][f] < x[order[b]][f] })
-	// Prefix scan: left side accumulates sum and sum of squares.
-	var lSum, lSq float64
+// scan finds feature f's lowest-SSE split of the segment [lo,hi) by a
+// prefix scan of its presorted list. It only reads shared state, so the
+// scans of one node can run concurrently and be merged in feature order
+// with results identical to a single sequential pass.
+func (p *presort) scan(f, lo, hi int) featureSplit {
+	s, col, y := p.sorted[f][lo:hi], p.cols[f], p.y
+	n, minLeaf := len(s), p.cfg.MinLeaf
 	var tSum, tSq float64
-	for _, i := range order {
+	for _, i := range s {
 		tSum += y[i]
 		tSq += y[i] * y[i]
 	}
-	best := featureSplit{sse: math.Inf(1)}
-	for k := 0; k < n-1; k++ {
-		yi := y[order[k]]
+	// The left side accumulates sum and sum of squares. Until it holds
+	// MinLeaf samples no split is admissible; grow guarantees
+	// n >= 2*MinLeaf.
+	var lSum, lSq float64
+	for _, i := range s[:minLeaf-1] {
+		yi := y[i]
 		lSum += yi
 		lSq += yi * yi
+	}
+	best := featureSplit{sse: math.Inf(1)}
+	next := col[s[minLeaf-1]]
+	for k := minLeaf - 1; k < n-minLeaf; k++ {
+		yi := y[s[k]]
+		lSum += yi
+		lSq += yi * yi
+		v := next
+		next = col[s[k+1]]
 		// Can't split between equal feature values.
-		if x[order[k]][f] == x[order[k+1]][f] {
+		if v == next {
 			continue
 		}
 		nl, nr := k+1, n-k-1
-		if nl < minLeaf || nr < minLeaf {
-			continue
-		}
 		rSum := tSum - lSum
 		rSq := tSq - lSq
 		sse := (lSq - lSum*lSum/float64(nl)) + (rSq - rSum*rSum/float64(nr))
 		if sse < best.sse {
-			best = featureSplit{sse: sse, threshold: (x[order[k]][f] + x[order[k+1]][f]) / 2, ok: true}
+			best = featureSplit{sse: sse, threshold: (v + next) / 2, ok: true}
 		}
 	}
 	return best
 }
 
-// bestSplit scans every feature and threshold for the split that
-// minimizes the summed child SSE. On large nodes the per-feature scans
-// fan out across workers; merging their results in ascending feature
-// order (strictly-lower SSE wins) reproduces the sequential pass
-// exactly, ties and all.
-func bestSplit(x [][]float64, y []float64, idx []int, parentSSE float64, minLeaf, workers int) (feature int, threshold, gain float64, ok bool) {
-	n := len(idx)
-	d := len(x[idx[0]])
+// bestSplit scans every feature and threshold of the segment [lo,hi) for
+// the split that minimizes the summed child SSE. On large nodes the
+// per-feature scans fan out across workers; merging their results in
+// ascending feature order (strictly-lower SSE wins) reproduces the
+// sequential pass exactly, ties and all.
+func (p *presort) bestSplit(lo, hi int, parentSSE float64) (feature int, threshold, gain float64, ok bool) {
+	d := len(p.cols)
 	var splits []featureSplit
-	if workers > 1 && n*d >= splitParallelMin {
-		splits = parallel.Map(workers, d, func(f int) featureSplit {
-			return scanFeature(x, y, idx, f, minLeaf, make([]int, n))
+	if p.cfg.Workers > 1 && (hi-lo)*d >= splitParallelMin {
+		splits = parallel.Map(p.cfg.Workers, d, func(f int) featureSplit {
+			return p.scan(f, lo, hi)
 		})
-	} else {
-		order := make([]int, n)
-		splits = make([]featureSplit, d)
-		for f := 0; f < d; f++ {
-			splits[f] = scanFeature(x, y, idx, f, minLeaf, order)
-		}
 	}
 	bestSSE := math.Inf(1)
-	for f, s := range splits {
+	for f := 0; f < d; f++ {
+		var s featureSplit
+		if splits != nil {
+			s = splits[f]
+		} else {
+			s = p.scan(f, lo, hi)
+		}
 		if s.ok && s.sse < bestSSE {
 			bestSSE = s.sse
 			feature = f

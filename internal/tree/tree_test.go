@@ -1,8 +1,11 @@
 package tree
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -278,6 +281,278 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 			if tr.Predict(x[i]) != base.Predict(x[i]) {
 				t.Fatalf("workers=%d: prediction differs at sample %d", workers, i)
 			}
+		}
+	}
+}
+
+// referenceTrain is CART induction by a per-node sort: every node
+// re-sorts its samples for every feature under the canonical (value,
+// sample index) order. Train's presorted induction must reproduce it
+// byte for byte.
+func referenceTrain(x [][]float64, y []float64, cfg Config) *Tree {
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	mean, sse := meanSSE(idx, y)
+	cfg = cfg.withDefaults(sse)
+	return &Tree{features: len(x[0]), root: referenceGrow(x, y, idx, mean, sse, 0, cfg)}
+}
+
+func referenceGrow(x [][]float64, y []float64, idx []int, mean, sse float64, depth int, cfg Config) *node {
+	n := &node{feature: -1, value: mean, n: len(idx)}
+	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeaf || sse <= cfg.MinImprovement {
+		return n
+	}
+	feat, thr, gain, ok := referenceBestSplit(x, y, idx, sse, cfg.MinLeaf)
+	if !ok || gain < cfg.MinImprovement {
+		return n
+	}
+	var leftIdx, rightIdx []int
+	for _, i := range idx {
+		if x[i][feat] < thr {
+			leftIdx = append(leftIdx, i)
+		} else {
+			rightIdx = append(rightIdx, i)
+		}
+	}
+	n.feature = feat
+	n.threshold = thr
+	lm, ls := meanSSE(leftIdx, y)
+	rm, rs := meanSSE(rightIdx, y)
+	n.left = referenceGrow(x, y, leftIdx, lm, ls, depth+1, cfg)
+	n.right = referenceGrow(x, y, rightIdx, rm, rs, depth+1, cfg)
+	return n
+}
+
+func referenceBestSplit(x [][]float64, y []float64, idx []int, parentSSE float64, minLeaf int) (feature int, threshold, gain float64, ok bool) {
+	order := make([]int, len(idx))
+	bestSSE := math.Inf(1)
+	for f := range x[idx[0]] {
+		s := referenceScan(x, y, idx, f, minLeaf, order)
+		if s.ok && s.sse < bestSSE {
+			bestSSE = s.sse
+			feature = f
+			threshold = s.threshold
+			ok = true
+		}
+	}
+	if !ok {
+		return 0, 0, 0, false
+	}
+	return feature, threshold, parentSSE - bestSSE, true
+}
+
+func referenceScan(x [][]float64, y []float64, idx []int, f, minLeaf int, order []int) featureSplit {
+	n := len(idx)
+	copy(order, idx)
+	sort.Slice(order, func(a, b int) bool {
+		va, vb := x[order[a]][f], x[order[b]][f]
+		return va < vb || (!(vb < va) && order[a] < order[b])
+	})
+	var lSum, lSq float64
+	var tSum, tSq float64
+	for _, i := range order {
+		tSum += y[i]
+		tSq += y[i] * y[i]
+	}
+	best := featureSplit{sse: math.Inf(1)}
+	for k := 0; k < n-1; k++ {
+		yi := y[order[k]]
+		lSum += yi
+		lSq += yi * yi
+		if x[order[k]][f] == x[order[k+1]][f] {
+			continue
+		}
+		nl, nr := k+1, n-k-1
+		if nl < minLeaf || nr < minLeaf {
+			continue
+		}
+		rSum := tSum - lSum
+		rSq := tSq - lSq
+		sse := (lSq - lSum*lSum/float64(nl)) + (rSq - rSum*rSum/float64(nr))
+		if sse < best.sse {
+			best = featureSplit{sse: sse, threshold: (x[order[k]][f] + x[order[k+1]][f]) / 2, ok: true}
+		}
+	}
+	return best
+}
+
+// tiedData draws n observations of d features, each feature taking one
+// of a few levels (−0 and +0 among them), with about one row in eight
+// duplicating an earlier one. flags adds more ties: constFeature holds
+// feature 0 constant, mirror makes the last feature the negation of
+// feature 0 (equal splits that only summation order separates, like
+// RSC and R-RSC), and quantize rounds the targets to quarters.
+func tiedData(rng *rand.Rand, n, d, levels int, constFeature, mirror, quantize bool) ([][]float64, []float64) {
+	negZero := math.Copysign(0, -1)
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		if i > 0 && rng.Intn(8) == 0 {
+			j := rng.Intn(i)
+			x[i], y[i] = x[j], y[j]
+			continue
+		}
+		row := make([]float64, d)
+		for f := range row {
+			switch l := rng.Intn(levels); l {
+			case 0:
+				row[f] = negZero
+			case 1:
+				row[f] = 0
+			default:
+				row[f] = float64(l-levels/2) / 4
+			}
+		}
+		if constFeature {
+			row[0] = 0.5
+		}
+		if mirror && d > 1 {
+			row[d-1] = -row[0]
+		}
+		x[i] = row
+		y[i] = row[len(row)/2] - row[0]/2 + 0.3*rng.NormFloat64()
+		if quantize {
+			y[i] = math.Round(4*y[i]) / 4
+		}
+	}
+	return x, y
+}
+
+func gobBytes(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	b, err := tr.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestPresortedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	check := func(name string, x [][]float64, y []float64, cfg Config) *Tree {
+		t.Helper()
+		want := gobBytes(t, referenceTrain(x, y, cfg))
+		var got *Tree
+		for _, workers := range []int{1, 4} {
+			cfg.Workers = workers
+			tr, err := Train(x, y, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gobBytes(t, tr), want) {
+				t.Fatalf("%s, workers=%d: presorted tree differs from the reference\npresorted:\n%sreference:\n%s",
+					name, workers, tr.Render(nil), referenceTrain(x, y, cfg).Render(nil))
+			}
+			got = tr
+		}
+		return got
+	}
+
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(300)
+		d := 1 + rng.Intn(5)
+		x, y := tiedData(rng, n, d, 2+rng.Intn(5), trial%5 == 0, trial%2 == 0, trial%3 == 0)
+		cfg := Config{MaxDepth: 1 + rng.Intn(10), MinLeaf: 1 + rng.Intn(8)}
+		check(fmt.Sprintf("trial %d (n=%d d=%d %+v)", trial, n, d, cfg), x, y, cfg)
+	}
+
+	// Both children of the root exceed subtreeParallelMin, so at
+	// Workers 4 the subtrees grow concurrently and their scans fan out.
+	x, y := tiedData(rng, 6*subtreeParallelMin, 4, 40, false, true, false)
+	for i, row := range x {
+		if row[1] < 0 {
+			y[i] += 3
+		}
+	}
+	tr := check("large", x, y, Config{MaxDepth: 8, MinLeaf: 3})
+	if tr.root.feature < 0 || tr.root.left.n < subtreeParallelMin || tr.root.right.n < subtreeParallelMin {
+		t.Fatalf("large case does not split into two subtrees of >= %d samples: root %d, children %d/%d",
+			subtreeParallelMin, tr.root.n, tr.root.left.n, tr.root.right.n)
+	}
+
+	// Forest members train on bootstrap resamples (duplicated rows) of
+	// bagged feature subsets.
+	x, y = tiedData(rng, 400, 5, 6, false, true, false)
+	cfg := ForestConfig{Trees: 8, FeatureFraction: 0.6, Seed: 4, Workers: 4, Tree: Config{MinLeaf: 2, Workers: 4}}
+	f, err := TrainForest(x, y, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	samples, featureSets := cfg.draw(len(x), len(x[0]))
+	duplicated := false
+	for m, tr := range f.trees {
+		seen := make(map[int]bool)
+		for _, j := range samples[m] {
+			duplicated = duplicated || seen[j]
+			seen[j] = true
+		}
+		bx, by := bootstrap(x, y, samples[m], featureSets[m])
+		if !bytes.Equal(gobBytes(t, tr), gobBytes(t, referenceTrain(bx, by, cfg.Tree))) {
+			t.Fatalf("member %d differs from the reference tree on its bootstrap sample", m)
+		}
+	}
+	if !duplicated || featureSets[0] == nil {
+		t.Fatal("forest case lacks bootstrap duplicates or feature bagging")
+	}
+}
+
+func countNodes(n *node) int {
+	if n.feature < 0 {
+		return 1
+	}
+	return 1 + countNodes(n.left) + countNodes(n.right)
+}
+
+// trainAllocsConst bounds Train's allocations beyond one per tree node:
+// the working set and the Tree itself, independent of n.
+const trainAllocsConst = 16
+
+func TestTrainAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, n := range []int{500, 20000} {
+		x, y := tiedData(rng, n, 6, 50, false, false, false)
+		cfg := Config{MaxDepth: 10, MinLeaf: 5, Workers: 1}
+		var tr *Tree
+		allocs := testing.AllocsPerRun(3, func() {
+			var err error
+			if tr, err = Train(x, y, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		nodes := countNodes(tr.root)
+		t.Logf("n=%d: %.0f allocations for %d nodes", n, allocs, nodes)
+		if allocs > float64(nodes+trainAllocsConst) {
+			t.Errorf("n=%d: Train made %.0f allocations for %d nodes, want at most nodes+%d",
+				n, allocs, nodes, trainAllocsConst)
+		}
+	}
+}
+
+// BenchmarkTrain fits a degradation-sized tree: 120k samples of 12
+// features on a few hundred levels each, at TrainDegradation's MaxDepth
+// and MinLeaf.
+func BenchmarkTrain(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const n, d, levels = 120_000, 12, 300
+	x := make([][]float64, n)
+	y := make([]float64, n)
+	for i := range x {
+		row := make([]float64, d)
+		for f := range row {
+			row[f] = float64(rng.Intn(levels))/(levels/2) - 1
+		}
+		x[i] = row
+		y[i] = math.Tanh(3*row[0]-2*row[1]*row[2]) + 0.1*rng.NormFloat64()
+	}
+	cfg := Config{MaxDepth: 10, MinLeaf: 20}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(x, y, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
