@@ -8,6 +8,7 @@
 // Usage:
 //
 //	diskload -scenario all -scale small -report BENCH_loadgen.json
+//	diskload -scenario steady,chaos -state-dir /tmp/dl  # durable state kept
 //	diskload -scenario steady -soak 60s -rate 20000
 //	diskload -scenario steady -format binary   # binary wire format
 //	diskload -scenario ramp -max-inflight 4
@@ -21,9 +22,9 @@
 //	         more passes; the served store must match the shadow
 //	         record-for-record and /metrics must balance exactly.
 //	compare  the same workload replayed as JSON and as CRC-framed binary
-//	         batches against fresh servers; both replicas must land on
-//	         bit-identical state fingerprints and the binary leg must be
-//	         faster.
+//	         batches against two fresh servers, pass by pass; both
+//	         replicas must land on bit-identical state fingerprints and
+//	         the median binary/JSON pass rate ratio must be at least 1.2.
 //	ramp     concurrency ladder past the server's in-flight limit; load
 //	         shedding must engage (429 + valid Retry-After), nothing may
 //	         500, and retries must deliver every record exactly once.
@@ -56,6 +57,11 @@
 //	         policy — the reader ledger must balance exactly — and
 //	         replayed through the serving stack against a shadow.
 //
+// -scenario takes a comma-separated list (run in the order above) or
+// all. The durable scenarios (chaos, failover, drift, mixed) keep their
+// state in <state-dir>/<scenario>, or in scratch directories removed
+// afterwards when -state-dir is empty.
+//
 // Exit status is non-zero if any scenario check fails.
 package main
 
@@ -64,7 +70,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"strings"
 	"time"
 
 	"disksig/internal/core"
@@ -79,7 +85,7 @@ func main() {
 	log.SetPrefix("diskload: ")
 
 	var (
-		scenario  = flag.String("scenario", "all", "scenario to run: steady, compare, ramp, chaos, failover, rebalance, drift, mixed, backblaze or all")
+		scenario  = flag.String("scenario", "all", "comma-separated scenarios to run (steady, compare, ramp, chaos, failover, rebalance, drift, mixed, backblaze) or all")
 		scaleFlag = flag.String("scale", "small", "fleet scale preset for training and workload")
 		seed      = flag.Int64("seed", 1, "seed for training, workload generation and fault injection")
 		clients   = flag.Int("clients", 4, "concurrent HTTP clients (steady and chaos)")
@@ -93,7 +99,7 @@ func main() {
 		shards    = flag.Int("shards", 16, "fleet store shards of the system under test")
 		workers   = flag.Int("workers", 0, "store ingestion parallelism; 0 means GOMAXPROCS")
 		corrupt   = flag.Float64("corrupt", 0.02, "per-record garble/duplicate/reorder probability of the workload")
-		stateDir  = flag.String("state-dir", "", "chaos scenario state directory; empty uses a scratch directory")
+		stateDir  = flag.String("state-dir", "", "root of the durable scenarios' state (<state-dir>/<scenario>); empty uses scratch directories")
 		format    = flag.String("format", "json", "ingest wire format of steady/ramp/chaos batches: json or binary")
 		cmpBatch  = flag.Int("compare-batch", 1000, "compare scenario batch size (amortizes per-request HTTP overhead)")
 		margin    = flag.Float64("shadow-margin", 0, "drift scenario promotion margin: candidate F1 must beat serving F1 by at least this much")
@@ -105,10 +111,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	switch *scenario {
-	case "steady", "compare", "ramp", "chaos", "failover", "rebalance", "drift", "mixed", "backblaze", "all":
-	default:
-		log.Fatalf("unknown -scenario %q (want steady, compare, ramp, chaos, failover, rebalance, drift, mixed, backblaze or all)", *scenario)
+	selected := map[string]bool{}
+	for _, name := range strings.Split(*scenario, ",") {
+		known := name == "all"
+		for _, sc := range scenarios {
+			known = known || sc.name == name
+		}
+		if !known {
+			log.Fatalf("unknown scenario %q in -scenario (want a comma-separated list of %s, or all)", name, scenarioNames())
+		}
+		selected[name] = true
 	}
 	wireFormat, err := loadgen.ParseFormat(*format)
 	if err != nil {
@@ -154,13 +166,15 @@ func main() {
 		Passes:          *passes,
 		SoakFor:         *soak,
 		RampMaxInFlight: *inflight,
+		StateDir:        *stateDir,
 		CompareBatch:    *cmpBatch,
 		ShadowMargin:    *margin,
+		BackblazePath:   *bbPath,
 	}
 
 	ctx := context.Background()
 	rep := &loadgen.Report{Schema: "disksig/loadgen/v1", Seed: *seed, Scale: scale.String()}
-	run := func(name string, f func(context.Context, loadgen.Deployment, loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error)) {
+	run := func(name string, f scenarioFunc) *loadgen.ScenarioReport {
 		start := time.Now()
 		sr, err := f(ctx, dep, cfg)
 		if err != nil {
@@ -168,106 +182,36 @@ func main() {
 		}
 		rep.Scenarios = append(rep.Scenarios, sr)
 		printScenario(sr, time.Since(start))
+		return sr
 	}
-
-	if *scenario == "steady" || *scenario == "all" {
-		run("steady", loadgen.RunSteady)
-		if *double {
-			// The determinism proof: an independent second run — fresh
-			// server, fresh shadow, same seed — must replay byte-identical
-			// requests and land on a byte-identical fleet summary.
-			run("steady", loadgen.RunSteady)
-			a, b := rep.Scenarios[len(rep.Scenarios)-2], rep.Scenarios[len(rep.Scenarios)-1]
-			b.Name = "steady-rerun"
-			var detErr error
-			if a.WorkloadFingerprint != b.WorkloadFingerprint {
-				detErr = fmt.Errorf("workload fingerprints differ: %s vs %s", a.WorkloadFingerprint, b.WorkloadFingerprint)
-			} else if a.SummaryFingerprint != b.SummaryFingerprint {
-				detErr = fmt.Errorf("summary fingerprints differ: %s vs %s", a.SummaryFingerprint, b.SummaryFingerprint)
-			}
-			b.Checks = append(b.Checks, loadgen.Check{Name: "deterministic-rerun", OK: detErr == nil})
-			if detErr != nil {
-				b.Checks[len(b.Checks)-1].Detail = detErr.Error()
-				b.Passed = false
-				log.Printf("determinism FAILED: %v", detErr)
-			} else {
-				log.Printf("determinism: rerun fingerprints identical (workload %s, summary %s)",
-					a.WorkloadFingerprint, a.SummaryFingerprint)
-			}
+	for _, sc := range scenarios {
+		if !selected[sc.name] && !selected["all"] {
+			continue
 		}
-	}
-	if *scenario == "compare" || *scenario == "all" {
-		run("format-compare", loadgen.RunFormatCompare)
-	}
-	if *scenario == "ramp" || *scenario == "all" {
-		run("ramp", loadgen.RunRamp)
-	}
-	if *scenario == "chaos" || *scenario == "all" {
-		dir := *stateDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "diskload-chaos-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
+		a := run(sc.name, sc.run)
+		if sc.name != "steady" || !*double {
+			continue
 		}
-		ccfg := cfg
-		ccfg.ChaosStateDir = dir
-		run("chaos", func(ctx context.Context, d loadgen.Deployment, _ loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error) {
-			return loadgen.RunChaos(ctx, d, ccfg)
-		})
-	}
-	if *scenario == "failover" || *scenario == "all" {
-		dir, err := os.MkdirTemp("", "diskload-failover-*")
-		if err != nil {
-			log.Fatal(err)
+		// The determinism proof: an independent second run — fresh
+		// server, fresh shadow, same seed — must replay byte-identical
+		// requests and land on a byte-identical fleet summary.
+		b := run(sc.name, sc.run)
+		b.Name = "steady-rerun"
+		var detErr error
+		if a.WorkloadFingerprint != b.WorkloadFingerprint {
+			detErr = fmt.Errorf("workload fingerprints differ: %s vs %s", a.WorkloadFingerprint, b.WorkloadFingerprint)
+		} else if a.SummaryFingerprint != b.SummaryFingerprint {
+			detErr = fmt.Errorf("summary fingerprints differ: %s vs %s", a.SummaryFingerprint, b.SummaryFingerprint)
 		}
-		defer os.RemoveAll(dir)
-		fcfg := cfg
-		fcfg.FailoverDir = dir
-		run("failover", func(ctx context.Context, d loadgen.Deployment, _ loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error) {
-			return loadgen.RunFailover(ctx, d, fcfg)
-		})
-	}
-	if *scenario == "rebalance" || *scenario == "all" {
-		run("rebalance", loadgen.RunRebalance)
-	}
-	if *scenario == "drift" || *scenario == "all" {
-		dir, err := os.MkdirTemp("", "diskload-drift-*")
-		if err != nil {
-			log.Fatal(err)
+		b.Checks = append(b.Checks, loadgen.Check{Name: "deterministic-rerun", OK: detErr == nil})
+		if detErr != nil {
+			b.Checks[len(b.Checks)-1].Detail = detErr.Error()
+			b.Passed = false
+			log.Printf("determinism FAILED: %v", detErr)
+		} else {
+			log.Printf("determinism: rerun fingerprints identical (workload %s, summary %s)",
+				a.WorkloadFingerprint, a.SummaryFingerprint)
 		}
-		defer os.RemoveAll(dir)
-		dcfg := cfg
-		dcfg.DriftStateDir = dir
-		run("drift", func(ctx context.Context, d loadgen.Deployment, _ loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error) {
-			return loadgen.RunDrift(ctx, d, dcfg)
-		})
-	}
-
-	if *scenario == "mixed" || *scenario == "all" {
-		// The mixed scenario trains its own per-class models; it only
-		// borrows the deployment's sizing and monitor config.
-		dir := *stateDir
-		if dir == "" {
-			dir, err = os.MkdirTemp("", "diskload-mixed-*")
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer os.RemoveAll(dir)
-		}
-		mcfg := cfg
-		mcfg.ChaosStateDir = dir
-		run("mixed", func(ctx context.Context, d loadgen.Deployment, _ loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error) {
-			return loadgen.RunMixed(ctx, d, mcfg)
-		})
-	}
-	if *scenario == "backblaze" || *scenario == "all" {
-		bcfg := cfg
-		bcfg.BackblazePath = *bbPath
-		run("backblaze", func(ctx context.Context, d loadgen.Deployment, _ loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error) {
-			return loadgen.RunBackblaze(ctx, d, bcfg)
-		})
 	}
 
 	if *report != "" {
@@ -280,6 +224,32 @@ func main() {
 		log.Fatal("FAILED")
 	}
 	log.Print("all scenarios passed")
+}
+
+type scenarioFunc func(context.Context, loadgen.Deployment, loadgen.ScenarioConfig) (*loadgen.ScenarioReport, error)
+
+// scenarios is every scenario diskload runs, in run order.
+var scenarios = []struct {
+	name string
+	run  scenarioFunc
+}{
+	{"steady", loadgen.RunSteady},
+	{"compare", loadgen.RunFormatCompare},
+	{"ramp", loadgen.RunRamp},
+	{"chaos", loadgen.RunChaos},
+	{"failover", loadgen.RunFailover},
+	{"rebalance", loadgen.RunRebalance},
+	{"drift", loadgen.RunDrift},
+	{"mixed", loadgen.RunMixed},
+	{"backblaze", loadgen.RunBackblaze},
+}
+
+func scenarioNames() string {
+	names := make([]string, len(scenarios))
+	for i, sc := range scenarios {
+		names[i] = sc.name
+	}
+	return strings.Join(names, ", ")
 }
 
 // printScenario renders one scenario's outcome for humans; the JSON

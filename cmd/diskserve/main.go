@@ -16,7 +16,6 @@
 //	diskserve -state-dir /var/lib/ds2 -addr :8081 -follow http://primary:8080
 //	diskserve -promote http://follower:8081
 //	diskserve -route -cluster cluster.json -addr :8079
-//	diskserve -selftest -scale small
 //
 // With -follow the node skips training entirely: it bootstraps a warm
 // copy of the primary's fleet state over HTTP, applies the primary's
@@ -99,7 +98,6 @@ func main() {
 		routeMode = flag.Bool("route", false, "serve as a cluster router over the nodes in -cluster instead of a storage node")
 		cluster   = flag.String("cluster", "", "cluster map JSON file (required with -route)")
 		promAfter = flag.Duration("promote-after", 5*time.Second, "follower self-promotes after the primary is continuously unreachable this long; 0 disables auto-promotion")
-		selftest  = flag.Bool("selftest", false, "replay a synthetic held-out fleet through the HTTP layer end-to-end, kill and restore a persisted store mid-replay, verify both against in-process replays, and exit")
 
 		histHours    = flag.Int("history-hours", 0, "per-drive telemetry hours retained for online retraining; 0 disables retraining-from-history")
 		retrainEvery = flag.Duration("retrain-every", 0, "background online-retraining period; 0 retrains only via POST /v1/admin/retrain (requires -history-hours)")
@@ -141,14 +139,11 @@ func main() {
 	}
 
 	var mgr *persist.Manager
-	if *stateDir != "" && !*selftest {
+	if *stateDir != "" {
 		mgr, err = persist.Open(*stateDir)
 		if err != nil {
 			log.Fatal(err)
 		}
-	}
-	if *stateDir != "" && *selftest {
-		log.Print("selftest ignores -state-dir and uses a scratch directory")
 	}
 
 	selfURL := *advertise
@@ -165,10 +160,9 @@ func main() {
 	// beats both: it bootstraps the primary's live state over HTTP.
 	var (
 		store *fleet.Store
-		ch    *core.Characterization
 		ropts *server.ReplicationOptions
 	)
-	if *follow != "" && !*selftest {
+	if *follow != "" {
 		start := time.Now()
 		st, bopts, err := server.BootstrapFollower(*follow, selfURL, fcfg, mgr)
 		if err != nil {
@@ -194,7 +188,7 @@ func main() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		ch, err = core.Characterize(ds, core.Config{Seed: *seed, Workers: *workers, Quality: qcfg})
+		ch, err := core.Characterize(ds, core.Config{Seed: *seed, Workers: *workers, Quality: qcfg})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -264,7 +258,7 @@ func main() {
 		log.Fatal("-retrain-every needs -history-hours > 0: retraining harvests from retained telemetry")
 	}
 
-	if ropts == nil && mgr != nil && !*selftest {
+	if ropts == nil && mgr != nil {
 		// A durable primary serves the replication surface, so a follower
 		// can bootstrap from it at any time.
 		ropts = &server.ReplicationOptions{Role: server.RolePrimary, Term: 1, SelfURL: selfURL}
@@ -280,23 +274,7 @@ func main() {
 		Retrain:       retrainer,
 		RetrainEvery:  *retrainEvery,
 	}
-	if *selftest {
-		// The selftest replays thousands of requests; per-request access
-		// logs would drown its verdict.
-		scfg.Log = nil
-	}
 	srv := server.New(store, scfg)
-
-	if *selftest {
-		if err := runSelftest(ch, store, srv, scale, *seed); err != nil {
-			log.Fatalf("selftest FAILED: %v", err)
-		}
-		if err := runKillRestoreSelftest(ch, scale, *seed); err != nil {
-			log.Fatalf("selftest FAILED (kill-and-restore): %v", err)
-		}
-		log.Print("selftest passed")
-		return
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -3,10 +3,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"time"
 
-	"disksig/internal/fleet"
-	"disksig/internal/persist"
 	"disksig/internal/server"
 )
 
@@ -21,114 +18,48 @@ import (
 // finishes with the final state, alert stream and metrics ledger all
 // matching the shadow.
 func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*ScenarioReport, error) {
-	rep := &ScenarioReport{Name: "chaos"}
-	if cfg.ChaosStateDir == "" {
-		return rep, fmt.Errorf("loadgen: chaos scenario needs ChaosStateDir")
-	}
-	wl, err := BuildWorkload(cfg.Workload)
-	if err != nil {
-		return rep, err
-	}
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
-	if err != nil {
-		return rep, err
-	}
-
-	// Process 1: a persisted store, seed-snapshotted before serving so
-	// the trained models are durable from the first batch.
-	mgr, err := persist.Open(cfg.ChaosStateDir)
-	if err != nil {
-		return rep, err
-	}
-	store, err := fleet.New(dep.Models, dep.Norm, dep.fleetConfig())
-	if err != nil {
-		return rep, err
-	}
-	if _, err := mgr.Snapshot(store); err != nil {
-		return rep, fmt.Errorf("loadgen: seed snapshot: %w", err)
-	}
-	h1, err := StartHarnessStore(store, server.Config{MaxInFlight: 256, Persist: mgr})
-	if err != nil {
-		return rep, err
-	}
-	drv := &Driver{BaseURL: h1.URL, Log: dep.Log}
-
-	clients := cfg.clients()
-	queues := wl.Split(clients)
-	rep.WorkloadFingerprint = Fingerprint(queues)
-	rep.Drives = len(wl.Drives)
-	// Three chunks: ingested-then-snapshotted, ingested-into-WAL-only,
-	// and post-restore. The kill lands between chunks 1 and 2, so
-	// recovery must replay exactly chunk 1's batches from the WAL.
-	chunks := ChunkQueues(queues, 3)
-
-	var alerts []string
-	runPhase := func(name string, chunk [][]*Batch) error {
-		stats, err := drv.Run(ctx, Phase{Name: name, Clients: clients}, chunk)
-		if stats != nil {
-			rep.Phases = append(rep.Phases, stats)
-			alerts = append(alerts, stats.AlertKeys...)
-			rep.Records += stats.RecordsSent
-		}
+	return scenario(ctx, "chaos", dep, cfg, func(r *run) error {
+		wl, err := BuildWorkload(cfg.Workload)
 		if err != nil {
 			return err
 		}
-		return shadow.ApplyChunk(chunk)
-	}
+		_, err = r.chaos("", wl)
+		return err
+	})
+}
 
-	if err := runPhase("pre-snapshot", chunks[0]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := AdminSnapshot(h1.URL); err != nil {
-		rep.addCheck("mid-stream-snapshot", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := runPhase("pre-kill", chunks[1]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-
-	// Kill: drain the HTTP layer (SIGTERM semantics for in-flight
-	// requests), then abandon the persist manager — no final snapshot,
-	// no Close. The WAL alone carries chunk 1.
-	killCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err = h1.Stop(killCtx)
-	cancel()
+// chaos runs the kill/warm-restart schedule of RunChaos over wl with the
+// deployed models, naming its phases with prefix, and returns the
+// restarted harness.
+func (r *run) chaos(prefix string, wl *Workload) (*Harness, error) {
+	store, mgr, err := r.persisted("")
 	if err != nil {
-		rep.addCheck("kill", err)
-		rep.finish()
-		return rep, nil
+		return nil, err
 	}
-
-	// Warm restart at a different shard count.
-	shardsBefore := h1.Store.Shards()
-	restoredCfg := dep.fleetConfig()
-	restoredCfg.Shards = shardsBefore * 2
-	store2, mgr2, rec, restoreDur, err := RestoreStore(cfg.ChaosStateDir, restoredCfg)
+	h, err := r.serve(store, server.Config{MaxInFlight: 256, Persist: mgr})
 	if err != nil {
-		rep.addCheck("restore", err)
-		rep.finish()
-		return rep, nil
+		return nil, err
 	}
-	defer mgr2.Close()
-	rep.Recovery = &RecoveryReport{
-		RestoreMs:      float64(restoreDur) / float64(time.Millisecond),
-		SnapshotDrives: rec.SnapshotDrives,
-		WALBatches:     rec.WALBatches,
-		WALRows:        rec.WALRows,
-		ShardsBefore:   shardsBefore,
-		ShardsAfter:    store2.Shards(),
+	r.drv.SetBaseURL(h.URL)
+	// Three chunks: ingested-then-snapshotted, ingested-into-WAL-only,
+	// and post-restore. The kill lands between chunks 1 and 2, so
+	// recovery must replay exactly chunk 1's batches from the WAL.
+	chunks := ChunkQueues(r.split(wl), 3)
+	if _, err := r.phase(prefix+"pre-snapshot", chunks[0]); err != nil {
+		return nil, err
 	}
-
-	// The restored store must match the shadow at the kill point,
-	// record for record, and recovery must have been clean: exactly the
-	// WAL-only chunk replayed, no torn tail, no stale WAL.
-	rep.addCheck("restored-state-matches-shadow",
-		CompareStates("shadow@kill", "restored", shadow.State(), CanonicalState(store2)))
+	if err := AdminSnapshot(h.URL); err != nil {
+		return nil, fail("mid-stream-snapshot", err)
+	}
+	if _, err := r.phase(prefix+"pre-kill", chunks[1]); err != nil {
+		return nil, err
+	}
+	h2, rec, err := r.kill(h, mgr, "model-version-preserved")
+	if err != nil {
+		return nil, err
+	}
+	// Recovery must have been clean: exactly the WAL-only chunk
+	// replayed, no torn tail, no stale WAL.
 	var recErr error
 	wantBatches := 0
 	for _, q := range chunks[1] {
@@ -139,37 +70,12 @@ func RunChaos(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 	} else if rec.WALBatches != wantBatches {
 		recErr = fmt.Errorf("recovery replayed %d WAL batches, want %d (the post-snapshot chunk)", rec.WALBatches, wantBatches)
 	}
-	rep.addCheck("recovery-accounting", recErr)
-
-	// Process 2: finish the stream against the restored store.
-	h2, err := StartHarnessStore(store2, server.Config{MaxInFlight: 256, Persist: mgr2})
-	if err != nil {
-		rep.addCheck("restart", err)
-		rep.finish()
-		return rep, nil
+	r.rep.addCheck("recovery-accounting", recErr)
+	if _, err := r.phase(prefix+"post-restore", chunks[2]); err != nil {
+		return nil, err
 	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer scancel()
-		h2.Stop(sctx)
-	}()
-	drv.SetBaseURL(h2.URL)
-	if err := runPhase("post-restore", chunks[2]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	rep.Alerts = len(alerts)
-
-	rep.addCheck("final-state-matches-shadow",
-		CompareStates("shadow", "restored+replayed", shadow.State(), CanonicalState(store2)))
-	rep.addCheck("alerts-match-shadow",
-		CompareAlerts("shadow", "http", shadow.AlertKeys(), alerts, false))
 	// Metrics counters restart with the process: the second server has
 	// seen exactly the post-restore chunk.
-	_, _, _, merr := MetricsInvariant(h2.URL, int64(CountRecords(chunks[2])))
-	rep.addCheck("metrics-invariant", merr)
-	rep.SummaryFingerprint = StateFingerprint(CanonicalState(store2))
-	rep.finish()
-	return rep, nil
+	r.verify("final-state-matches-shadow", h2, CountRecords(chunks[2]))
+	return h2, nil
 }

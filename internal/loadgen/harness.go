@@ -3,9 +3,11 @@ package loadgen
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"disksig/internal/fleet"
@@ -25,8 +27,10 @@ type Harness struct {
 	Srv   *server.Server
 	URL   string
 
-	l     net.Listener
-	serve chan error
+	l       net.Listener
+	serve   chan error
+	stop    sync.Once
+	stopErr error
 }
 
 // StartHarness builds a store from models and serves it on a loopback
@@ -109,43 +113,66 @@ func ReadyStatus(baseURL string) (int, error) {
 }
 
 // Stop drains in-flight requests and stops serving — the SIGTERM path.
-// The persist manager (if any) is untouched: a chaos kill wants the
-// state directory to look like a crash, and a clean shutdown's final
-// snapshot is the scenario's decision, not the harness's.
+// It returns promptly whether or not Serve has started yet, and a
+// repeated Stop returns the first call's result. The persist manager
+// (if any) is untouched: a chaos kill wants the state directory to look
+// like a crash, and a clean shutdown's final snapshot is the scenario's
+// decision, not the harness's.
 func (h *Harness) Stop(ctx context.Context) error {
-	if err := h.Srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("loadgen: harness shutdown: %w", err)
-	}
-	if err := <-h.serve; err != nil && err != http.ErrServerClosed {
-		return fmt.Errorf("loadgen: harness serve: %w", err)
-	}
-	return nil
+	h.stop.Do(func() {
+		err := h.Srv.Shutdown(ctx)
+		// Shutdown is a no-op until Serve has built its http.Server;
+		// closing the listener makes a Serve that starts late return at
+		// once instead of serving forever.
+		h.l.Close()
+		serr := <-h.serve
+		switch {
+		case err != nil:
+			h.stopErr = fmt.Errorf("loadgen: harness shutdown: %w", err)
+		case serr != nil && !errors.Is(serr, http.ErrServerClosed) && !errors.Is(serr, net.ErrClosed):
+			h.stopErr = fmt.Errorf("loadgen: harness serve: %w", serr)
+		}
+	})
+	return h.stopErr
+}
+
+// metricsDoc is the part of GET /metrics the scenarios check.
+type metricsDoc struct {
+	Ingest struct {
+		Ingested    int64 `json:"rows_ingested"`
+		Kept        int64 `json:"rows_kept"`
+		Quarantined int64 `json:"rows_quarantined"`
+		HDD         int64 `json:"rows_hdd"`
+		SSD         int64 `json:"rows_ssd"`
+	} `json:"ingest"`
+	Fleet struct {
+		Drives int `json:"drives"`
+	} `json:"fleet"`
 }
 
 // MetricsInvariant fetches /metrics and checks the serving-path ledger:
 // rows_ingested = rows_kept + rows_quarantined, and rows_ingested
-// matches the expected record count. It returns the ingest counters.
+// matches the expected record count (a negative count skips that
+// check). It returns the ingest counters.
 func MetricsInvariant(baseURL string, wantIngested int64) (ingested, kept, quarantined int64, err error) {
-	var met struct {
-		Ingest struct {
-			Ingested    int64 `json:"rows_ingested"`
-			Kept        int64 `json:"rows_kept"`
-			Quarantined int64 `json:"rows_quarantined"`
-		} `json:"ingest"`
+	m, err := metricsLedger(baseURL, wantIngested)
+	return m.Ingest.Ingested, m.Ingest.Kept, m.Ingest.Quarantined, err
+}
+
+// metricsLedger is MetricsInvariant returning the whole document.
+func metricsLedger(baseURL string, wantIngested int64) (*metricsDoc, error) {
+	m := &metricsDoc{}
+	if err := fetchJSON(baseURL+"/metrics", m); err != nil {
+		return m, err
 	}
-	if err := fetchJSON(baseURL+"/metrics", &met); err != nil {
-		return 0, 0, 0, err
-	}
-	in := met.Ingest
+	in := m.Ingest
 	if in.Ingested != in.Kept+in.Quarantined {
-		return in.Ingested, in.Kept, in.Quarantined,
-			fmt.Errorf("/metrics invariant violated: %d != %d kept + %d quarantined", in.Ingested, in.Kept, in.Quarantined)
+		return m, fmt.Errorf("/metrics invariant violated: %d != %d kept + %d quarantined", in.Ingested, in.Kept, in.Quarantined)
 	}
 	if wantIngested >= 0 && in.Ingested != wantIngested {
-		return in.Ingested, in.Kept, in.Quarantined,
-			fmt.Errorf("/metrics rows_ingested = %d, want %d", in.Ingested, wantIngested)
+		return m, fmt.Errorf("/metrics rows_ingested = %d, want %d", in.Ingested, wantIngested)
 	}
-	return in.Ingested, in.Kept, in.Quarantined, nil
+	return m, nil
 }
 
 // AdminRetrain triggers POST /v1/admin/retrain and returns the cycle's

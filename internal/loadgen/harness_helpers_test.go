@@ -8,9 +8,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
+	"disksig/internal/server"
 )
 
 // stubServer serves a fixed status and body on every path.
@@ -140,14 +142,12 @@ func TestCompareStatesQualityOnlyDiff(t *testing.T) {
 
 func TestMixedScenarioConfigErrors(t *testing.T) {
 	ctx := context.Background()
-	if rep, err := RunMixed(ctx, Deployment{}, ScenarioConfig{}); err == nil {
-		t.Errorf("RunMixed without a state dir passed: %+v", rep)
-	}
-	if rep, err := RunBackblaze(ctx, Deployment{}, ScenarioConfig{}); err == nil {
+	dep := testDeployment(t)
+	if rep, err := RunBackblaze(ctx, dep, ScenarioConfig{}); err == nil {
 		t.Errorf("RunBackblaze without a path passed: %+v", rep)
 	}
 	cfg := ScenarioConfig{BackblazePath: filepath.Join(t.TempDir(), "missing.csv")}
-	if rep, err := RunBackblaze(ctx, Deployment{}, cfg); err == nil {
+	if rep, err := RunBackblaze(ctx, dep, cfg); err == nil {
 		t.Errorf("RunBackblaze on a missing file passed: %+v", rep)
 	}
 	// A present but unreadable dump (torn mid-quote) must surface the
@@ -156,7 +156,7 @@ func TestMixedScenarioConfigErrors(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("date,serial_number,failure\n\"unterminated"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if rep, err := RunBackblaze(ctx, Deployment{}, ScenarioConfig{BackblazePath: bad}); err == nil {
+	if rep, err := RunBackblaze(ctx, dep, ScenarioConfig{BackblazePath: bad}); err == nil {
 		t.Errorf("RunBackblaze on a torn dump passed: %+v", rep)
 	}
 }
@@ -182,5 +182,32 @@ func TestCheckClassSummaryViolations(t *testing.T) {
 	}
 	if mrep.HDDTracked != 2 || mrep.SSDTracked != 2 {
 		t.Errorf("tracked counts = %d/%d, want 2/2", mrep.HDDTracked, mrep.SSDTracked)
+	}
+}
+
+// TestHarnessStopPromptAndRepeatable stops harnesses the moment they
+// start, usually before Serve has built its http.Server, and stops each
+// one twice: both calls must return promptly, with the same result.
+func TestHarnessStopPromptAndRepeatable(t *testing.T) {
+	dep := testDeployment(t)
+	for i := 0; i < 20; i++ {
+		h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan [2]error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			done <- [2]error{h.Stop(ctx), h.Stop(ctx)}
+		}()
+		select {
+		case errs := <-done:
+			if errs[0] != nil || errs[1] != nil {
+				t.Fatalf("try %d: Stop = %v, then %v", i, errs[0], errs[1])
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("try %d: Stop right after StartHarness hung", i)
+		}
 	}
 }

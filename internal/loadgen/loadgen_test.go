@@ -316,6 +316,7 @@ func TestScenariosEndToEnd(t *testing.T) {
 		RampClients:     []int{1, 3},
 		RampMaxInFlight: 1,
 		RampIngestDelay: 5 * time.Millisecond,
+		StateDir:        t.TempDir(),
 	}
 
 	requirePassed := func(name string, rep *ScenarioReport, err error) {
@@ -355,9 +356,7 @@ func TestScenariosEndToEnd(t *testing.T) {
 		t.Fatalf("shed point at %d clients, want 3 (ladder %v over 1 slot)", r.ShedPointClients, cfg.RampClients)
 	}
 
-	ccfg := cfg
-	ccfg.ChaosStateDir = t.TempDir()
-	c, err := RunChaos(ctx, dep, ccfg)
+	c, err := RunChaos(ctx, dep, cfg)
 	requirePassed("chaos", c, err)
 	if c.Recovery == nil || c.Recovery.WALBatches == 0 {
 		t.Fatalf("chaos recovery replayed no WAL batches: %+v", c.Recovery)
@@ -366,9 +365,7 @@ func TestScenariosEndToEnd(t *testing.T) {
 		t.Fatalf("chaos restored at the same shard count %d; layout independence untested", c.Recovery.ShardsAfter)
 	}
 
-	focfg := cfg
-	focfg.FailoverDir = t.TempDir()
-	fo, err := RunFailover(ctx, dep, focfg)
+	fo, err := RunFailover(ctx, dep, cfg)
 	requirePassed("failover", fo, err)
 	if fo.Failover == nil || fo.Failover.PromoteMs <= 0 {
 		t.Fatalf("failover recorded no promotion time: %+v", fo.Failover)
@@ -389,17 +386,13 @@ func TestScenariosEndToEnd(t *testing.T) {
 		t.Fatalf("rebalance recorded no proxy-overhead rates: %+v", rb.Rebalance)
 	}
 
-	dcfg := cfg
-	dcfg.DriftStateDir = t.TempDir()
-	dr, err := RunDrift(ctx, dep, dcfg)
+	dr, err := RunDrift(ctx, dep, cfg)
 	requirePassed("drift", dr, err)
 	if dr.Drift == nil || dr.Drift.PromotedVersion != 2 || dr.Drift.FillerNon200 != 0 {
 		t.Fatalf("drift retraining cycle = %+v", dr.Drift)
 	}
 
-	mcfg := cfg
-	mcfg.ChaosStateDir = t.TempDir()
-	mx, err := RunMixed(ctx, dep, mcfg)
+	mx, err := RunMixed(ctx, dep, cfg)
 	requirePassed("mixed", mx, err)
 	if mx.Mixed == nil || mx.Mixed.Contamination != 0 {
 		t.Fatalf("mixed class isolation = %+v", mx.Mixed)

@@ -3,14 +3,9 @@ package loadgen
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"disksig/internal/core"
-	"disksig/internal/fleet"
 	"disksig/internal/monitor"
-	"disksig/internal/persist"
-	"disksig/internal/quality"
-	"disksig/internal/server"
 	"disksig/internal/smart"
 	"disksig/internal/synth"
 )
@@ -19,235 +14,106 @@ import (
 // characterized class by class (each class must recover its own group
 // structure with zero cross-class contamination), the per-class model
 // sets serve a mixed workload through the real HTTP stack, and the
-// stream survives a mid-stream kill + warm restart at a different shard
-// count — verified record-for-record against a shadow the whole way.
-// On top of the chaos-style invariants, the scenario checks the
+// stream survives RunChaos's mid-stream kill + warm restart at a
+// different shard count — verified record-for-record against a shadow
+// the whole way. On top of the chaos invariants, the scenario checks the
 // class-facing surface: the summary's per-class roll-up accounts for
 // every drive, both classes raise alerts, and per-class ingest counters
 // balance.
 func RunMixed(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*ScenarioReport, error) {
-	rep := &ScenarioReport{Name: "mixed"}
-	if cfg.ChaosStateDir == "" {
-		return rep, fmt.Errorf("loadgen: mixed scenario needs ChaosStateDir")
-	}
-
-	// Train per-class models on the training seed. The workload below is
-	// generated at Seed+FleetSeedOffset, so the replayed fleet is held
-	// out exactly as in the HDD scenarios.
-	wcfg := cfg.Workload.withDefaults()
-	wcfg.Mixed = true
-	trainCfg := synth.DefaultMixedFleet(wcfg.Scale).WithSeed(wcfg.Seed)
-	ds, err := synth.GenerateMixed(trainCfg)
-	if err != nil {
-		return rep, err
-	}
-	mc, err := core.CharacterizeMixed(ds, core.Config{Seed: wcfg.Seed, Workers: dep.Workers, Quality: quality.Config{}})
-	if err != nil {
-		return rep, err
-	}
-	mrep := &MixedReport{
-		HDDGroups:     len(mc.ByClass[smart.HDD].Results),
-		SSDGroups:     len(mc.ByClass[smart.SSD].Results),
-		Contamination: mc.Contamination(),
-	}
-	rep.Mixed = mrep
-
-	// Each class must recover its own multi-group signature structure,
-	// and the partition must be exact: a profile characterized under the
-	// wrong class would poison both normalizers.
-	var structErr error
-	if mrep.HDDGroups < 2 || mrep.SSDGroups < 2 {
-		structErr = fmt.Errorf("degenerate class structure: %d HDD groups, %d SSD groups (want >= 2 each)",
-			mrep.HDDGroups, mrep.SSDGroups)
-	}
-	rep.addCheck("per-class-group-structure", structErr)
-	var contamErr error
-	if mrep.Contamination != 0 {
-		contamErr = fmt.Errorf("%d profiles landed in the wrong class partition", mrep.Contamination)
-	}
-	rep.addCheck("zero-cross-class-contamination", contamErr)
-
-	models, norms, err := monitor.ModelsFromMixed(mc)
-	if err != nil {
-		return rep, err
-	}
-
-	wl, err := BuildWorkload(wcfg)
-	if err != nil {
-		return rep, err
-	}
-	for _, d := range wl.Drives {
-		if d.Class == smart.SSD {
-			mrep.SSDDrives++
-		} else {
-			mrep.HDDDrives++
-		}
-	}
-	if mrep.SSDDrives == 0 || mrep.HDDDrives == 0 {
-		rep.addCheck("workload-mixed", fmt.Errorf("workload is not mixed: %d HDD, %d SSD drives", mrep.HDDDrives, mrep.SSDDrives))
-		rep.finish()
-		return rep, nil
-	}
-
-	shadow, err := NewShadowMulti(models, norms, fleet.Config{Monitor: dep.Monitor})
-	if err != nil {
-		return rep, err
-	}
-
-	// Process 1: a persisted mixed store, seed-snapshotted so the
-	// per-class model sets are durable from the first batch.
-	mgr, err := persist.Open(cfg.ChaosStateDir)
-	if err != nil {
-		return rep, err
-	}
-	store, err := fleet.NewMulti(models, norms, dep.fleetConfig())
-	if err != nil {
-		return rep, err
-	}
-	if _, err := mgr.Snapshot(store); err != nil {
-		return rep, fmt.Errorf("loadgen: seed snapshot: %w", err)
-	}
-	h1, err := StartHarnessStore(store, server.Config{MaxInFlight: 256, Persist: mgr})
-	if err != nil {
-		return rep, err
-	}
-	drv := &Driver{BaseURL: h1.URL, Log: dep.Log}
-
-	clients := cfg.clients()
-	queues := wl.Split(clients)
-	rep.WorkloadFingerprint = Fingerprint(queues)
-	rep.Drives = len(wl.Drives)
-	chunks := ChunkQueues(queues, 3)
-
-	var alerts []string
-	runPhase := func(name string, chunk [][]*Batch) error {
-		stats, err := drv.Run(ctx, Phase{Name: name, Clients: clients}, chunk)
-		if stats != nil {
-			rep.Phases = append(rep.Phases, stats)
-			alerts = append(alerts, stats.AlertKeys...)
-			rep.Records += stats.RecordsSent
-		}
+	return scenario(ctx, "mixed", dep, cfg, func(r *run) error {
+		mc, err := r.trainMixed()
 		if err != nil {
 			return err
 		}
-		return shadow.ApplyChunk(chunk)
-	}
+		mrep := &MixedReport{
+			HDDGroups:     len(mc.ByClass[smart.HDD].Results),
+			SSDGroups:     len(mc.ByClass[smart.SSD].Results),
+			Contamination: mc.Contamination(),
+		}
+		r.rep.Mixed = mrep
+		// Each class must recover its own multi-group signature structure,
+		// and the partition must be exact: a profile characterized under the
+		// wrong class would poison both normalizers.
+		var structErr error
+		if mrep.HDDGroups < 2 || mrep.SSDGroups < 2 {
+			structErr = fmt.Errorf("degenerate class structure: %d HDD groups, %d SSD groups (want >= 2 each)",
+				mrep.HDDGroups, mrep.SSDGroups)
+		}
+		r.rep.addCheck("per-class-group-structure", structErr)
+		var contamErr error
+		if mrep.Contamination != 0 {
+			contamErr = fmt.Errorf("%d profiles landed in the wrong class partition", mrep.Contamination)
+		}
+		r.rep.addCheck("zero-cross-class-contamination", contamErr)
 
-	if err := runPhase("mixed-steady", chunks[0]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := AdminSnapshot(h1.URL); err != nil {
-		rep.addCheck("mid-stream-snapshot", err)
-		rep.finish()
-		return rep, nil
-	}
-	if err := runPhase("mixed-pre-kill", chunks[1]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
+		// The workload is generated at Seed+FleetSeedOffset, so the
+		// replayed fleet is held out exactly as in the HDD scenarios.
+		wcfg := cfg.Workload
+		wcfg.Mixed = true
+		wl, err := BuildWorkload(wcfg)
+		if err != nil {
+			return err
+		}
+		for _, d := range wl.Drives {
+			if d.Class == smart.SSD {
+				mrep.SSDDrives++
+			} else {
+				mrep.HDDDrives++
+			}
+		}
+		if mrep.SSDDrives == 0 || mrep.HDDDrives == 0 {
+			return fail("workload-mixed", fmt.Errorf("workload is not mixed: %d HDD, %d SSD drives", mrep.HDDDrives, mrep.SSDDrives))
+		}
 
-	// Kill: SIGTERM drain, then abandon the manager — the WAL alone
-	// carries the post-snapshot chunk, class tails and all.
-	versionBefore := h1.Store.ModelVersion()
-	killCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	err = h1.Stop(killCtx)
-	cancel()
+		h, err := r.chaos("mixed-", wl)
+		if err != nil {
+			return err
+		}
+		// The class-facing surface: the summary's per-class roll-up must
+		// account for every tracked drive, and both classes must be alerting
+		// (the workload carries failed drives of both kinds).
+		r.rep.addCheck("per-class-summary", checkClassSummary(h.URL, mrep))
+		m, err := classRows(h.URL, mrep.HDDDrives, mrep.SSDDrives)
+		mrep.HDDRows, mrep.SSDRows = m.Ingest.HDD, m.Ingest.SSD
+		r.rep.addCheck("per-class-ingest-counters", err)
+		return nil
+	})
+}
+
+// trainMixed characterizes the default mixed HDD+SSD fleet class by
+// class on the workload's training seed and deploys the per-class
+// models: real or held-out telemetry then meets trained per-class
+// signatures, the production posture of a monitor facing a new fleet.
+func (r *run) trainMixed() (*core.MixedCharacterization, error) {
+	w := r.cfg.Workload
+	ds, err := synth.GenerateMixed(synth.DefaultMixedFleet(w.Scale).WithSeed(w.Seed))
 	if err != nil {
-		rep.addCheck("kill", err)
-		rep.finish()
-		return rep, nil
+		return nil, err
 	}
-
-	shardsBefore := h1.Store.Shards()
-	restoredCfg := dep.fleetConfig()
-	restoredCfg.Shards = shardsBefore * 2
-	store2, mgr2, rec, restoreDur, err := RestoreStore(cfg.ChaosStateDir, restoredCfg)
+	mc, err := core.CharacterizeMixed(ds, core.Config{Seed: w.Seed, Workers: r.dep.Workers})
 	if err != nil {
-		rep.addCheck("restore", err)
-		rep.finish()
-		return rep, nil
+		return nil, err
 	}
-	defer mgr2.Close()
-	rep.Recovery = &RecoveryReport{
-		RestoreMs:      float64(restoreDur) / float64(time.Millisecond),
-		SnapshotDrives: rec.SnapshotDrives,
-		WALBatches:     rec.WALBatches,
-		WALRows:        rec.WALRows,
-		ShardsBefore:   shardsBefore,
-		ShardsAfter:    store2.Shards(),
-	}
-
-	rep.addCheck("restored-state-matches-shadow",
-		CompareStates("shadow@kill", "restored", shadow.State(), CanonicalState(store2)))
-	var recErr error
-	wantBatches := 0
-	for _, q := range chunks[1] {
-		wantBatches += len(q)
-	}
-	if rec.TornTail || rec.StaleWAL {
-		recErr = fmt.Errorf("clean kill recovered with TornTail=%v StaleWAL=%v", rec.TornTail, rec.StaleWAL)
-	} else if rec.WALBatches != wantBatches {
-		recErr = fmt.Errorf("recovery replayed %d WAL batches, want %d (the post-snapshot chunk)", rec.WALBatches, wantBatches)
-	}
-	rep.addCheck("recovery-accounting", recErr)
-	var verErr error
-	if got := store2.ModelVersion(); got != versionBefore {
-		verErr = fmt.Errorf("restored model version %d, want %d (per-class sets must survive the restart)", got, versionBefore)
-	}
-	rep.addCheck("model-version-preserved", verErr)
-
-	// Process 2: finish the stream against the restored store.
-	h2, err := StartHarnessStore(store2, server.Config{MaxInFlight: 256, Persist: mgr2})
+	models, norms, err := monitor.ModelsFromMixed(mc)
 	if err != nil {
-		rep.addCheck("restart", err)
-		rep.finish()
-		return rep, nil
+		return nil, err
 	}
-	defer func() {
-		sctx, scancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer scancel()
-		h2.Stop(sctx)
-	}()
-	drv.SetBaseURL(h2.URL)
-	if err := runPhase("mixed-post-restore", chunks[2]); err != nil {
-		rep.addCheck("phase", err)
-		rep.finish()
-		return rep, nil
-	}
-	rep.Alerts = len(alerts)
+	return mc, r.deploy(models, norms, 0)
+}
 
-	rep.addCheck("final-state-matches-shadow",
-		CompareStates("shadow", "restored+replayed", shadow.State(), CanonicalState(store2)))
-	rep.addCheck("alerts-match-shadow",
-		CompareAlerts("shadow", "http", shadow.AlertKeys(), alerts, false))
-	_, _, _, merr := MetricsInvariant(h2.URL, int64(CountRecords(chunks[2])))
-	rep.addCheck("metrics-invariant", merr)
-
-	// The class-facing surface: the summary's per-class roll-up must
-	// account for every tracked drive, and both classes must be alerting
-	// (the workload carries failed drives of both kinds).
-	rep.addCheck("per-class-summary", checkClassSummary(h2.URL, mrep))
-	var met struct {
-		Ingest struct {
-			HDD int64 `json:"rows_hdd"`
-			SSD int64 `json:"rows_ssd"`
-		} `json:"ingest"`
+// classRows reads the per-class ingest counters off /metrics and
+// requires rows for every device class that replayed drives.
+func classRows(url string, hddDrives, ssdDrives int) (*metricsDoc, error) {
+	m := &metricsDoc{}
+	if err := fetchJSON(url+"/metrics", m); err != nil {
+		return m, err
 	}
-	if err := fetchJSON(h2.URL+"/metrics", &met); err == nil {
-		mrep.HDDRows, mrep.SSDRows = met.Ingest.HDD, met.Ingest.SSD
+	if hddDrives > 0 && m.Ingest.HDD == 0 || ssdDrives > 0 && m.Ingest.SSD == 0 {
+		return m, fmt.Errorf("per-class ingest counters: %d HDD rows for %d drives, %d SSD rows for %d drives",
+			m.Ingest.HDD, hddDrives, m.Ingest.SSD, ssdDrives)
 	}
-	var classRowsErr error
-	if mrep.HDDRows == 0 || mrep.SSDRows == 0 {
-		classRowsErr = fmt.Errorf("per-class ingest counters: %d HDD rows, %d SSD rows (want both > 0)", mrep.HDDRows, mrep.SSDRows)
-	}
-	rep.addCheck("per-class-ingest-counters", classRowsErr)
-
-	rep.SummaryFingerprint = StateFingerprint(CanonicalState(store2))
-	rep.finish()
-	return rep, nil
+	return m, nil
 }
 
 // checkClassSummary fetches /v1/fleet/summary and validates the by_class

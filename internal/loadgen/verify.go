@@ -12,10 +12,10 @@ import (
 	"disksig/internal/smart"
 )
 
-// This file is the replay-verification toolkit shared by the diskload
-// scenarios and the diskserve selftests: a canonical alert key, a
-// shard-layout-independent state canonicalization, diffing helpers and
-// a shadow monitor — an in-process fleet store fed the same
+// This file is the replay-verification toolkit of the diskload
+// scenarios and of perfbench's correctness check: a canonical alert
+// key, a shard-layout-independent state canonicalization, diffing
+// helpers and a shadow monitor — an in-process fleet store fed the same
 // observations as the system under test, whose alerts and final state
 // the real serving path must match record-for-record.
 

@@ -104,9 +104,8 @@ type WorkloadConfig struct {
 	Mixed bool
 }
 
-// DefaultWorkloadConfig is the scenario workload: a held-out small
-// fleet with a 2 % fault mix, the same shape the diskserve selftest
-// replays.
+// DefaultWorkloadConfig is the scenario workload: a held-out fleet of
+// up to 15 failed and 40 good drives with a 2 % fault mix.
 func DefaultWorkloadConfig(scale synth.Scale, seed int64) WorkloadConfig {
 	return WorkloadConfig{
 		Seed:            seed,
