@@ -105,3 +105,25 @@ func BenchmarkSummary(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIngestFleetSize measures steady-state batch ingest against
+// fleet size: 16 shards, full smoothing windows, 200-record batches of
+// uniformly random drives. The work per record is the same at every
+// size, so ns/rec growing with the fleet is the cost of reaching
+// per-drive state.
+func BenchmarkIngestFleetSize(b *testing.B) {
+	for _, drives := range []int{256, 3000, 11700, paperDrives} {
+		b.Run(fmt.Sprintf("drives=%d", drives), func(b *testing.B) {
+			s, serials, next := warmFleet(b, drives)
+			rb := newRandomBatches(serials, next)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res := s.IngestBatch(rb.nextBatch()); res.Quality.RowsQuarantined != 0 {
+					b.Fatalf("steady batch quarantined %d rows", res.Quality.RowsQuarantined)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rb.obs)), "ns/rec")
+		})
+	}
+}

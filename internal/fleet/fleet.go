@@ -109,20 +109,53 @@ type BatchResult struct {
 }
 
 // shard is one lock stripe: a monitor plus the serial <-> local-ID
-// mapping. Local IDs are dense per shard and never reused, so a drive
-// that is evicted and reports again restarts with fresh state.
+// mapping. Local IDs are dense per shard: a drive that leaves (Remove,
+// EvictStale, a failed import) frees its ID for the next new drive, so
+// serials stays bounded by the live drives, and a drive that reports
+// again after leaving restarts with fresh state.
 type shard struct {
 	mu      sync.Mutex
 	mon     *monitor.Monitor
 	ids     map[string]int
 	serials []string
+	free    []int
 	maxHour int
-	// history holds each drive's newest kept records (cap histCap, ring
-	// semantics), the raw telemetry the retrainer harvests. Quarantined
-	// and dropped records never enter it: it mirrors exactly the records
-	// that shaped monitor state.
-	history map[int][]smart.Record
+	// history holds each drive's newest kept records by ID (cap
+	// histCap, ring semantics), the raw telemetry the retrainer
+	// harvests. Quarantined and dropped records never enter it: it
+	// mirrors exactly the records that shaped monitor state. It stays
+	// nil when histCap <= 0.
+	history [][]smart.Record
 	histCap int
+}
+
+// assign gives a new serial an ID, reusing a freed one first.
+func (sh *shard) assign(serial string) int {
+	var id int
+	if n := len(sh.free); n > 0 {
+		id = sh.free[n-1]
+		sh.free = sh.free[:n-1]
+		sh.serials[id] = serial
+	} else {
+		id = len(sh.serials)
+		sh.serials = append(sh.serials, serial)
+		if sh.histCap > 0 {
+			sh.history = append(sh.history, nil)
+		}
+	}
+	sh.ids[serial] = id
+	return id
+}
+
+// release frees a drive's ID and history; the caller has already made
+// the monitor forget the drive, or never gave it state.
+func (sh *shard) release(id int) {
+	delete(sh.ids, sh.serials[id])
+	sh.serials[id] = ""
+	if sh.histCap > 0 {
+		sh.history[id] = nil
+	}
+	sh.free = append(sh.free, id)
 }
 
 // recordHistory appends a kept record to a drive's history ring. A
@@ -225,7 +258,7 @@ func NewMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config)
 			return nil, fmt.Errorf("fleet: building shard %d: %w", i, err)
 		}
 		shards[i] = &shard{mon: mon, ids: map[string]int{}, maxHour: math.MinInt,
-			history: map[int][]smart.Record{}, histCap: cfg.HistoryHours}
+			histCap: cfg.HistoryHours}
 	}
 	return &Store{cfg: cfg, models: models, norms: norms, version: 1,
 		shards: shards, mask: uint64(cfg.Shards - 1)}, nil
@@ -290,9 +323,7 @@ func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
 func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.Record) *Alert {
 	id, ok := sh.ids[serial]
 	if !ok {
-		id = len(sh.serials)
-		sh.ids[serial] = id
-		sh.serials = append(sh.serials, serial)
+		id = sh.assign(serial)
 	}
 	if rec.Hour > sh.maxHour {
 		sh.maxHour = rec.Hour
@@ -422,9 +453,9 @@ func (s *Store) Remove(serial string) bool {
 	if !ok {
 		return false
 	}
-	delete(sh.ids, serial)
-	delete(sh.history, id)
-	return sh.mon.Forget(id)
+	tracked := sh.mon.Forget(id)
+	sh.release(id)
+	return tracked
 }
 
 // Tracked returns the number of drives currently tracked across all
@@ -484,8 +515,7 @@ func (s *Store) EvictStale() int {
 		sh.mon.Each(func(st monitor.DriveStatus) {
 			if st.LastHour < cutoff {
 				sh.mon.Forget(st.DriveID)
-				delete(sh.ids, sh.serials[st.DriveID])
-				delete(sh.history, st.DriveID)
+				sh.release(st.DriveID)
 				n++
 			}
 		})

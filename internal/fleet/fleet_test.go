@@ -154,6 +154,56 @@ func TestEvictStale(t *testing.T) {
 	}
 }
 
+// TestFreedIDsAreReused: the IDs that Remove, EvictStale and a failed
+// import free are taken by the next new drives, so a shard's ID space
+// stays bounded by its live drives, and a drive on a reused ID keeps
+// nothing of the drive before it: the store exports and summarizes
+// exactly what a store that only saw the surviving drives' records does.
+func TestFreedIDsAreReused(t *testing.T) {
+	cfg := Config{Shards: 1, TTLHours: 50, HistoryHours: 8}
+	s, fresh := testStore(t, cfg), testStore(t, cfg)
+	ingest := func(serial string, rec smart.Record, survives bool) {
+		s.Ingest(serial, rec)
+		if survives {
+			fresh.Ingest(serial, rec)
+		}
+	}
+	for h := 0; h < 4; h++ {
+		ingest("GONE-1", record(h, -0.9), false)
+		ingest("GONE-2", record(h, 0.3), false)
+	}
+	ingest("GONE-1", nonFiniteRecord(4), false)
+	if !s.Remove("GONE-1") {
+		t.Fatal("Remove(GONE-1) = false")
+	}
+	for h := 100; h < 103; h++ {
+		ingest("KEEP-1", record(h, 0.2), true)
+	}
+	ingest("KEEP-1", nonFiniteRecord(103), true)
+	if n := s.EvictStale(); n != 1 {
+		t.Fatalf("EvictStale = %d, want 1 (GONE-2)", n)
+	}
+	corrupt := &State{HasHour: true, Drives: []DriveEntry{{
+		Serial: "BAD-1", State: monitor.DriveState{Ledger: monitor.DriveLedger{RowsRead: -1}},
+	}}}
+	if _, err := s.ImportEntries(corrupt); err == nil {
+		t.Fatal("corrupt import accepted")
+	}
+	for h := 200; h < 203; h++ {
+		ingest("NEW-1", record(h, -0.5), true)
+		ingest("NEW-2", record(h, 0.8), true)
+	}
+	if got := len(s.shards[0].serials); got != s.Tracked() {
+		t.Fatalf("shard minted %d IDs for %d live drives", got, s.Tracked())
+	}
+	if got, want := canonicalState(s.ExportState()), canonicalState(fresh.ExportState()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state after ID reuse differs from a store that saw only the live drives:\n%+v\n%+v", got.Drives, want.Drives)
+	}
+	if got, want := s.Summary(10), fresh.Summary(10); !reflect.DeepEqual(got, want) {
+		t.Fatalf("summary after ID reuse = %+v, want %+v", got, want)
+	}
+}
+
 // buildStream interleaves records of many drives: drive d degrades when
 // d is odd, stays healthy when even; a few records are defective.
 func buildStream(drives, hours int) []Observation {

@@ -1,0 +1,152 @@
+package fleet
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// paperDrives is the paper's population, the fleet routed serving holds.
+const paperDrives = 23395
+
+// warmFleet builds a 16-shard store holding drives drives with full
+// smoothing windows (three hours each, all healthy) and returns it with
+// the drives' serials and next fresh hour.
+func warmFleet(tb testing.TB, drives int) (*Store, []string, []int) {
+	tb.Helper()
+	s, err := New(testModels(), testNormalizer(), Config{Shards: 16})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	serials := make([]string, drives)
+	next := make([]int, drives)
+	for d := range serials {
+		serials[d] = fmt.Sprintf("SER-%05d", d)
+		next[d] = 3
+	}
+	batch := make([]Observation, 0, 200)
+	for h := 0; h < 3; h++ {
+		for d := range serials {
+			batch = append(batch, Observation{Serial: serials[d], Record: record(h, 0.9)})
+			if len(batch) == cap(batch) || d == drives-1 {
+				if res := s.IngestBatch(batch); res.Quality.RowsQuarantined != 0 {
+					tb.Fatalf("warm-up quarantined %d rows", res.Quality.RowsQuarantined)
+				}
+				batch = batch[:0]
+			}
+		}
+	}
+	return s, serials, next
+}
+
+// randomBatches is a cycle of 200-record batches of uniformly random
+// drives; nextBatch stamps each record with its drive's next hour, so
+// replaying the cycle keeps every record fresh and clean.
+type randomBatches struct {
+	serials []string
+	next    []int
+	drives  [][]int
+	obs     []Observation
+	i       int
+}
+
+func newRandomBatches(serials []string, next []int) *randomBatches {
+	rng := rand.New(rand.NewSource(1))
+	rb := &randomBatches{serials: serials, next: next, obs: make([]Observation, 200)}
+	for b := 0; b < 64; b++ {
+		ds := make([]int, len(rb.obs))
+		for j := range ds {
+			ds[j] = rng.Intn(len(serials))
+		}
+		rb.drives = append(rb.drives, ds)
+	}
+	return rb
+}
+
+func (rb *randomBatches) nextBatch() []Observation {
+	ds := rb.drives[rb.i%len(rb.drives)]
+	rb.i++
+	for j, d := range ds {
+		rb.obs[j] = Observation{Serial: rb.serials[d], Record: record(rb.next[d], 0.9)}
+		rb.next[d]++
+	}
+	return rb.obs
+}
+
+// TestRetainedBytesPerDrive bounds the heap a store retains per tracked
+// drive at the paper's population, two thirds of the drives carrying an
+// issue (a duplicate hour, or a quarantined non-finite record and so a
+// per-field count). On go1.24/amd64 the map-per-drive monitor layout
+// the slot table replaced retained 466 bytes per drive here, and the
+// slot table retains 255; the bound sits between them.
+func TestRetainedBytesPerDrive(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates heap objects")
+	}
+	obs := make([]Observation, 0, 4*paperDrives)
+	for h := 0; h < 3; h++ {
+		for d := 0; d < paperDrives; d++ {
+			obs = append(obs, Observation{Serial: fmt.Sprintf("SER-%05d", d), Record: record(h, 0.9)})
+		}
+	}
+	for d := 0; d < paperDrives; d++ {
+		rec := record(2, 0.9) // a duplicate of the drive's last hour
+		if d%3 == 1 {
+			rec = record(3, 0.9)
+			rec.Values[0] = math.NaN()
+		}
+		if d%3 != 2 {
+			obs = append(obs, Observation{Serial: obs[d].Serial, Record: rec})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(testModels(), testNormalizer(), Config{Shards: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(obs); i += 200 {
+		s.IngestBatch(obs[i:min(i+200, len(obs))])
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Tracked() != paperDrives {
+		t.Fatalf("tracked %d drives, want %d", s.Tracked(), paperDrives)
+	}
+	perDrive := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / paperDrives
+	t.Logf("%.0f retained bytes per drive", perDrive)
+	const bound = 360
+	if perDrive > bound {
+		t.Fatalf("store retains %.0f bytes per drive, bound %d", perDrive, bound)
+	}
+	runtime.KeepAlive(obs)
+	runtime.KeepAlive(s)
+}
+
+// TestIngestAllocsFlatInFleetSize pins that steady-state batch ingest
+// allocates no more per batch at the paper's population than at 256
+// drives: per-drive state is reached by lookup, never by allocation.
+func TestIngestAllocsFlatInFleetSize(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	allocs := func(drives int) float64 {
+		s, serials, next := warmFleet(t, drives)
+		rb := newRandomBatches(serials, next)
+		runtime.GC()
+		return testing.AllocsPerRun(200, func() {
+			if res := s.IngestBatch(rb.nextBatch()); res.Quality.RowsQuarantined != 0 {
+				t.Fatalf("steady batch quarantined %d rows", res.Quality.RowsQuarantined)
+			}
+		})
+	}
+	small, large := allocs(256), allocs(paperDrives)
+	if large > small {
+		t.Fatalf("IngestBatch allocates %v per batch at %d drives, %v at 256", large, paperDrives, small)
+	}
+}

@@ -81,8 +81,8 @@ func (s *Store) ExportState() *State {
 		for serial, id := range sh.ids {
 			if ds, ok := drives[id]; ok {
 				e := DriveEntry{Serial: serial, State: ds}
-				if h := sh.history[id]; len(h) > 0 {
-					e.History = append([]smart.Record(nil), h...)
+				if sh.histCap > 0 && len(sh.history[id]) > 0 {
+					e.History = append([]smart.Record(nil), sh.history[id]...)
 				}
 				entries = append(entries, e)
 			}
@@ -159,9 +159,7 @@ func Restore(st *State, cfg Config) (*Store, error) {
 	err = parallel.ForEachErr(cfg.Workers, len(store.shards), func(si int) error {
 		sh := store.shards[si]
 		for _, e := range perShard[si] {
-			id := len(sh.serials)
-			sh.ids[e.Serial] = id
-			sh.serials = append(sh.serials, e.Serial)
+			id := sh.assign(e.Serial)
 			if err := sh.mon.ImportDrive(id, e.State); err != nil {
 				return fmt.Errorf("fleet: restoring drive %s: %w", e.Serial, err)
 			}
@@ -243,12 +241,9 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing: serial %q already tracked", e.Serial)
 			}
-			id := len(sh.serials)
-			sh.ids[e.Serial] = id
-			sh.serials = append(sh.serials, e.Serial)
+			id := sh.assign(e.Serial)
 			if err := sh.mon.ImportDrive(id, e.State); err != nil {
-				delete(sh.ids, e.Serial)
-				sh.serials = sh.serials[:id]
+				sh.release(id)
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing drive %s: %w", e.Serial, err)
 			}

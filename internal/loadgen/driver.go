@@ -34,9 +34,10 @@ type Driver struct {
 	// regardless of the server's Retry-After hint (soak tests cannot
 	// afford literal multi-second backoff). <= 0 means 50ms.
 	MaxRetryWait time.Duration
-	// MaxAttempts bounds retries per batch (429 and 5xx are retried —
-	// both mean "not applied"); <= 0 means 100. It is the hard retry
-	// budget: a batch that cannot be delivered within it fails the phase.
+	// MaxAttempts bounds retries per batch (429 and 5xx are retried;
+	// sendBatch says when a retry re-applies records); <= 0 means 100.
+	// It is the hard retry budget: a batch that cannot be delivered
+	// within it fails the phase.
 	MaxAttempts int
 	// Endpoints, when non-empty, puts the driver in failover mode: each
 	// client rotates through these base URLs when an endpoint refuses
@@ -73,12 +74,18 @@ func (d *Driver) client() *http.Client {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.Client == nil {
-		d.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-		}}
+		d.Client = newClient()
 	}
 	return d.Client
+}
+
+// newClient returns a dedicated driver client with a connection pool
+// generous enough for every concurrent client of a phase.
+func newClient() *http.Client {
+	return &http.Client{Transport: &http.Transport{
+		MaxIdleConns:        256,
+		MaxIdleConnsPerHost: 256,
+	}}
 }
 
 // Phase describes one execution phase over per-stream batch queues.
@@ -350,11 +357,17 @@ func (d *Driver) Run(ctx context.Context, phase Phase, queues [][]*Batch) (*Phas
 }
 
 // sendBatch delivers one batch, retrying shed (429) and failed (5xx)
-// attempts — neither was applied server-side, so a retry cannot
-// double-ingest. In failover mode (st.fo non-nil) transport errors and
-// 503s are also retried, rotating endpoints: the primary dying mid-run
-// is exactly the event the mode exists for, and neither a refused
-// connection nor a follower's not-the-primary 503 applied anything.
+// attempts. A single node applies nothing of a batch it sheds, but a
+// retry can still apply records twice in two cases: behind the router,
+// node k's 429 or 5xx (or the router's 502 for it) is relayed after the
+// nodes before k applied their parts, because ingest forwards run one
+// node after another (DESIGN.md §12); and a replicated primary's
+// ack-timeout 500 comes after it applied the batch locally (DESIGN.md
+// §11). A re-applied record lands as a duplicate hour. In failover mode
+// (st.fo non-nil) transport errors and 503s are also retried, rotating
+// endpoints: the primary dying mid-run is exactly the event the mode
+// exists for, and neither a refused connection nor a follower's
+// not-the-primary 503 applied anything.
 func (d *Driver) sendBatch(ctx context.Context, b *Batch, st *clientStats, maxWait time.Duration, maxAttempts int) error {
 	contentType := b.ContentType
 	if contentType == "" {

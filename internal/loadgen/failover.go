@@ -80,7 +80,7 @@ func RunFailover(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scen
 		if err != nil {
 			return fail("bootstrap", err)
 		}
-		r.atExit(func() { shutdown(h2.Stop) })
+		r.atExit(func() { r.stop(h2.Stop) })
 		term0 := h1.Srv.Term()
 
 		// The follower watches the primary's liveness and promotes itself
@@ -90,12 +90,9 @@ func RunFailover(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scen
 		go h2.Srv.WatchPrimary(watchCtx, failoverWatchEvery, failoverPromoteAfter)
 
 		// Failover-aware clients: both endpoints known, deterministic jitter.
-		r.drv = &Driver{
-			BaseURL:   h1.URL,
-			Endpoints: []string{h1.URL, h2.URL},
-			RetrySeed: cfg.Workload.Seed,
-			Log:       dep.Log,
-		}
+		r.drv = r.driver(h1.URL)
+		r.drv.Endpoints = []string{h1.URL, h2.URL}
+		r.drv.RetrySeed = cfg.Workload.Seed
 		// Four chunks: replicated steady state, post-snapshot (the WAL epoch
 		// advance ships mid-stream), the failover chunk (the kill lands just
 		// before it), and post-failover steady state on the new primary.
@@ -145,7 +142,7 @@ func RunFailover(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scen
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()
-		if err := shutdown(h1.Stop); err != nil {
+		if err := r.stop(h1.Stop); err != nil {
 			return fail("kill", err)
 		}
 

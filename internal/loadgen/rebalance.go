@@ -128,7 +128,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 		if err != nil {
 			return err
 		}
-		r.atExit(func() { shutdown(rh.Stop) })
+		r.atExit(func() { r.stop(rh.Stop) })
 		r.drv.SetBaseURL(rh.URL)
 		// Five chunks: steady cluster baseline, the join handoff, post-join
 		// steady state, the drain handoff, and post-drain steady state.
@@ -324,7 +324,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 			if err != nil {
 				return 0, err
 			}
-			defer shutdown(h.Stop)
+			defer r.stop(h.Stop)
 			base, leg := h.URL, "direct"
 			if viaRouter {
 				bm, err := route.NewMap(1, []route.Node{{ID: "bench", URL: h.URL}})
@@ -335,10 +335,10 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 				if err != nil {
 					return 0, err
 				}
-				defer shutdown(brh.Stop)
+				defer r.stop(brh.Stop)
 				base, leg = brh.URL, "routed"
 			}
-			bdrv := &Driver{BaseURL: base, Log: dep.Log}
+			bdrv := r.driver(base)
 			var records int
 			var seconds float64
 			for pass := 0; pass < 2; pass++ {

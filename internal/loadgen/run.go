@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -28,6 +29,9 @@ type run struct {
 	shadow *Shadow
 	drv    *Driver
 	alerts []string
+	// client is the one HTTP client every driver of the run shares; stop
+	// closes its idle connections before it stops a server.
+	client *http.Client
 
 	// clients is the stream count of the scenario's splits; interval
 	// paces every phase (the steady scenario's -rate).
@@ -67,9 +71,10 @@ func scenario(ctx context.Context, name string, dep Deployment, cfg ScenarioConf
 		dep:     dep,
 		cfg:     cfg,
 		rep:     &ScenarioReport{Name: name},
-		drv:     &Driver{Log: dep.Log},
+		client:  newClient(),
 		clients: cfg.clients(),
 	}
+	r.drv = r.driver("")
 	defer func() {
 		for i := len(r.cleanup) - 1; i >= 0; i-- {
 			r.cleanup[i]()
@@ -91,6 +96,11 @@ func scenario(ctx context.Context, name string, dep Deployment, cfg ScenarioConf
 
 // atExit registers a clean-up step; they run in reverse order.
 func (r *run) atExit(f func()) { r.cleanup = append(r.cleanup, f) }
+
+// driver returns a driver for base on the run's shared client.
+func (r *run) driver(base string) *Driver {
+	return &Driver{BaseURL: base, Client: r.client, Log: r.dep.Log}
+}
 
 // deploy sets the models, normalizers and per-drive telemetry retention
 // the scenario's stores serve, and starts a fresh shadow over them.
@@ -171,13 +181,16 @@ func (r *run) serve(store *fleet.Store, scfg server.Config) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.atExit(func() { shutdown(h.Stop) })
+	r.atExit(func() { r.stop(h.Stop) })
 	return h, nil
 }
 
-// shutdown stops a harness, allowing its in-flight requests ten seconds
-// to drain.
-func shutdown(stop func(context.Context) error) error {
+// stop stops a server, allowing its in-flight requests ten seconds to
+// drain. It first closes the run's idle client connections: a
+// connection the client dialed but never sent a request on would
+// otherwise hold http.Server.Shutdown until the connection is 5 s old.
+func (r *run) stop(stop func(context.Context) error) error {
+	r.client.CloseIdleConnections()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return stop(ctx)
@@ -226,7 +239,7 @@ func (r *run) phase(name string, chunk [][]*Batch) (*PhaseStats, error) {
 // match the shadow record for record and serve the killed store's model
 // version, which is checked under versionCheck.
 func (r *run) kill(h *Harness, mgr *persist.Manager, versionCheck string) (*Harness, *persist.Recovery, error) {
-	if err := shutdown(h.Stop); err != nil {
+	if err := r.stop(h.Stop); err != nil {
 		return nil, nil, fail("kill", err)
 	}
 	fcfg := r.fcfg

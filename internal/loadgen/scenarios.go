@@ -158,7 +158,7 @@ func RunFormatCompare(ctx context.Context, dep Deployment, cfg ScenarioConfig) (
 			return err
 		}
 		r.drv.SetBaseURL(hj.URL)
-		bdrv := &Driver{BaseURL: hb.URL, Log: dep.Log}
+		bdrv := r.driver(hb.URL)
 		var binAlerts []string
 		var ratios []float64
 		bwl := wl.WithFormat(FormatBinary)

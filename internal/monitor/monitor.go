@@ -156,16 +156,60 @@ type DriveStatus struct {
 	HoursToFailure float64
 }
 
-type driveState struct {
-	class    smart.DeviceClass
+// driveSlot is one drive's entry in the monitor's dense slot table: its
+// scoring state (class, last hour, severity) and its quality ledger's row
+// counts, inline so a fleet-wide walk reads one contiguous array. Its
+// smoothing windows live in the monitor's score arena at the same slot.
+// A free slot is all zero.
+type driveSlot struct {
+	// id is the caller's drive ID, the key of the monitor's index.
+	id       int
 	lastHour int
-	seen     bool
-	severity Severity
-	// recent holds the last Smoothing raw scores per group model.
-	// Windows of models whose class differs from the drive's stay empty
-	// forever, and an empty window medians to +Inf — other-class models
-	// are therefore structurally excluded from worstGroup.
-	recent [][]float64
+	// rowsRead and rowsQuarantined are the drive's share of the quality
+	// report's row counters.
+	rowsRead        int
+	rowsQuarantined int
+	// issues is the drive's issue breakdown, allocated on its first
+	// issue: a clean drive carries none.
+	issues   *issueLedger
+	severity int8
+	class    smart.DeviceClass
+	// live marks a slot that holds a drive; tracked marks a drive with
+	// scoring state (windows, severity) rather than a quarantine-only
+	// ledger; seen marks a drive whose lastHour is set.
+	live, tracked, seen bool
+}
+
+// issueLedger is one drive's share of the quality report's per-kind and
+// per-field issue counts. It holds no zero counts.
+type issueLedger struct {
+	byKind  [len(quality.Report{}.ByKind)]int
+	byField []fieldCount
+}
+
+type fieldCount struct {
+	field string
+	n     int
+}
+
+// breakdown returns the slot's issue breakdown, allocating it on the
+// drive's first issue.
+func (s *driveSlot) breakdown() *issueLedger {
+	if s.issues == nil {
+		s.issues = &issueLedger{}
+	}
+	return s.issues
+}
+
+// addField adds n issues to one field's count.
+func (l *issueLedger) addField(field string, n int) {
+	for i := range l.byField {
+		if l.byField[i].field == field {
+			l.byField[i].n += n
+			return
+		}
+	}
+	l.byField = append(l.byField, fieldCount{field, n})
 }
 
 // ClassNorms bundles the per-class Eq. (1) normalizers of a mixed
@@ -208,11 +252,24 @@ type Monitor struct {
 	// classModels counts models per device class; records of a class
 	// with no models are quarantined rather than silently scored healthy.
 	classModels [smart.NumClasses]int
-	drives      map[int]*driveState
-	// ledgers holds each drive's contribution to the quality report so
-	// Forget can subtract it exactly. A drive can have a ledger without
-	// being tracked: all of its records were quarantined.
-	ledgers map[int]*DriveLedger
+	// index maps the caller's drive ID to the drive's slot. A drive has
+	// a slot from its first record on, tracked or not: a drive whose
+	// every record was quarantined still has a ledger to release on
+	// Forget.
+	index map[int]int32
+	slots []driveSlot
+	// free holds the slots Forget released, reused before the table
+	// grows.
+	free []int32
+	// scores is the window arena: slot s keeps len(models) windows of
+	// Smoothing scores each, model gi's at window s*len(models)+gi, and
+	// lens holds each window's length. A window of a model whose class
+	// differs from the drive's stays empty, and an empty window medians
+	// to +Inf, so other-class models are excluded from worstGroup.
+	scores []float64
+	lens   []int32
+	// tracked counts the slots whose drive is tracked.
+	tracked int
 	quality quality.Report
 	// normBuf is the reusable normalized-vector scratch of Ingest; a
 	// Monitor is single-goroutine (each fleet shard owns one behind its
@@ -223,30 +280,12 @@ type Monitor struct {
 // DriveLedger is one drive's share of the monitor's quality accounting.
 // It exists so that forgetting a drive releases exactly the counts the
 // drive contributed, and so snapshots can restore per-drive accounting.
+// Exported ledgers carry no zero counts: ImportDrive drops them.
 type DriveLedger struct {
 	RowsRead        int
 	RowsQuarantined int
 	ByKind          map[quality.Kind]int
 	ByField         map[string]int
-}
-
-// clone deep-copies the ledger, keeping empty maps nil so exported and
-// re-imported states compare equal.
-func (l *DriveLedger) clone() DriveLedger {
-	c := DriveLedger{RowsRead: l.RowsRead, RowsQuarantined: l.RowsQuarantined}
-	if len(l.ByKind) > 0 {
-		c.ByKind = make(map[quality.Kind]int, len(l.ByKind))
-		for k, n := range l.ByKind {
-			c.ByKind[k] = n
-		}
-	}
-	if len(l.ByField) > 0 {
-		c.ByField = make(map[string]int, len(l.ByField))
-		for f, n := range l.ByField {
-			c.ByField[f] = n
-		}
-	}
-	return c
 }
 
 // New builds a monitor from trained group models and the fleet
@@ -293,8 +332,7 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 		models:      models,
 		norms:       norms,
 		classModels: classModels,
-		drives:      map[int]*driveState{},
-		ledgers:     map[int]*DriveLedger{},
+		index:       map[int]int32{},
 		normBuf:     make([]float64, smart.NumAttrs),
 	}, nil
 }
@@ -394,22 +432,24 @@ func (m *Monitor) IngestKept(driveID int, rec smart.Record) (*Alert, bool) {
 // quarantined (a serial cannot change hardware mid-stream; one of the
 // two reports is corrupt).
 func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
+	si := m.slotOf(driveID)
+	s := &m.slots[si]
 	if !class.Valid() || m.classModels[class] == 0 {
-		m.note(driveID, quality.Issue{
+		m.note(s, quality.Issue{
 			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
 			Field:  "device_class",
 			Detail: fmt.Sprintf("no models for class %v", class),
 		})
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
-	if st, ok := m.drives[driveID]; ok && st.class != class {
-		m.note(driveID, quality.Issue{
+	if s.tracked && s.class != class {
+		m.note(s, quality.Issue{
 			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
 			Field:  "device_class",
-			Detail: fmt.Sprintf("drive is %v, record claims %v", st.class, class),
+			Detail: fmt.Sprintf("drive is %v, record claims %v", s.class, class),
 		})
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
 	// Only non-finite values poison the window: finite out-of-range
@@ -420,7 +460,7 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	for a := 0; a < int(smart.NumAttrs); a++ {
 		if x := rec.Values[a]; math.IsNaN(x) || math.IsInf(x, 0) {
 			bad = true
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.NonFinite, Drive: strconv.Itoa(driveID),
 				Field:  smart.Attr(a).String(),
 				Detail: fmt.Sprintf("value %v", x),
@@ -428,77 +468,77 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 		}
 	}
 	if bad {
-		m.addRows(driveID, 1, 1)
+		m.addRows(s, 1, 1)
 		return nil, false
 	}
 
-	st, ok := m.drives[driveID]
-	if !ok {
-		st = &driveState{class: class, recent: make([][]float64, len(m.models))}
-		for gi := range st.recent {
-			st.recent[gi] = make([]float64, 0, m.cfg.Smoothing)
-		}
-		m.drives[driveID] = st
+	if !s.tracked {
+		s.tracked, s.class = true, class
+		m.tracked++
 	}
 	replace := false
-	if st.seen {
+	if s.seen {
 		switch {
-		case rec.Hour < st.lastHour:
+		case rec.Hour < s.lastHour:
 			// Stale sample: the drive already reported a later state.
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.OutOfOrderTimestamp, Drive: strconv.Itoa(driveID),
-				Detail: fmt.Sprintf("hour %d after hour %d", rec.Hour, st.lastHour),
+				Detail: fmt.Sprintf("hour %d after hour %d", rec.Hour, s.lastHour),
 			})
-			m.addRows(driveID, 1, 1)
+			m.addRows(s, 1, 1)
 			return nil, false
-		case rec.Hour == st.lastHour:
+		case rec.Hour == s.lastHour:
 			// Keep-latest: the repeat supersedes the previous sample. It
 			// is kept-with-issue, not quarantined — the record mutates
 			// the smoothing window (it replaces the superseded score),
 			// so counting it quarantined would hide a state change from
 			// the kept count and break read = kept + quarantined as an
 			// accounting of records that reached the scoring path.
-			m.note(driveID, quality.Issue{
+			m.note(s, quality.Issue{
 				Kind: quality.DuplicateTimestamp, Drive: strconv.Itoa(driveID),
 				Detail: fmt.Sprintf("hour %d repeated", rec.Hour),
 			})
-			m.addRows(driveID, 1, 0)
+			m.addRows(s, 1, 0)
 			replace = true
 		default:
-			m.addRows(driveID, 1, 0)
+			m.addRows(s, 1, 0)
 		}
 	} else {
-		m.addRows(driveID, 1, 0)
+		m.addRows(s, 1, 0)
 	}
-	st.seen = true
-	st.lastHour = rec.Hour
+	s.seen = true
+	s.lastHour = rec.Hour
 
 	normalized := m.norms.For(class).Normalize(rec.Values)
 	copy(m.normBuf, normalized[:])
-	for gi, gm := range m.models {
+	smoothing := m.cfg.Smoothing
+	base := int(si) * len(m.models)
+	for gi := range m.models {
+		gm := &m.models[gi]
 		if gm.Class != class {
 			continue
 		}
 		score := gm.Predictor.Predict(m.normBuf)
-		w := st.recent[gi]
-		switch {
-		case replace && len(w) > 0:
-			w[len(w)-1] = score
-		case len(w) < m.cfg.Smoothing:
-			st.recent[gi] = append(w, score)
+		wi := base + gi
+		w := m.scores[wi*smoothing : (wi+1)*smoothing]
+		switch n := int(m.lens[wi]); {
+		case replace && n > 0:
+			w[n-1] = score
+		case n < smoothing:
+			w[n] = score
+			m.lens[wi]++
 		default:
-			// Window full: slide in place instead of reslicing, so the
-			// steady state never re-allocates the window.
+			// Window full: slide in place.
 			copy(w, w[1:])
-			w[len(w)-1] = score
+			w[n-1] = score
 		}
 	}
 
-	group, deg := m.worstGroup(st)
+	group, deg := m.worstGroup(si)
 	severity := m.severityOf(deg)
-	if severity > st.severity {
-		st.severity = severity
-		gm := m.models[group]
+	if severity > Severity(s.severity) {
+		s.severity = int8(severity)
+		gm := &m.models[group]
 		return &Alert{
 			DriveID:        driveID,
 			Class:          class,
@@ -507,56 +547,67 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 			Group:          gm.Group,
 			Type:           gm.Type,
 			Degradation:    deg,
-			HoursToFailure: hoursToFailure(gm, deg),
+			HoursToFailure: hoursToFailure(*gm, deg),
 		}, true
 	}
 	// De-escalate silently: transient dips recover without alert spam.
-	st.severity = severity
+	s.severity = int8(severity)
 	return nil, true
 }
 
-// ledger returns (creating if needed) a drive's quality ledger.
-func (m *Monitor) ledger(driveID int) *DriveLedger {
-	led, ok := m.ledgers[driveID]
-	if !ok {
-		led = &DriveLedger{}
-		m.ledgers[driveID] = led
+// slotOf returns a drive's slot, giving a new drive a free slot or, when
+// none is free, a new one at the end of the table and the arena.
+func (m *Monitor) slotOf(driveID int) int32 {
+	if si, ok := m.index[driveID]; ok {
+		return si
 	}
-	return led
+	var si int32
+	if n := len(m.free); n > 0 {
+		si = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
+		si = int32(len(m.slots))
+		m.slots = append(m.slots, driveSlot{})
+		m.lens = append(m.lens, make([]int32, len(m.models))...)
+		m.scores = append(m.scores, make([]float64, len(m.models)*m.cfg.Smoothing)...)
+	}
+	m.slots[si] = driveSlot{id: driveID, live: true}
+	m.index[driveID] = si
+	return si
+}
+
+// window returns slot si's score window for model gi.
+func (m *Monitor) window(si int32, gi int) []float64 {
+	wi := int(si)*len(m.models) + gi
+	start := wi * m.cfg.Smoothing
+	return m.scores[start : start+int(m.lens[wi])]
 }
 
 // note records an issue in both the monitor-wide report and the drive's
 // ledger, so the contribution can later be released by Forget.
-func (m *Monitor) note(driveID int, iss quality.Issue) {
+func (m *Monitor) note(s *driveSlot, iss quality.Issue) {
 	m.quality.Note(iss, quality.Config{})
-	led := m.ledger(driveID)
-	if led.ByKind == nil {
-		led.ByKind = map[quality.Kind]int{}
-	}
-	led.ByKind[iss.Kind]++
+	b := s.breakdown()
+	b.byKind[iss.Kind]++
 	if iss.Field != "" {
-		if led.ByField == nil {
-			led.ByField = map[string]int{}
-		}
-		led.ByField[iss.Field]++
+		b.addField(iss.Field, 1)
 	}
 }
 
 // addRows accounts rows in both the monitor-wide report and the drive's
 // ledger.
-func (m *Monitor) addRows(driveID, read, quarantined int) {
+func (m *Monitor) addRows(s *driveSlot, read, quarantined int) {
 	m.quality.AddRows(read, quarantined, 0)
-	led := m.ledger(driveID)
-	led.RowsRead += read
-	led.RowsQuarantined += quarantined
+	s.rowsRead += read
+	s.rowsQuarantined += quarantined
 }
 
-// worstGroup returns the model index with the lowest smoothed score and
-// that score.
-func (m *Monitor) worstGroup(st *driveState) (int, float64) {
+// worstGroup returns the model index with the lowest smoothed score of
+// slot si and that score.
+func (m *Monitor) worstGroup(si int32) (int, float64) {
 	best, bestScore := 0, math.Inf(1)
 	for gi := range m.models {
-		s := smoothedMedian(st.recent[gi])
+		s := smoothedMedian(m.window(si, gi))
 		if s < bestScore {
 			best, bestScore = gi, s
 		}
@@ -627,41 +678,44 @@ func hoursToFailure(gm GroupModel, deg float64) float64 {
 
 // Status returns the monitor's current view of a drive.
 func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
-	st, ok := m.drives[driveID]
-	if !ok {
+	si, ok := m.index[driveID]
+	if !ok || !m.slots[si].tracked {
 		return DriveStatus{}, false
 	}
-	return m.status(driveID, st), true
+	return m.status(si), true
 }
 
-// Each calls fn with the current status of every tracked drive, in no
-// particular order. Each status is built from the state being iterated,
-// so a fleet-wide roll-up costs no lookup, slice or sort per drive. fn
-// may Forget the drive it is handed, and must not otherwise change the
+// Each calls fn with the current status of every tracked drive, in slot
+// order. Each status is built from the slot being walked, so a
+// fleet-wide roll-up costs no lookup, slice or sort per drive. fn may
+// Forget the drive it is handed, and must not otherwise change the
 // monitor.
 func (m *Monitor) Each(fn func(DriveStatus)) {
-	for id, st := range m.drives {
-		fn(m.status(id, st))
+	for si := range m.slots {
+		if m.slots[si].tracked {
+			fn(m.status(int32(si)))
+		}
 	}
 }
 
-func (m *Monitor) status(driveID int, st *driveState) DriveStatus {
-	group, deg := m.worstGroup(st)
-	gm := m.models[group]
+func (m *Monitor) status(si int32) DriveStatus {
+	s := &m.slots[si]
+	group, deg := m.worstGroup(si)
+	gm := &m.models[group]
 	return DriveStatus{
-		DriveID:        driveID,
-		Class:          st.class,
-		LastHour:       st.lastHour,
-		Severity:       st.severity,
+		DriveID:        s.id,
+		Class:          s.class,
+		LastHour:       s.lastHour,
+		Severity:       Severity(s.severity),
 		Group:          gm.Group,
 		Type:           gm.Type,
 		Degradation:    deg,
-		HoursToFailure: hoursToFailure(gm, deg),
+		HoursToFailure: hoursToFailure(*gm, deg),
 	}
 }
 
 // Tracked returns the number of drives the monitor has seen.
-func (m *Monitor) Tracked() int { return len(m.drives) }
+func (m *Monitor) Tracked() int { return m.tracked }
 
 // Forget discards a drive's state, reporting whether the drive was
 // tracked. It is the eviction hook for decommissioned or long-silent
@@ -669,26 +723,35 @@ func (m *Monitor) Tracked() int { return len(m.drives) }
 // window. The drive's contribution to the quality ledger is released
 // along with it, so Quality() only accounts for drives the monitor
 // still knows — a fleet that forgets a drive and re-summarizes must not
-// leak the forgotten drive's counts.
+// leak the forgotten drive's counts. The drive's slot is cleared and
+// reused by the next new drive.
 func (m *Monitor) Forget(driveID int) bool {
-	if led, ok := m.ledgers[driveID]; ok {
-		m.quality.RowsRead -= led.RowsRead
-		m.quality.RowsQuarantined -= led.RowsQuarantined
-		for k, n := range led.ByKind {
-			m.quality.ByKind[k] -= n
-		}
-		for f, n := range led.ByField {
-			if m.quality.ByField[f] -= n; m.quality.ByField[f] == 0 {
-				delete(m.quality.ByField, f)
-			}
-		}
-		delete(m.ledgers, driveID)
-	}
-	if _, ok := m.drives[driveID]; !ok {
+	si, ok := m.index[driveID]
+	if !ok {
 		return false
 	}
-	delete(m.drives, driveID)
-	return true
+	s := &m.slots[si]
+	m.quality.RowsRead -= s.rowsRead
+	m.quality.RowsQuarantined -= s.rowsQuarantined
+	if s.issues != nil {
+		for k, n := range s.issues.byKind {
+			m.quality.ByKind[k] -= n
+		}
+		for _, fc := range s.issues.byField {
+			if m.quality.ByField[fc.field] -= fc.n; m.quality.ByField[fc.field] == 0 {
+				delete(m.quality.ByField, fc.field)
+			}
+		}
+	}
+	tracked := s.tracked
+	if tracked {
+		m.tracked--
+	}
+	*s = driveSlot{}
+	clear(m.lens[int(si)*len(m.models) : int(si+1)*len(m.models)])
+	delete(m.index, driveID)
+	m.free = append(m.free, si)
+	return tracked
 }
 
 // Quality reports how many ingested records were clean, quarantined
@@ -699,7 +762,7 @@ func (m *Monitor) Quality() *quality.Report { return &m.quality }
 // ascending degradation (most at-risk first, ties by drive ID). It is the
 // fleet dashboard view of the middleware.
 func (m *Monitor) Snapshot() []DriveStatus {
-	out := make([]DriveStatus, 0, len(m.drives))
+	out := make([]DriveStatus, 0, m.tracked)
 	m.Each(func(st DriveStatus) { out = append(out, st) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Degradation != out[j].Degradation {

@@ -3,6 +3,7 @@ package monitor
 import (
 	"fmt"
 
+	"disksig/internal/quality"
 	"disksig/internal/smart"
 )
 
@@ -21,7 +22,8 @@ type DriveState struct {
 	LastHour int
 	Seen     bool
 	Severity Severity
-	// Recent holds the last Smoothing raw scores per group model.
+	// Recent holds the last Smoothing raw scores per group model; an
+	// empty window is nil.
 	Recent [][]float64
 	// Ledger is the drive's contribution to the quality report.
 	Ledger DriveLedger
@@ -32,24 +34,53 @@ type DriveState struct {
 // serialization-ready: the caller owns it, and re-importing it into a
 // fresh monitor reproduces the original state exactly.
 func (m *Monitor) ExportDrives() map[int]DriveState {
-	out := make(map[int]DriveState, len(m.ledgers))
-	for id, led := range m.ledgers {
-		out[id] = DriveState{Ledger: led.clone()}
-	}
-	for id, st := range m.drives {
-		ds := out[id]
-		ds.Tracked = true
-		ds.Class = st.class
-		ds.LastHour = st.lastHour
-		ds.Seen = st.seen
-		ds.Severity = st.severity
-		ds.Recent = make([][]float64, len(st.recent))
-		for gi, w := range st.recent {
-			ds.Recent[gi] = append([]float64(nil), w...)
+	out := make(map[int]DriveState, len(m.index))
+	for si := range m.slots {
+		s := &m.slots[si]
+		if !s.live {
+			continue
 		}
-		out[id] = ds
+		ds := DriveState{Ledger: s.ledger()}
+		if s.tracked {
+			ds.Tracked = true
+			ds.Class = s.class
+			ds.LastHour = s.lastHour
+			ds.Seen = s.seen
+			ds.Severity = Severity(s.severity)
+			ds.Recent = make([][]float64, len(m.models))
+			for gi := range ds.Recent {
+				if w := m.window(int32(si), gi); len(w) > 0 {
+					ds.Recent[gi] = append([]float64(nil), w...)
+				}
+			}
+		}
+		out[s.id] = ds
 	}
 	return out
+}
+
+// ledger exports the slot's quality ledger, leaving a map nil when it
+// would be empty so exported and re-imported states compare equal.
+func (s *driveSlot) ledger() DriveLedger {
+	led := DriveLedger{RowsRead: s.rowsRead, RowsQuarantined: s.rowsQuarantined}
+	if s.issues == nil {
+		return led
+	}
+	for k, n := range s.issues.byKind {
+		if n != 0 {
+			if led.ByKind == nil {
+				led.ByKind = map[quality.Kind]int{}
+			}
+			led.ByKind[quality.Kind(k)] = n
+		}
+	}
+	if len(s.issues.byField) > 0 {
+		led.ByField = make(map[string]int, len(s.issues.byField))
+		for _, fc := range s.issues.byField {
+			led.ByField[fc.field] = fc.n
+		}
+	}
+	return led
 }
 
 // ImportDrive installs one exported drive state into a monitor built
@@ -57,12 +88,14 @@ func (m *Monitor) ExportDrives() map[int]DriveState {
 // corrupted snapshot yields an error, never an out-of-range index or a
 // smoothing window wider than the configuration allows. The drive's
 // ledger is re-added to the monitor-wide quality report, so restored
-// accounting sums back up and a later Forget releases it cleanly.
+// accounting sums back up and a later Forget releases it cleanly. A
+// ledger entry with a zero count carries nothing and is dropped, so
+// export → import → export is a fixpoint.
 func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
-	if _, ok := m.drives[driveID]; ok {
-		return fmt.Errorf("monitor: drive %d already tracked", driveID)
-	}
-	if _, ok := m.ledgers[driveID]; ok {
+	if si, ok := m.index[driveID]; ok {
+		if m.slots[si].tracked {
+			return fmt.Errorf("monitor: drive %d already tracked", driveID)
+		}
 		return fmt.Errorf("monitor: drive %d already has a ledger", driveID)
 	}
 	if st.Ledger.RowsRead < 0 || st.Ledger.RowsQuarantined < 0 || st.Ledger.RowsQuarantined > st.Ledger.RowsRead {
@@ -98,29 +131,32 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 		}
 	}
 
-	led := st.Ledger.clone()
-	m.ledgers[driveID] = &led
-	m.quality.AddRows(led.RowsRead, led.RowsQuarantined, 0)
-	for k, n := range led.ByKind {
-		m.quality.ByKind[k] += n
-	}
-	for f, n := range led.ByField {
-		if m.quality.ByField == nil {
-			m.quality.ByField = map[string]int{}
+	si := m.slotOf(driveID)
+	s := &m.slots[si]
+	m.addRows(s, st.Ledger.RowsRead, st.Ledger.RowsQuarantined)
+	for k, n := range st.Ledger.ByKind {
+		if n > 0 {
+			s.breakdown().byKind[k] += n
+			m.quality.ByKind[k] += n
 		}
-		m.quality.ByField[f] += n
+	}
+	for f, n := range st.Ledger.ByField {
+		if n > 0 {
+			s.breakdown().addField(f, n)
+			if m.quality.ByField == nil {
+				m.quality.ByField = map[string]int{}
+			}
+			m.quality.ByField[f] += n
+		}
 	}
 	if st.Tracked {
-		recent := make([][]float64, len(st.Recent))
+		s.tracked, s.class = true, st.Class
+		s.lastHour, s.seen, s.severity = st.LastHour, st.Seen, int8(st.Severity)
+		m.tracked++
 		for gi, w := range st.Recent {
-			recent[gi] = append([]float64(nil), w...)
-		}
-		m.drives[driveID] = &driveState{
-			class:    st.Class,
-			lastHour: st.LastHour,
-			seen:     st.Seen,
-			severity: st.Severity,
-			recent:   recent,
+			wi := int(si)*len(m.models) + gi
+			copy(m.scores[wi*m.cfg.Smoothing:], w)
+			m.lens[wi] = int32(len(w))
 		}
 	}
 	return nil
