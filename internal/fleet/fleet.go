@@ -352,8 +352,8 @@ func (s *Store) IngestBatch(obs []Observation) BatchResult {
 	}
 	sc := s.getScratch()
 	defer s.scratch.Put(sc)
-	for i, o := range obs {
-		si := s.shardIndex(o.Serial)
+	for i := range obs {
+		si := s.shardIndex(obs[i].Serial)
 		sc.perShard[si] = append(sc.perShard[si], i)
 	}
 	parallel.ForEach(s.cfg.Workers, len(s.shards), func(si int) {
@@ -512,10 +512,10 @@ func (s *Store) EvictStale() int {
 	n := 0
 	for _, sh := range s.shards {
 		sh.mu.Lock()
-		sh.mon.Each(func(st monitor.DriveStatus) {
-			if st.LastHour < cutoff {
-				sh.mon.Forget(st.DriveID)
-				sh.release(st.DriveID)
+		sh.mon.Each(func(v monitor.Verdict) {
+			if v.LastHour < cutoff {
+				sh.mon.Forget(v.DriveID)
+				sh.release(v.DriveID)
 				n++
 			}
 		})

@@ -150,3 +150,27 @@ func TestIngestAllocsFlatInFleetSize(t *testing.T) {
 		t.Fatalf("IngestBatch allocates %v per batch at %d drives, %v at 256", large, paperDrives, small)
 	}
 }
+
+// TestDriveAllocatesNothing pins that a drive read allocates nothing: it
+// copies the drive's cached verdict and computes only the time-to-failure
+// estimate.
+func TestDriveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	s := testStore(t, Config{Shards: 16})
+	s.IngestBatch(buildStream(64, 6))
+	serials := []string{"SER-0000", "SER-0001", "SER-0003"}
+	for _, serial := range serials {
+		if _, ok := s.Drive(serial); !ok {
+			t.Fatalf("Drive(%s) found no drive", serial)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, serial := range serials {
+			s.Drive(serial)
+		}
+	}); n != 0 {
+		t.Fatalf("Drive allocates %v per call", n/float64(len(serials)))
+	}
+}

@@ -58,12 +58,13 @@ const (
 )
 
 // Summary computes the fleet-wide roll-up. topN caps the AtRisk list;
-// <= 0 means no at-risk list. Each shard is walked once under its lock,
-// counting into fixed arrays and offering every drive to bounded top-N
-// heaps, so a call costs O(drives) time and O(topN) memory. Shards are
-// read one at a time, so the summary is per-shard consistent but not a
-// global atomic cut — the right trade for a dashboard read that must
-// not stall ingestion.
+// <= 0 means no at-risk list. Each shard's drive verdicts are walked
+// once under its lock, counting into fixed arrays; only a drive that
+// would enter a bounded top-N heap is read in full (with its
+// time-to-failure estimate) and offered, so a call costs O(drives) time
+// and O(topN) memory. Shards are read one at a time, so the summary is
+// per-shard consistent but not a global atomic cut — the right trade for
+// a dashboard read that must not stall ingestion.
 func (s *Store) Summary(topN int) Summary {
 	sum := Summary{MaxHour: -1, Shards: make([]ShardStats, len(s.shards))}
 	var (
@@ -87,25 +88,31 @@ func (s *Store) Summary(topN int) Summary {
 		if tracked > 0 && sh.maxHour > sum.MaxHour {
 			sum.MaxHour = sh.maxHour
 		}
-		sh.mon.Each(func(st monitor.DriveStatus) {
-			bySev[st.Severity]++
-			classN[st.Class]++
-			classSev[st.Class][st.Severity]++
-			if st.Severity >= monitor.Watch {
-				if st.Type >= 0 && int(st.Type) < numTypes {
-					byType[st.Type]++
+		sh.mon.Each(func(v monitor.Verdict) {
+			bySev[v.Severity]++
+			classN[v.Class]++
+			classSev[v.Class][v.Severity]++
+			if v.Severity >= monitor.Watch {
+				if v.Type >= 0 && int(v.Type) < numTypes {
+					byType[v.Type]++
 				} else {
 					if otherTypes == nil {
 						otherTypes = map[core.FailureType]int{}
 					}
-					otherTypes[st.Type]++
+					otherTypes[v.Type]++
 				}
 			}
-			if topN > 0 {
-				dh := DriveHealth{Serial: sh.serials[st.DriveID], DriveStatus: st}
-				top.offer(dh)
-				classTop[st.Class].offer(dh)
+			if topN <= 0 {
+				return
 			}
+			serial := sh.serials[v.DriveID]
+			if !top.wants(v.Degradation, serial) && !classTop[v.Class].wants(v.Degradation, serial) {
+				return
+			}
+			st, _ := sh.mon.Status(v.DriveID)
+			dh := DriveHealth{Serial: serial, DriveStatus: st}
+			top.offer(dh)
+			classTop[v.Class].offer(dh)
 		})
 		sh.mu.Unlock()
 	}
@@ -159,10 +166,22 @@ type atRiskHeap struct {
 
 // atRiskBefore reports whether a ranks ahead of b in the at-risk order.
 func atRiskBefore(a, b *DriveHealth) bool {
-	if a.Degradation != b.Degradation {
-		return a.Degradation < b.Degradation
+	return ranksBefore(a.Degradation, a.Serial, b)
+}
+
+// ranksBefore reports whether a drive of degradation deg and this serial
+// ranks ahead of b in the at-risk order.
+func ranksBefore(deg float64, serial string, b *DriveHealth) bool {
+	if deg != b.Degradation {
+		return deg < b.Degradation
 	}
-	return a.Serial < b.Serial
+	return serial < b.Serial
+}
+
+// wants reports whether offer would keep a drive of degradation deg and
+// this serial, so a caller reads the drive in full only when it would.
+func (h *atRiskHeap) wants(deg float64, serial string) bool {
+	return len(h.items) < h.n || ranksBefore(deg, serial, &h.items[0])
 }
 
 func (h *atRiskHeap) offer(dh DriveHealth) {

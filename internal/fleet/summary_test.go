@@ -2,18 +2,22 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
 	"disksig/internal/monitor"
+	"disksig/internal/quality"
 	"disksig/internal/smart"
 )
 
 // referenceSummary is the full-sort Summary the one-pass version
-// replaced: snapshot every shard, then sort every drive again for the
+// replaced: read every shard's drives, then sort every drive for the
 // fleet list and per class. It is the oracle the equivalence tests
-// compare against.
+// compare against, so it reads no verdict the monitor cached: every
+// status is recomputed from the drive's exported windows and the
+// store's models.
 func referenceSummary(s *Store, topN int) Summary {
 	sum := Summary{
 		MaxHour:    -1,
@@ -26,12 +30,12 @@ func referenceSummary(s *Store, topN int) Summary {
 	perClass := map[string][]DriveHealth{}
 	for si, sh := range s.shards {
 		sh.mu.Lock()
-		snap := sh.mon.Snapshot()
+		statuses := recomputedStatuses(sh.mon.ExportDrives(), s.models)
 		sum.Shards[si] = ShardStats{Shard: si, Drives: sh.mon.Tracked()}
 		if sh.mon.Tracked() > 0 && sh.maxHour > sum.MaxHour {
 			sum.MaxHour = sh.maxHour
 		}
-		for _, st := range snap {
+		for _, st := range statuses {
 			sum.Drives++
 			sum.BySeverity[st.Severity.String()]++
 			if st.Severity >= monitor.Watch {
@@ -74,6 +78,56 @@ func referenceSummary(s *Store, topN int) Summary {
 	return sum
 }
 
+// recomputedStatuses rebuilds the status of every tracked drive in an
+// export from its smoothing windows: the worst model is the one whose
+// window has the lowest median (an empty window counts as +Inf, and the
+// first model wins ties), and the time-to-failure estimate inverts that
+// model's signature.
+func recomputedStatuses(drives map[int]monitor.DriveState, models []monitor.GroupModel) []monitor.DriveStatus {
+	var out []monitor.DriveStatus
+	for id, ds := range drives {
+		if !ds.Tracked {
+			continue
+		}
+		worst, deg := 0, math.Inf(1)
+		for gi, w := range ds.Recent {
+			if med := windowMedian(w); med < deg {
+				worst, deg = gi, med
+			}
+		}
+		gm := models[worst]
+		out = append(out, monitor.DriveStatus{
+			DriveID: id, Class: ds.Class, LastHour: ds.LastHour, Severity: ds.Severity,
+			Group: gm.Group, Type: gm.Type, Degradation: deg,
+			HoursToFailure: signatureHours(gm, deg),
+		})
+	}
+	return out
+}
+
+func windowMedian(w []float64) float64 {
+	if len(w) == 0 {
+		return math.Inf(1)
+	}
+	sorted := append([]float64(nil), w...)
+	sort.Float64s(sorted)
+	return sorted[len(sorted)/2]
+}
+
+// signatureHours inverts the signature s(t) = (t/d)^k - 1 of a group:
+// +Inf outside a degradation window or for a signature that cannot be
+// inverted, 0 at or past the failure event.
+func signatureHours(gm monitor.GroupModel, deg float64) float64 {
+	k := float64(gm.Form.Order())
+	switch {
+	case math.IsNaN(deg) || deg >= 0 || k <= 0 || !(gm.WindowD > 0):
+		return math.Inf(1)
+	case deg <= -1:
+		return 0
+	}
+	return gm.WindowD * math.Pow(deg+1, 1/k)
+}
+
 // tiedStream feeds a mixed HDD+SSD fleet whose drives each hold one of
 // five scores, so most degradations tie and the serial tie-break
 // decides the at-risk order. Serials are a permutation of the drive
@@ -100,7 +154,8 @@ func tiedStream(drives, hours int) []Observation {
 
 // TestSummaryMatchesReference pins Summary to the full-sort reference
 // across shard counts, at-risk lengths and the store histories that
-// shape degradations: an empty store, ramps, mixed-class ties, the +Inf
+// shape degradations: an empty store, ramps, mixed-class ties, repeated
+// hours that replace window tails, a restored store, the +Inf
 // degradations of a freshly swapped model set, and stores thinned by
 // EvictStale and Remove.
 func TestSummaryMatchesReference(t *testing.T) {
@@ -122,6 +177,33 @@ func TestSummaryMatchesReference(t *testing.T) {
 			s.IngestBatch(tiedStream(drives, 4))
 			s.IngestBatch(mixedStream(12, 6))
 			return s
+		}},
+		{"duplicate-hours", func(t *testing.T, shards int) *Store {
+			// Each window holds two hours of one score. Repeating the
+			// second hour with the score of the drive two places on (the
+			// same class) replaces the window's tail, which moves the
+			// median of every drive whose new score is higher.
+			s := mixedTestStore(t, Config{Shards: shards})
+			first := tiedStream(drives, 2)
+			s.IngestBatch(first)
+			repeat := append([]Observation(nil), first[drives:]...)
+			for i := range repeat {
+				repeat[i].Record = first[drives+(i+2)%drives].Record
+			}
+			if res := s.IngestBatch(repeat); res.Quality.ByKind[quality.DuplicateTimestamp] != drives {
+				t.Fatalf("repeat batch: %+v, want %d duplicate hours", res.Quality, drives)
+			}
+			return s
+		}},
+		{"restored", func(t *testing.T, shards int) *Store {
+			s := mixedTestStore(t, Config{Shards: 4})
+			s.IngestBatch(tiedStream(drives, 4))
+			s.IngestBatch(mixedStream(12, 6))
+			r, err := Restore(s.ExportState(), Config{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
 		}},
 		{"swapped", func(t *testing.T, shards int) *Store {
 			s := mixedTestStore(t, Config{Shards: shards})

@@ -156,11 +156,25 @@ type DriveStatus struct {
 	HoursToFailure float64
 }
 
+// Verdict is the part of a drive's status that a fleet-wide roll-up or
+// eviction reads, which Each hands out: everything but the worst model's
+// group and the time-to-failure estimate, which Status computes.
+type Verdict struct {
+	DriveID  int
+	Class    smart.DeviceClass
+	LastHour int
+	Severity Severity
+	// Type is the failure type of the most pessimistic model.
+	Type core.FailureType
+	// Degradation is that model's smoothed degradation score.
+	Degradation float64
+}
+
 // driveSlot is one drive's entry in the monitor's dense slot table: its
-// scoring state (class, last hour, severity) and its quality ledger's row
-// counts, inline so a fleet-wide walk reads one contiguous array. Its
-// smoothing windows live in the monitor's score arena at the same slot.
-// A free slot is all zero.
+// scoring state (class, last hour, severity, verdict) and its quality
+// ledger's row counts, inline so a fleet-wide walk reads one contiguous
+// array. Its smoothing windows live in the monitor's score arena at the
+// same slot. A free slot is all zero.
 type driveSlot struct {
 	// id is the caller's drive ID, the key of the monitor's index.
 	id       int
@@ -171,7 +185,14 @@ type driveSlot struct {
 	rowsQuarantined int
 	// issues is the drive's issue breakdown, allocated on its first
 	// issue: a clean drive carries none.
-	issues   *issueLedger
+	issues *issueLedger
+	// deg and worst are a tracked drive's verdict: the lowest smoothed
+	// score over its windows and the index of the model that scored it.
+	// They change only with the windows, so refresh recomputes them
+	// where the windows change (IngestClass, ImportDrive) and reads take
+	// them as they are.
+	deg      float64
+	worst    uint16
 	severity int8
 	class    smart.DeviceClass
 	// live marks a slot that holds a drive; tracked marks a drive with
@@ -265,7 +286,7 @@ type Monitor struct {
 	// Smoothing scores each, model gi's at window s*len(models)+gi, and
 	// lens holds each window's length. A window of a model whose class
 	// differs from the drive's stays empty, and an empty window medians
-	// to +Inf, so other-class models are excluded from worstGroup.
+	// to +Inf, so other-class models never lower a drive's verdict.
 	scores []float64
 	lens   []int32
 	// tracked counts the slots whose drive is tracked.
@@ -308,6 +329,9 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 	if len(models) == 0 {
 		return nil, fmt.Errorf("monitor: no group models")
 	}
+	if len(models) > maxModels {
+		return nil, fmt.Errorf("monitor: %d group models, at most %d fit a drive's verdict", len(models), maxModels)
+	}
 	var classModels [smart.NumClasses]int
 	for _, m := range models {
 		if !m.Class.Valid() {
@@ -336,6 +360,10 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 		normBuf:     make([]float64, smart.NumAttrs),
 	}, nil
 }
+
+// maxModels is the largest model set a monitor serves: a slot keeps its
+// worst model's index in 16 bits.
+const maxModels = math.MaxUint16 + 1
 
 // ModelsFromCharacterization extracts the per-group scoring models of a
 // pipeline run that included the prediction stage. It is the hook the
@@ -509,8 +537,10 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	s.seen = true
 	s.lastHour = rec.Hour
 
-	normalized := m.norms.For(class).Normalize(rec.Values)
-	copy(m.normBuf, normalized[:])
+	norm := m.norms.For(class)
+	for a := range m.normBuf {
+		m.normBuf[a] = norm.NormalizeValue(smart.Attr(a), rec.Values[a])
+	}
 	smoothing := m.cfg.Smoothing
 	base := int(si) * len(m.models)
 	for gi := range m.models {
@@ -534,11 +564,11 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 		}
 	}
 
-	group, deg := m.worstGroup(si)
-	severity := m.severityOf(deg)
+	m.refresh(si)
+	severity := m.severityOf(s.deg)
 	if severity > Severity(s.severity) {
 		s.severity = int8(severity)
-		gm := &m.models[group]
+		gm := &m.models[s.worst]
 		return &Alert{
 			DriveID:        driveID,
 			Class:          class,
@@ -546,8 +576,8 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 			Severity:       severity,
 			Group:          gm.Group,
 			Type:           gm.Type,
-			Degradation:    deg,
-			HoursToFailure: hoursToFailure(*gm, deg),
+			Degradation:    s.deg,
+			HoursToFailure: hoursToFailure(*gm, s.deg),
 		}, true
 	}
 	// De-escalate silently: transient dips recover without alert spam.
@@ -602,9 +632,10 @@ func (m *Monitor) addRows(s *driveSlot, read, quarantined int) {
 	s.rowsQuarantined += quarantined
 }
 
-// worstGroup returns the model index with the lowest smoothed score of
-// slot si and that score.
-func (m *Monitor) worstGroup(si int32) (int, float64) {
+// refresh recomputes slot si's verdict from its windows: the model with
+// the lowest smoothed score, and that score. A slot whose windows are all
+// empty gets model 0 and +Inf.
+func (m *Monitor) refresh(si int32) {
 	best, bestScore := 0, math.Inf(1)
 	for gi := range m.models {
 		s := smoothedMedian(m.window(si, gi))
@@ -612,7 +643,7 @@ func (m *Monitor) worstGroup(si int32) (int, float64) {
 			best, bestScore = gi, s
 		}
 	}
-	return best, bestScore
+	m.slots[si].worst, m.slots[si].deg = uint16(best), bestScore
 }
 
 func smoothedMedian(xs []float64) float64 {
@@ -685,23 +716,30 @@ func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
 	return m.status(si), true
 }
 
-// Each calls fn with the current status of every tracked drive, in slot
-// order. Each status is built from the slot being walked, so a
-// fleet-wide roll-up costs no lookup, slice or sort per drive. fn may
-// Forget the drive it is handed, and must not otherwise change the
-// monitor.
-func (m *Monitor) Each(fn func(DriveStatus)) {
+// Each calls fn with the verdict of every tracked drive, in slot order.
+// A verdict is copied from the slot being walked, so a fleet-wide
+// roll-up costs no lookup, median or time-to-failure estimate per drive;
+// fn calls Status for the drives it needs in full. fn may Forget the
+// drive it is handed, and must not otherwise change the monitor.
+func (m *Monitor) Each(fn func(Verdict)) {
 	for si := range m.slots {
-		if m.slots[si].tracked {
-			fn(m.status(int32(si)))
+		s := &m.slots[si]
+		if s.tracked {
+			fn(Verdict{
+				DriveID:     s.id,
+				Class:       s.class,
+				LastHour:    s.lastHour,
+				Severity:    Severity(s.severity),
+				Type:        m.models[s.worst].Type,
+				Degradation: s.deg,
+			})
 		}
 	}
 }
 
 func (m *Monitor) status(si int32) DriveStatus {
 	s := &m.slots[si]
-	group, deg := m.worstGroup(si)
-	gm := &m.models[group]
+	gm := &m.models[s.worst]
 	return DriveStatus{
 		DriveID:        s.id,
 		Class:          s.class,
@@ -709,8 +747,8 @@ func (m *Monitor) status(si int32) DriveStatus {
 		Severity:       Severity(s.severity),
 		Group:          gm.Group,
 		Type:           gm.Type,
-		Degradation:    deg,
-		HoursToFailure: hoursToFailure(*gm, deg),
+		Degradation:    s.deg,
+		HoursToFailure: hoursToFailure(*gm, s.deg),
 	}
 }
 
@@ -763,7 +801,10 @@ func (m *Monitor) Quality() *quality.Report { return &m.quality }
 // fleet dashboard view of the middleware.
 func (m *Monitor) Snapshot() []DriveStatus {
 	out := make([]DriveStatus, 0, m.tracked)
-	m.Each(func(st DriveStatus) { out = append(out, st) })
+	m.Each(func(v Verdict) {
+		st, _ := m.Status(v.DriveID)
+		out = append(out, st)
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Degradation != out[j].Degradation {
 			return out[i].Degradation < out[j].Degradation

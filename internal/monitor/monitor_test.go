@@ -69,6 +69,30 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestModelSetFitsVerdictIndex: a slot keeps its worst model's index in
+// 16 bits, so NewMulti rejects a larger model set, and the last index of
+// the largest accepted set still names its model.
+func TestModelSetFitsVerdictIndex(t *testing.T) {
+	models := make([]GroupModel, maxModels+1)
+	for i := range models {
+		models[i] = testModels()[0]
+	}
+	norms := ClassNorms{HDD: testNormalizer()}
+	if _, err := NewMulti(models, norms, Config{}); err == nil {
+		t.Fatalf("NewMulti accepted %d models", len(models))
+	}
+	models = models[:maxModels]
+	models[maxModels-1].Group, models[maxModels-1].Predictor = 7, negPredictor{}
+	m, err := NewMulti(models, norms, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Ingest(1, record(0, 0.9))
+	if st, _ := m.Status(1); st.Group != 7 || st.Degradation > -0.8 {
+		t.Fatalf("status %+v, want group 7 at degradation about -0.9", st)
+	}
+}
+
 func TestEscalationLadder(t *testing.T) {
 	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
 	if err != nil {
@@ -245,8 +269,8 @@ func TestModelsFromCharacterizationClampsDegenerateWindow(t *testing.T) {
 }
 
 // TestEachVisitsEveryDriveOnce: Each hands over every tracked drive
-// once, with the status Status reports, and a visitor may Forget the
-// drive it is handed (the eviction pattern).
+// once, with the verdict of the status Status reports, and a visitor may
+// Forget the drive it is handed (the eviction pattern).
 func TestEachVisitsEveryDriveOnce(t *testing.T) {
 	m, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
 	if err != nil {
@@ -256,21 +280,21 @@ func TestEachVisitsEveryDriveOnce(t *testing.T) {
 		m.Ingest(id, record(id, 1-float64(id)/25))
 	}
 	seen := map[int]bool{}
-	m.Each(func(st DriveStatus) {
-		if seen[st.DriveID] {
-			t.Fatalf("drive %d visited twice", st.DriveID)
+	m.Each(func(v Verdict) {
+		if seen[v.DriveID] {
+			t.Fatalf("drive %d visited twice", v.DriveID)
 		}
-		seen[st.DriveID] = true
-		if want, _ := m.Status(st.DriveID); st != want {
-			t.Errorf("Each status %+v, Status %+v", st, want)
+		seen[v.DriveID] = true
+		if st, _ := m.Status(v.DriveID); v != verdictOf(st) {
+			t.Errorf("Each verdict %+v, Status %+v", v, st)
 		}
 	})
 	if len(seen) != 50 {
 		t.Fatalf("Each visited %d drives, want 50", len(seen))
 	}
-	m.Each(func(st DriveStatus) {
-		if st.DriveID%2 == 1 {
-			m.Forget(st.DriveID)
+	m.Each(func(v Verdict) {
+		if v.DriveID%2 == 1 {
+			m.Forget(v.DriveID)
 		}
 	})
 	if m.Tracked() != 25 {

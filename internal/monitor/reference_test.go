@@ -354,7 +354,11 @@ func differentialModels(mixed bool) ([]GroupModel, ClassNorms) {
 // (also from inside Each) with new drives landing on the recycled slots,
 // moves of exported states onto other IDs, and sparse IDs — and requires
 // the same alerts, statuses, Each multiset, quality report and export
-// after every step.
+// after every step. The reference recomputes every verdict from the
+// windows, so a record that leaves the windows alone (quarantined, stale
+// or of the wrong class) must leave the cached verdict as it was, and one
+// that changes them (a new hour, a duplicate hour's replacement, an
+// import) must refresh it.
 func TestSlotTableMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		mixed     bool
@@ -435,9 +439,9 @@ func differential(t *testing.T, m *Monitor, ref *referenceMonitor, seed int64, s
 			// Evict during the walk, the way fleet.EvictStale does.
 			op = "forget-in-each"
 			mod := 2 + rng.Intn(3)
-			m.Each(func(st DriveStatus) {
-				if st.LastHour%mod == 0 {
-					m.Forget(st.DriveID)
+			m.Each(func(v Verdict) {
+				if v.LastHour%mod == 0 {
+					m.Forget(v.DriveID)
 				}
 			})
 			ref.Each(func(st DriveStatus) {
@@ -487,24 +491,33 @@ func compareToReference(t *testing.T, m *Monitor, ref *referenceMonitor, ids []i
 			t.Fatalf("%s: Status(%d) = %+v, %v; reference %+v, %v", at, id, s1, ok1, s2, ok2)
 		}
 	}
-	each := func(visit func(func(DriveStatus))) map[int]DriveStatus {
-		out := map[int]DriveStatus{}
-		visit(func(st DriveStatus) {
-			if _, dup := out[st.DriveID]; dup {
-				t.Fatalf("%s: Each visited drive %d twice", at, st.DriveID)
-			}
-			out[st.DriveID] = st
-		})
-		return out
-	}
-	if e1, e2 := each(m.Each), each(ref.Each); !reflect.DeepEqual(e1, e2) {
-		t.Fatalf("%s: Each differs:\n%v\nreference\n%v", at, e1, e2)
+	// The walk hands out cached verdicts; the reference recomputes every
+	// one from the drive's windows.
+	walked := map[int]Verdict{}
+	m.Each(func(v Verdict) {
+		if _, dup := walked[v.DriveID]; dup {
+			t.Fatalf("%s: Each visited drive %d twice", at, v.DriveID)
+		}
+		walked[v.DriveID] = v
+	})
+	recomputed := map[int]Verdict{}
+	ref.Each(func(st DriveStatus) { recomputed[st.DriveID] = verdictOf(st) })
+	if !reflect.DeepEqual(walked, recomputed) {
+		t.Fatalf("%s: Each differs:\n%v\nreference\n%v", at, walked, recomputed)
 	}
 	if !reflect.DeepEqual(m.Quality(), ref.Quality()) {
 		t.Fatalf("%s: Quality differs:\n%v\nreference\n%v", at, m.Quality(), ref.Quality())
 	}
 	if x1, x2 := m.ExportDrives(), ref.ExportDrives(); !reflect.DeepEqual(x1, x2) {
 		t.Fatalf("%s: ExportDrives differs:\n%+v\nreference\n%+v", at, x1, x2)
+	}
+}
+
+// verdictOf is the part of a status that Each hands out.
+func verdictOf(st DriveStatus) Verdict {
+	return Verdict{
+		DriveID: st.DriveID, Class: st.Class, LastHour: st.LastHour,
+		Severity: st.Severity, Type: st.Type, Degradation: st.Degradation,
 	}
 }
 

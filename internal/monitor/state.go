@@ -158,6 +158,7 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 			copy(m.scores[wi*m.cfg.Smoothing:], w)
 			m.lens[wi] = int32(len(w))
 		}
+		m.refresh(si)
 	}
 	return nil
 }
