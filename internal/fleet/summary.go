@@ -164,24 +164,27 @@ type atRiskHeap struct {
 	items []DriveHealth
 }
 
-// atRiskBefore reports whether a ranks ahead of b in the at-risk order.
-func atRiskBefore(a, b *DriveHealth) bool {
-	return ranksBefore(a.Degradation, a.Serial, b)
+// RanksBefore is the at-risk order: a drive of degradation aDeg and
+// serial aSerial ranks ahead of one of bDeg and bSerial when it is more
+// degraded (lower), ties broken by serial. A +Inf degradation (a drive
+// whose windows a model swap emptied) ranks last. The router re-ranks
+// merged node summaries with it.
+func RanksBefore(aDeg float64, aSerial string, bDeg float64, bSerial string) bool {
+	if aDeg != bDeg {
+		return aDeg < bDeg
+	}
+	return aSerial < bSerial
 }
 
-// ranksBefore reports whether a drive of degradation deg and this serial
-// ranks ahead of b in the at-risk order.
-func ranksBefore(deg float64, serial string, b *DriveHealth) bool {
-	if deg != b.Degradation {
-		return deg < b.Degradation
-	}
-	return serial < b.Serial
+// atRiskBefore reports whether a ranks ahead of b in the at-risk order.
+func atRiskBefore(a, b *DriveHealth) bool {
+	return RanksBefore(a.Degradation, a.Serial, b.Degradation, b.Serial)
 }
 
 // wants reports whether offer would keep a drive of degradation deg and
 // this serial, so a caller reads the drive in full only when it would.
 func (h *atRiskHeap) wants(deg float64, serial string) bool {
-	return len(h.items) < h.n || ranksBefore(deg, serial, &h.items[0])
+	return len(h.items) < h.n || RanksBefore(deg, serial, h.items[0].Degradation, h.items[0].Serial)
 }
 
 func (h *atRiskHeap) offer(dh DriveHealth) {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"disksig/internal/parallel"
+	"disksig/internal/wire"
 )
 
 // Driver replays batch queues against a fleet health server over real
@@ -205,22 +206,6 @@ func statusClassOf(code int) string {
 	default:
 		return "4xx"
 	}
-}
-
-// ingestResponse is the decoded POST /v1/ingest acknowledgment.
-type ingestResponse struct {
-	Ingested     int `json:"ingested"`
-	Kept         int `json:"kept"`
-	Quarantined  int `json:"quarantined"`
-	ModelVersion int `json:"model_version"`
-	Alerts       []struct {
-		Serial      string  `json:"serial"`
-		Hour        int     `json:"hour"`
-		Severity    string  `json:"severity"`
-		Group       int     `json:"group"`
-		Type        string  `json:"type"`
-		Degradation float64 `json:"degradation"`
-	} `json:"alerts"`
 }
 
 // clientStats is one client's accumulator, merged after the phase so
@@ -475,7 +460,7 @@ func (d *Driver) sendBatch(ctx context.Context, b *Batch, st *clientStats, maxWa
 // post sends one ingest request to url and measures its latency. For a
 // 503 it also extracts the body's leader hint, which is how a
 // replicated follower redirects writers.
-func (d *Driver) post(ctx context.Context, url string, body []byte, contentType string) (code int, retryAfter, leader string, doc ingestResponse, elapsedMs float64, err error) {
+func (d *Driver) post(ctx context.Context, url string, body []byte, contentType string) (code int, retryAfter, leader string, doc wire.Ack, elapsedMs float64, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/ingest", bytes.NewReader(body))
 	if err != nil {
 		return 0, "", "", doc, 0, err

@@ -168,6 +168,7 @@ func TestCheckClassSummaryViolations(t *testing.T) {
 	var mrep MixedReport
 	for name, body := range map[string]string{
 		"missing class": `{"drives":2,"by_class":{"hdd":{"drives":2,"by_severity":{"watch":2}}}}`,
+		"null class":    `{"drives":2,"by_class":{"hdd":{"drives":2,"by_severity":{"watch":2}},"ssd":null}}`,
 		"empty class":   `{"drives":2,"by_class":{"hdd":{"drives":2,"by_severity":{"watch":2}},"ssd":{"drives":0,"by_severity":{}}}}`,
 		"all healthy":   `{"drives":4,"by_class":{"hdd":{"drives":2,"by_severity":{"watch":2}},"ssd":{"drives":2,"by_severity":{"healthy":2}}}}`,
 		"bad total":     `{"drives":9,"by_class":{"hdd":{"drives":2,"by_severity":{"watch":2}},"ssd":{"drives":2,"by_severity":{"warning":2}}}}`,

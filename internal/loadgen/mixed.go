@@ -8,6 +8,7 @@ import (
 	"disksig/internal/monitor"
 	"disksig/internal/smart"
 	"disksig/internal/synth"
+	"disksig/internal/wire"
 )
 
 // RunMixed is the heterogeneous-fleet drill: a mixed HDD+SSD fleet is
@@ -120,20 +121,14 @@ func classRows(url string, hddDrives, ssdDrives int) (*metricsDoc, error) {
 // roll-up: both classes present, per-class drive counts summing to the
 // fleet total, and at least one non-healthy drive in each class.
 func checkClassSummary(baseURL string, mrep *MixedReport) error {
-	var sum struct {
-		Drives  int `json:"drives"`
-		ByClass map[string]struct {
-			Drives     int            `json:"drives"`
-			BySeverity map[string]int `json:"by_severity"`
-		} `json:"by_class"`
-	}
+	var sum wire.Summary
 	if err := fetchJSON(baseURL+"/v1/fleet/summary?top=5", &sum); err != nil {
 		return err
 	}
 	total := 0
 	for _, cname := range []string{"hdd", "ssd"} {
-		cs, ok := sum.ByClass[cname]
-		if !ok {
+		cs := sum.ByClass[cname]
+		if cs == nil {
 			return fmt.Errorf("summary by_class has no %q entry", cname)
 		}
 		if cs.Drives == 0 {

@@ -173,16 +173,55 @@ func TestRouterMixedClassBinaryMatchesDirect(t *testing.T) {
 // degradation of a drive whose windows a model swap emptied as null,
 // and the merged at-risk list must rank it last, not as 0.
 func TestRankAtRiskNullDegradationLast(t *testing.T) {
-	var ds []rankedDrive
-	if err := json.Unmarshal([]byte(`[{"serial":"b","degradation":null},{"serial":"c","degradation":0.3},`+
-		`{"serial":"a","degradation":-0.5},{"serial":"d","degradation":0.7}]`), &ds); err != nil {
+	var sum wire.Summary
+	if err := json.Unmarshal([]byte(`{"at_risk":[{"serial":"b","degradation":null},{"serial":"c","degradation":0.3},`+
+		`{"serial":"a","degradation":-0.5},{"serial":"d","degradation":0.7}]}`), &sum); err != nil {
 		t.Fatal(err)
 	}
+	sum.Rank(10)
 	var got []string
-	for _, d := range rankAtRisk(ds, 10) {
-		got = append(got, d.serial)
+	for _, d := range sum.AtRisk {
+		got = append(got, d.Serial)
 	}
 	if want := []string{"a", "c", "d", "b"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ranked %v, want %v", got, want)
+	}
+}
+
+// TestRouterAckModelVersion: the merged ack carries the model version
+// every node part reported, and none while the parts disagree, as after
+// a promotion that has reached only one node.
+func TestRouterAckModelVersion(t *testing.T) {
+	nodes, m := startCluster(t, 2)
+	_, ts := startRouter(t, m, nil)
+	swap := func(n testNode, version int) {
+		t.Helper()
+		if err := n.store.SwapModels(n.store.Models(), testNormalizer(), version); err != nil {
+			t.Fatal(err)
+		}
+	}
+	owners := map[int]bool{}
+	for _, o := range clusterObs(16, 0) {
+		owners[m.OwnerIndex([]byte(o.Serial))] = true
+	}
+	if len(owners) != 2 {
+		t.Fatalf("the batch reaches %d nodes, want both", len(owners))
+	}
+	for i, tc := range []struct {
+		swap func()
+		want any // the ack's model_version; nil means absent
+	}{
+		{func() {}, 1.0},
+		{func() { swap(nodes[0], 2) }, nil},
+		{func() { swap(nodes[1], 2) }, 2.0},
+	} {
+		tc.swap()
+		code, doc := postIngest(t, ts.URL, "application/json", jsonBody(t, clusterObs(16, i)))
+		if code != http.StatusOK {
+			t.Fatalf("step %d: status %d: %v", i, code, doc)
+		}
+		if got, ok := doc["model_version"]; got != tc.want || ok != (tc.want != nil) {
+			t.Errorf("step %d: model_version = %v (present %v), want %v", i, got, ok, tc.want)
+		}
 	}
 }

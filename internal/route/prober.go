@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"disksig/internal/wire"
 )
 
 // NodeHealth is one node's probed state: which of its URLs answers
@@ -132,14 +134,6 @@ func (p *prober) probeAll() {
 	}
 }
 
-// readyDoc is the /healthz/ready response body of internal/server.
-type readyDoc struct {
-	Status     string  `json:"status"`
-	Role       string  `json:"role"`
-	LagMs      float64 `json:"lag_ms"`
-	ReadyLagMs float64 `json:"ready_lag_ms"`
-}
-
 // probeNode tries the node's URLs in order (primary first, then
 // followers) and picks the best ready one: writable beats merely-ready,
 // earlier beats later.
@@ -171,8 +165,8 @@ func (p *prober) probeNode(n Node) NodeHealth {
 	return h
 }
 
-func (p *prober) probeURL(u string) (readyDoc, error) {
-	var doc readyDoc
+func (p *prober) probeURL(u string) (wire.Ready, error) {
+	var doc wire.Ready
 	resp, err := p.client.Get(u + "/healthz/ready")
 	if err != nil {
 		return doc, err

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math"
 	"net/http"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -218,12 +216,6 @@ func writeJSON(w http.ResponseWriter, status int, doc any) {
 	_, _ = w.Write(append(body, '\n'))
 }
 
-// mediaType mirrors the node servers' Content-Type negotiation.
-func mediaType(ct string) string {
-	ct, _, _ = strings.Cut(ct, ";")
-	return strings.ToLower(strings.TrimSpace(ct))
-}
-
 // forward sends one sub-request to a node, retrying across its
 // candidate URLs on connection errors and 503s (a node mid-failover
 // answers 503 from the not-yet-promoted follower). Terminal responses —
@@ -279,50 +271,6 @@ func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, 
 	return nil, nil, fmt.Errorf("node %s unreachable after %d attempts: %w", n.ID, rt.cfg.ForwardAttempts, lastErr)
 }
 
-// ingestAckDoc is the slice of a node's ingest ack the router needs to
-// merge; alerts stay raw so their JSON passes through byte-identical.
-type ingestAckDoc struct {
-	Ingested    int               `json:"ingested"`
-	Kept        int               `json:"kept"`
-	Quarantined int               `json:"quarantined"`
-	Alerts      []json.RawMessage `json:"alerts"`
-	Quality     ledgerDoc         `json:"quality"`
-}
-
-type ledgerDoc struct {
-	RowsRead        int            `json:"rows_read"`
-	RowsKept        int            `json:"rows_kept"`
-	RowsQuarantined int            `json:"rows_quarantined"`
-	ByKind          map[string]int `json:"by_kind"`
-}
-
-func (l *ledgerDoc) add(o ledgerDoc) {
-	l.RowsRead += o.RowsRead
-	l.RowsKept += o.RowsKept
-	l.RowsQuarantined += o.RowsQuarantined
-	for k, v := range o.ByKind {
-		if l.ByKind == nil {
-			l.ByKind = map[string]int{}
-		}
-		l.ByKind[k] += v
-	}
-}
-
-func ledgerDocOf(rep *quality.Report) ledgerDoc {
-	byKind := map[string]int{}
-	for k := range rep.ByKind {
-		if rep.ByKind[k] != 0 {
-			byKind[quality.Kind(k).String()] = rep.ByKind[k]
-		}
-	}
-	return ledgerDoc{
-		RowsRead:        rep.RowsRead,
-		RowsKept:        rep.RowsKept(),
-		RowsQuarantined: rep.RowsQuarantined,
-		ByKind:          byKind,
-	}
-}
-
 // splitBatch is one ingest batch split per owning node: primary bodies
 // indexed by cur-map node, dual bodies (moving records only) indexed by
 // next-map node, plus the router-level quarantine ledger and whether
@@ -351,7 +299,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.m.ingestBatches.Add(1)
 
-	ct := mediaType(r.Header.Get("Content-Type"))
+	ct := wire.MediaType(r.Header.Get("Content-Type"))
 	switch ct {
 	case "", "application/json":
 		ct = "application/json"
@@ -435,16 +383,8 @@ func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b
 		// A body a node would reject: both splitters return the node's
 		// own error, so this is the node's 400 and ledger, and no node
 		// sees any part of the batch.
-		var rep quality.Report
-		if fe, ok := wire.IsFrameError(err); ok {
-			rep.Note(fe.Issue(), quality.Config{})
-		} else {
-			rep.Note(quality.Issue{Kind: quality.MalformedRow, Detail: err.Error()}, quality.Config{})
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error":   fmt.Sprintf("malformed request body: %v", err),
-			"quality": ledgerDocOf(&rep),
-		})
+		rej := wire.Reject(err)
+		writeJSON(w, http.StatusBadRequest, &rej)
 		return nil, true
 	}
 	sb.primary = bodies
@@ -475,6 +415,9 @@ func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b
 // owners first, then primary bodies in node order, merging the primary
 // acks. Both owners must accept a moving record before it is acked, and
 // only the old owner's alerts reach the client — one answer per record.
+// The merged ack carries the model version every part reported, and
+// none when the parts disagree (a promotion that reached only some
+// nodes): no single version scored the batch.
 func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st routeState, ct string, sb *splitBatch) {
 	ctx := r.Context()
 	for j, body := range sb.dual {
@@ -496,7 +439,8 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 		rt.m.dualWrites.Add(int64(sb.dualN[j]))
 	}
 
-	merged := ingestAckDoc{Alerts: []json.RawMessage{}}
+	merged := wire.Ack{Alerts: []wire.Alert{}}
+	parts, mixed := 0, false
 	for i, body := range sb.primary {
 		if body == nil {
 			continue
@@ -516,7 +460,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 			rt.relay(w, resp, rb)
 			return
 		}
-		var ack ingestAckDoc
+		var ack wire.Ack
 		if err := json.Unmarshal(rb, &ack); err != nil {
 			rt.m.proxyErrors.Add(1)
 			writeJSON(w, http.StatusBadGateway, map[string]any{
@@ -524,11 +468,20 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 			})
 			return
 		}
+		if parts == 0 {
+			merged.ModelVersion = ack.ModelVersion
+		} else if ack.ModelVersion != merged.ModelVersion {
+			mixed = true
+		}
+		parts++
 		merged.Ingested += ack.Ingested
 		merged.Kept += ack.Kept
 		merged.Quarantined += ack.Quarantined
 		merged.Alerts = append(merged.Alerts, ack.Alerts...)
-		merged.Quality.add(ack.Quality)
+		merged.Quality.Add(ack.Quality)
+	}
+	if mixed {
+		merged.ModelVersion = 0
 	}
 
 	// Fold in the router's own split-stage quarantines (records whose
@@ -537,7 +490,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 	// still balances end to end.
 	merged.Ingested += sb.rep.RowsQuarantined
 	merged.Quarantined += sb.rep.RowsQuarantined
-	merged.Quality.add(ledgerDocOf(&sb.rep))
+	merged.Quality.Add(wire.LedgerOf(&sb.rep))
 	rt.m.recordsRouted.Add(int64(sb.records))
 	writeJSON(w, http.StatusOK, &merged)
 }
@@ -573,105 +526,23 @@ func (rt *Router) handleDrive(w http.ResponseWriter, r *http.Request) {
 	rt.relay(w, resp, body)
 }
 
-// summaryDoc is the slice of a node summary the router merges.
-type summaryDoc struct {
-	Drives     int                         `json:"drives"`
-	MaxHour    int                         `json:"max_hour"`
-	BySeverity map[string]int              `json:"by_severity"`
-	ByType     map[string]int              `json:"alerting_by_type"`
-	ByClass    map[string]*classSummaryDoc `json:"by_class"`
-	AtRisk     []rankedDrive               `json:"at_risk"`
-	EvictedNow int                         `json:"evicted_now"`
-	Quality    ledgerDoc                   `json:"quality"`
+// routedSummary is the router's merged summary: the nodes' summaries
+// folded into one, without the nodes' shard layouts, plus the map epoch
+// and each node's share.
+type routedSummary struct {
+	wire.Summary
+	Epoch uint64        `json:"epoch"`
+	Nodes []nodeSummary `json:"nodes"`
 }
 
-// classSummaryDoc is one device class's roll-up within a summary.
-type classSummaryDoc struct {
-	Drives     int            `json:"drives"`
-	BySeverity map[string]int `json:"by_severity"`
-	AtRisk     []rankedDrive  `json:"at_risk"`
-}
-
-// rankedDrive is one at-risk entry of a node summary: its JSON, passed
-// through byte-identical, and the keys the merged list is ranked by.
-type rankedDrive struct {
-	raw         json.RawMessage
-	degradation float64
-	serial      string
-}
-
-// UnmarshalJSON reads the ranking keys. A null degradation is a drive
-// whose windows are empty after a model swap (+Inf on its node), so it
-// ranks last.
-func (d *rankedDrive) UnmarshalJSON(b []byte) error {
-	var keys struct {
-		Serial      string   `json:"serial"`
-		Degradation *float64 `json:"degradation"`
-	}
-	if err := json.Unmarshal(b, &keys); err != nil {
-		return err
-	}
-	deg := math.Inf(1)
-	if keys.Degradation != nil {
-		deg = *keys.Degradation
-	}
-	*d = rankedDrive{raw: append(json.RawMessage(nil), b...), degradation: deg, serial: keys.Serial}
-	return nil
-}
-
-func (d rankedDrive) MarshalJSON() ([]byte, error) { return d.raw, nil }
-
-// rankAtRisk re-ranks merged per-node at-risk lists the way each node
-// ranks its own — degradation ascending (worst first), ties by serial —
-// and keeps the first topN. Every drive of the fleet-wide top N is in
-// its owner's top N, so the result is the top N of the whole cluster.
-// The result is never nil, so an empty list renders as [].
-func rankAtRisk(ds []rankedDrive, topN int) []rankedDrive {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].degradation != ds[j].degradation {
-			return ds[i].degradation < ds[j].degradation
-		}
-		return ds[i].serial < ds[j].serial
-	})
-	if len(ds) > topN {
-		ds = ds[:topN]
-	}
-	if ds == nil {
-		ds = []rankedDrive{}
-	}
-	return ds
-}
-
-// add folds one node's summary into a merged one; the at-risk lists
-// are concatenated for rankAtRisk.
-func (d *summaryDoc) add(o *summaryDoc) {
-	d.Drives += o.Drives
-	d.MaxHour = max(d.MaxHour, o.MaxHour)
-	for k, c := range o.BySeverity {
-		d.BySeverity[k] += c
-	}
-	for k, c := range o.ByType {
-		d.ByType[k] += c
-	}
-	for cname, oc := range o.ByClass {
-		c := d.ByClass[cname]
-		if c == nil {
-			c = &classSummaryDoc{BySeverity: map[string]int{}}
-			d.ByClass[cname] = c
-		}
-		c.Drives += oc.Drives
-		for k, n := range oc.BySeverity {
-			c.BySeverity[k] += n
-		}
-		c.AtRisk = append(c.AtRisk, oc.AtRisk...)
-	}
-	d.AtRisk = append(d.AtRisk, o.AtRisk...)
-	d.EvictedNow += o.EvictedNow
-	d.Quality.add(o.Quality)
+type nodeSummary struct {
+	Drives  int    `json:"drives"`
+	ID      string `json:"id"`
+	MaxHour int    `json:"max_hour"`
 }
 
 // fetchSummary asks one node for its summary.
-func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*summaryDoc, error) {
+func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*wire.Summary, error) {
 	resp, body, err := rt.forward(ctx, n, "GET", "/v1/fleet/summary?top="+fmt.Sprint(topN), "", nil)
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("status %d", resp.StatusCode)
@@ -679,7 +550,7 @@ func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*summaryD
 	if err != nil {
 		return nil, fmt.Errorf("summary from node %s: %v", n.ID, err)
 	}
-	var doc summaryDoc
+	var doc wire.Summary
 	if err := json.Unmarshal(body, &doc); err != nil {
 		return nil, fmt.Errorf("node %s sent an unreadable summary: %v", n.ID, err)
 	}
@@ -691,20 +562,14 @@ func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*summaryD
 // when nodes fail (the first failing node in node order), do not depend
 // on which node answers first.
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
-	topN := rt.cfg.SummaryTopN
-	if v := r.URL.Query().Get("top"); v != "" {
-		n := 0
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("bad top parameter %q", v),
-			})
-			return
-		}
-		topN = n
+	topN, err := wire.ParseTop(r.URL.Query().Get("top"), rt.cfg.SummaryTopN)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return
 	}
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	docs := make([]*summaryDoc, len(rt.cur.Nodes))
+	docs := make([]*wire.Summary, len(rt.cur.Nodes))
 	errs := make([]error, len(rt.cur.Nodes))
 	var wg sync.WaitGroup
 	for i, n := range rt.cur.Nodes {
@@ -715,33 +580,19 @@ func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	merged := summaryDoc{MaxHour: -1, BySeverity: map[string]int{}, ByType: map[string]int{},
-		ByClass: map[string]*classSummaryDoc{}}
-	nodes := make([]map[string]any, len(rt.cur.Nodes))
+	merged := routedSummary{Summary: wire.Summary{MaxHour: -1}, Epoch: rt.cur.Epoch,
+		Nodes: make([]nodeSummary, len(rt.cur.Nodes))}
 	for i, n := range rt.cur.Nodes {
 		if errs[i] != nil {
 			rt.m.proxyErrors.Add(1)
 			writeJSON(w, http.StatusBadGateway, map[string]any{"error": errs[i].Error()})
 			return
 		}
-		merged.add(docs[i])
-		nodes[i] = map[string]any{"id": n.ID, "drives": docs[i].Drives, "max_hour": docs[i].MaxHour}
+		merged.Add(docs[i])
+		merged.Nodes[i] = nodeSummary{Drives: docs[i].Drives, ID: n.ID, MaxHour: docs[i].MaxHour}
 	}
-	for _, c := range merged.ByClass {
-		c.AtRisk = rankAtRisk(c.AtRisk, topN)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"drives":           merged.Drives,
-		"max_hour":         merged.MaxHour,
-		"by_severity":      merged.BySeverity,
-		"alerting_by_type": merged.ByType,
-		"by_class":         merged.ByClass,
-		"at_risk":          rankAtRisk(merged.AtRisk, topN),
-		"evicted_now":      merged.EvictedNow,
-		"quality":          merged.Quality,
-		"nodes":            nodes,
-		"epoch":            rt.cur.Epoch,
-	})
+	merged.Rank(topN)
+	writeJSON(w, http.StatusOK, &merged)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
@@ -80,8 +81,9 @@ func TestRouterSummaryRanksWorstFirst(t *testing.T) {
 
 // TestRouterSummaryMatchesSingleStore requires the routed summary of a
 // mixed-class fleet with tied degradations to equal the summary of one
-// store holding every drive, at-risk order and per-class roll-up
-// included.
+// store holding every drive, at-risk order, per-class roll-up and
+// ledger included: the whole document but the parts that name the
+// cluster's layout (the node's shards, the router's nodes and epoch).
 func TestRouterSummaryMatchesSingleStore(t *testing.T) {
 	levels := [...]float64{-0.9, -0.6, -0.2, 0.3, 0.8}
 	obs := make([]fleet.Observation, 60)
@@ -103,10 +105,54 @@ func TestRouterSummaryMatchesSingleStore(t *testing.T) {
 
 	for _, topN := range []int{0, 1, 4, 13, len(obs) + 2} {
 		got, want := getSummary(t, routed.URL, topN), getSummary(t, ref.URL, topN)
-		for _, key := range []string{"drives", "max_hour", "by_severity", "alerting_by_type", "by_class", "at_risk"} {
-			if !reflect.DeepEqual(got[key], want[key]) {
-				t.Errorf("top=%d: routed %s = %v, want %v", topN, key, got[key], want[key])
+		for _, key := range []string{"nodes", "epoch"} {
+			if _, ok := got[key]; !ok {
+				t.Errorf("top=%d: routed summary has no %s", topN, key)
 			}
+			delete(got, key)
+		}
+		delete(want, "shards")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("top=%d: routed summary\n%v\nwant\n%v", topN, got, want)
+		}
+	}
+}
+
+// TestRouterSummaryTopParameter: the router parses ?top= as a node
+// does, a decimal n >= 0 with an empty value meaning its default, and
+// answers anything else with a 400 of its own.
+func TestRouterSummaryTopParameter(t *testing.T) {
+	_, m := startCluster(t, 2)
+	_, ts := startRouter(t, m, func(c *Config) { c.SummaryTopN = 4 })
+	if code, doc := postIngest(t, ts.URL, "application/json", jsonBody(t, clusterObs(12, 0))); code != http.StatusOK {
+		t.Fatalf("ingest status %d: %v", code, doc)
+	}
+	for _, tc := range []struct {
+		top    string
+		status int
+		atRisk int
+	}{
+		{"5abc", http.StatusBadRequest, 0}, {"5.9", http.StatusBadRequest, 0},
+		{"0x10", http.StatusBadRequest, 0}, {"1e3", http.StatusBadRequest, 0},
+		{"-1", http.StatusBadRequest, 0}, {"x", http.StatusBadRequest, 0},
+		{"", http.StatusOK, 4}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/fleet/summary?top=" + url.QueryEscape(tc.top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]any
+		err = json.NewDecoder(resp.Body).Decode(&doc)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != tc.status {
+			t.Errorf("top=%q: status %d, want %d (%v)", tc.top, resp.StatusCode, tc.status, doc)
+			continue
+		}
+		if tc.status == http.StatusOK && len(doc["at_risk"].([]any)) != tc.atRisk {
+			t.Errorf("top=%q: %d at-risk drives, want %d", tc.top, len(doc["at_risk"].([]any)), tc.atRisk)
 		}
 	}
 }

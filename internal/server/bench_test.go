@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http/httptest"
 	"strconv"
 	"testing"
@@ -231,6 +232,77 @@ func TestIngestJSONAllocsMatchBinary(t *testing.T) {
 	}
 	if small, large := allocs(64, false), allocs(512, false); small != large {
 		t.Errorf("JSON ingest makes %.0f allocs at 64 records and %.0f at 512; want the same", small, large)
+	}
+}
+
+// readFleet returns the handler of a server over drives drives with
+// three hours of scores spread over every severity, the fleet of
+// internal/fleet's BenchmarkSummary.
+func readFleet(tb testing.TB, drives int) http.Handler {
+	srv := testServer(tb, fleet.Config{Shards: 16}, Config{})
+	obs := make([]fleet.Observation, 0, 3*drives)
+	for h := 0; h < 3; h++ {
+		for d := 0; d < drives; d++ {
+			var v smart.Values
+			v[smart.RRER] = 1 - 2*math.Mod(float64(d)*0.6180339887, 1)
+			obs = append(obs, fleet.Observation{Serial: fmt.Sprintf("SER-%05d", d), Record: smart.Record{Hour: h, Values: v}})
+		}
+	}
+	srv.store.IngestBatch(obs)
+	return srv.Handler()
+}
+
+// readPaths are the two read handlers the allocation pins and
+// BenchmarkReadHandlers drive.
+var readPaths = []struct{ name, path string }{
+	{"drive", "/v1/drives/SER-00001"},
+	{"summary", "/v1/fleet/summary?top=10"},
+}
+
+// BenchmarkReadHandlers measures GET /v1/drives/{serial} and GET
+// /v1/fleet/summary?top=10 through Handler() at the paper's 23,395
+// drives: the handler chain, the store read and the JSON rendering.
+func BenchmarkReadHandlers(b *testing.B) {
+	h := readFleet(b, 23395)
+	for _, rp := range readPaths {
+		b.Run(rp.name, func(b *testing.B) {
+			req := httptest.NewRequest("GET", rp.path, nil)
+			w := &nullResponseWriter{}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				h.ServeHTTP(w, req)
+			}
+		})
+	}
+}
+
+// TestReadAllocsPinned pins the allocations of a warm GET
+// /v1/drives/{serial} and GET /v1/fleet/summary?top=10 through
+// Handler() at the figures measured with go1.24, and requires them
+// equal at 3,000 drives and at the paper's 23,395: a read renders a
+// bounded document, whatever the fleet size. Skipped under the race
+// detector, whose sync.Pool drops items at random.
+func TestReadAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	pins := map[string]float64{"drive": 13, "summary": 103}
+	first := map[string]float64{}
+	for _, drives := range []int{3000, 23395} {
+		h := readFleet(t, drives)
+		for _, rp := range readPaths {
+			req := httptest.NewRequest("GET", rp.path, nil)
+			w := &nullResponseWriter{}
+			h.ServeHTTP(w, req) // warm-up: fills the response pools
+			got := testing.AllocsPerRun(20, func() { h.ServeHTTP(w, req) })
+			if got > pins[rp.name] {
+				t.Errorf("%d drives: GET %s makes %.0f allocs, want at most %.0f", drives, rp.path, got, pins[rp.name])
+			}
+			if n, ok := first[rp.name]; ok && got != n {
+				t.Errorf("GET %s makes %.0f allocs at %d drives and %.0f at 3,000; want the same", rp.path, got, drives, n)
+			}
+			first[rp.name] = got
+		}
 	}
 }
 

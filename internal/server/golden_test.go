@@ -26,10 +26,12 @@ func init() { gob.Register(rampPredictor{}) }
 
 // TestGoldenResponses pins the canonical JSON of the read API —
 // /v1/fleet/summary, /v1/drives/{serial} and /metrics (including the
-// persist and latency sections) — against golden files. The store is
-// fed a fixed request sequence, so everything except timing-derived
-// leaves is byte-deterministic; those leaves are scrubbed on both sides
-// before comparison. Run with -update to regenerate.
+// persist and latency sections) — and of the ingest ack and the 400
+// body against golden files. The store is fed a fixed request sequence,
+// so everything except timing-derived leaves is byte-deterministic;
+// those leaves are scrubbed on both sides before comparison. The ingest
+// cases run after the reads, so they do not change what the reads see.
+// Run with -update to regenerate.
 func TestGoldenResponses(t *testing.T) {
 	dir := t.TempDir()
 	mgr, err := persist.Open(dir)
@@ -76,10 +78,19 @@ func TestGoldenResponses(t *testing.T) {
 		t.Fatalf("admin snapshot: status %d", resp.StatusCode)
 	}
 
+	// An ingest ack with an alert (SER-ACK degrades to critical) and a
+	// quarantined record, and a body the decoder rejects whole.
+	ack := ingestBody(t, [3]any{"SER-ACK", 0, 0.9}, [3]any{"SER-ACK", 1, -0.9})
+	ack = append(bytes.TrimSuffix(ack, []byte("]}")),
+		`,{"serial":"SER-Q2","hour":0,"values":[null,0,0,0,0,0,0,0,0,0,0,0]}]}`...)
+
 	cases := []struct {
 		name   string
 		path   string
 		golden string
+		// body, when set, is POSTed as JSON instead of a GET.
+		body   []byte
+		status int // 0 means 200
 		// scrub lists dotted paths whose leaves are timing-dependent.
 		scrub []string
 	}{
@@ -91,16 +102,25 @@ func TestGoldenResponses(t *testing.T) {
 			"persist.last_snapshot_ms",
 			"persist.last_snapshot_bytes",
 		}},
+		{name: "ack", path: "/v1/ingest", golden: "ack.golden.json", body: ack},
+		{name: "rejection", path: "/v1/ingest", golden: "rejection.golden.json",
+			body: []byte(`{"records": [`), status: http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Get(ts.URL + tc.path)
+			var resp *http.Response
+			var err error
+			if tc.body != nil {
+				resp, err = http.Post(ts.URL+tc.path, "application/json", bytes.NewReader(tc.body))
+			} else {
+				resp, err = http.Get(ts.URL + tc.path)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("GET %s: status %d", tc.path, resp.StatusCode)
+			if want := max(tc.status, http.StatusOK); resp.StatusCode != want {
+				t.Fatalf("%s: status %d, want %d", tc.path, resp.StatusCode, want)
 			}
 			got := canonicalJSON(t, resp.Body, tc.scrub)
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -206,6 +207,33 @@ func TestIngestBinaryCorruptFrame(t *testing.T) {
 	}
 	if srv.store.Tracked() != 0 {
 		t.Fatalf("%d drives tracked after rejected frame, want 0", srv.store.Tracked())
+	}
+}
+
+// TestIngestBinaryRejectionNamesOnlyTheFrameDefect: a frame whose first
+// record is quarantined (an empty serial) and whose second is torn is
+// rejected whole, and its 400 ledger names only the framing defect, as
+// the router's does for the same frame: nothing was read into the
+// store, so no row is counted.
+func TestIngestBinaryRejectionNamesOnlyTheFrameDefect(t *testing.T) {
+	srv := testServer(t, fleet.Config{Shards: 4}, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	frame := []byte{wire.Version, 2, 0, 0, 0, // version, two records
+		0, 0, 0, 0, 0, 0, 0, 0, // record 0: empty serial, hour 0, no triples
+		5, 0, 0, 0, 0, 0, 0, 0, 'S', 'E', 'R', // record 1: a 5-byte serial torn after 3
+		0, 0, 0, 0} // CRC trailer
+	resp := postIngest(t, ts.URL, wire.ContentType, refitCRC(frame))
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	q := decodeJSON(t, resp.Body)["quality"].(map[string]any)
+	want := map[string]any{"by_kind": map[string]any{"truncated-input": 1.0},
+		"rows_kept": 0.0, "rows_quarantined": 0.0, "rows_read": 0.0}
+	if !reflect.DeepEqual(q, want) {
+		t.Fatalf("400 ledger = %v, want %v", q, want)
 	}
 }
 

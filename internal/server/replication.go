@@ -21,6 +21,7 @@ import (
 
 	"disksig/internal/fleet"
 	"disksig/internal/persist"
+	"disksig/internal/wire"
 )
 
 // Role is a node's place in a replicated pair.
@@ -630,32 +631,27 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	rp := s.repl
 	if rp == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "role": "standalone"})
+		writeJSON(w, http.StatusOK, &wire.Ready{Status: "ready", Role: "standalone"})
 		return
 	}
 	rp.mu.Lock()
 	role := rp.role
 	lag := time.Since(rp.lastContact)
 	rp.mu.Unlock()
+	doc, code := wire.Ready{Status: "ready", Role: role.String()}, http.StatusOK
 	switch {
 	case role == RolePrimary:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "role": role.String()})
 	case role == RoleCandidate:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "promoting", "role": role.String()})
-	case lag <= rp.opts.ReadyLag:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status": "ready", "role": role.String(),
-			"lag_ms":       float64(lag) / float64(time.Millisecond),
-			"ready_lag_ms": float64(rp.opts.ReadyLag) / float64(time.Millisecond),
-		})
+		doc.Status, code = "promoting", http.StatusServiceUnavailable
 	default:
-		// A stale follower names both the lag it measured and the gate it
-		// failed, so the router and operators can see *how far* behind it
-		// is, not just that it is.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "stale", "role": role.String(),
-			"lag_ms":       float64(lag) / float64(time.Millisecond),
-			"ready_lag_ms": float64(rp.opts.ReadyLag) / float64(time.Millisecond),
-		})
+		// A follower names both the lag it measured and the gate it is
+		// held to, so the router and operators can see *how far* behind a
+		// stale one is, not just that it is.
+		doc.LagMs = float64(lag) / float64(time.Millisecond)
+		doc.ReadyLagMs = float64(rp.opts.ReadyLag) / float64(time.Millisecond)
+		if lag > rp.opts.ReadyLag {
+			doc.Status, code = "stale", http.StatusServiceUnavailable
+		}
 	}
+	writeJSON(w, code, &doc)
 }

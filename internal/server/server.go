@@ -18,11 +18,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -264,18 +262,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return srv.Shutdown(ctx)
 }
 
-// mediaType extracts the bare media type of a Content-Type header value,
-// dropping parameters like charset. An absent header negotiates as JSON
-// (the format the API launched with).
-func mediaType(ct string) string {
-	ct, _, _ = strings.Cut(ct, ";")
-	ct = strings.TrimSpace(ct)
-	if strings.ContainsFunc(ct, func(r rune) bool { return r >= 'A' && r <= 'Z' }) {
-		ct = strings.ToLower(ct)
-	}
-	return ct
-}
-
 // handleIngest negotiates the batch format by Content-Type: JSON (the
 // default) or the binary frame format of internal/wire. Anything else is
 // a 415 — silently parsing a mislabeled body would quarantine the whole
@@ -297,7 +283,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// tests see a server whose capacity is genuinely bounded.
 		time.Sleep(s.cfg.IngestDelay)
 	}
-	ct := mediaType(r.Header.Get("Content-Type"))
+	ct := wire.MediaType(r.Header.Get("Content-Type"))
 	switch ct {
 	case "", "application/json":
 		s.m.ingestReqJSON.Add(1)
@@ -341,15 +327,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// A malformed body or frame: nothing in the batch can be trusted,
 		// so nothing was ingested, and the ledger names the defect.
-		if fe, ok := wire.IsFrameError(err); ok {
-			rep.Note(fe.Issue(), quality.Config{})
-		} else {
-			rep.Note(quality.Issue{Kind: quality.MalformedRow, Detail: err.Error()}, quality.Config{})
-		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{
-			"error":   fmt.Sprintf("malformed request body: %v", err),
-			"quality": ledgerJSON(&rep),
-		})
+		rej := wire.Reject(err)
+		writeJSON(w, http.StatusBadRequest, &rej)
 		return
 	}
 	s.finishIngest(w, r, obs, &rep)
@@ -363,18 +342,6 @@ var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // carries its interned serial table and observation buffer, which is
 // what makes the steady-state ingest path allocation-free.
 var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
-
-// ingestAck is the POST /v1/ingest response. It is a struct, not a
-// map[string]any, so the hot path hands the encoder a shape it can walk
-// without per-field boxing.
-type ingestAck struct {
-	Ingested     int            `json:"ingested"`
-	Kept         int            `json:"kept"`
-	Quarantined  int            `json:"quarantined"`
-	ModelVersion int            `json:"model_version"`
-	Alerts       []alertPayload `json:"alerts"`
-	Quality      ledgerPayload  `json:"quality"`
-}
 
 // finishIngest applies decoded observations to the store (through the
 // WAL when persistence is on) and writes the ack. rep carries the
@@ -439,17 +406,17 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 		s.m.rowsByClass[obs[i].Class].Add(1)
 	}
 	s.m.observeBatchVersion(res.ModelVersion)
-	ack := ingestAck{
+	ack := wire.Ack{
 		Ingested:     ingested,
 		Kept:         rep.RowsKept(),
 		Quarantined:  rep.RowsQuarantined,
 		ModelVersion: res.ModelVersion,
-		Alerts:       make([]alertPayload, len(res.Alerts)),
-		Quality:      ledgerPayloadOf(rep),
+		Alerts:       make([]wire.Alert, len(res.Alerts)),
+		Quality:      wire.LedgerOf(rep),
 	}
 	for i, a := range res.Alerts {
 		s.m.alertsBySeverity[int(a.Severity)].Add(1)
-		ack.Alerts[i] = alertPayloadOf(a)
+		ack.Alerts[i] = wire.AlertOf(a)
 	}
 	writeJSON(w, http.StatusOK, &ack)
 }
@@ -463,55 +430,21 @@ func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, driveJSON(dh))
+	doc := wire.DriveOf(dh)
+	writeJSON(w, http.StatusOK, &doc)
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	topN := s.cfg.SummaryTopN
-	if v := r.URL.Query().Get("top"); v != "" {
-		n := 0
-		if _, err := fmt.Sscanf(v, "%d", &n); err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, map[string]any{
-				"error": fmt.Sprintf("bad top parameter %q", v),
-			})
-			return
-		}
-		topN = n
+	topN, err := wire.ParseTop(r.URL.Query().Get("top"), s.cfg.SummaryTopN)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		return
 	}
 	evicted := s.store.EvictStale()
 	sum := s.store.Summary(topN)
-	atRisk := make([]map[string]any, len(sum.AtRisk))
-	for i, dh := range sum.AtRisk {
-		atRisk[i] = driveJSON(dh)
-	}
-	shards := make([]map[string]int, len(sum.Shards))
-	for i, ss := range sum.Shards {
-		shards[i] = map[string]int{"shard": ss.Shard, "drives": ss.Drives}
-	}
-	byClass := map[string]any{}
-	for cname, cs := range sum.ByClass {
-		classRisk := make([]map[string]any, len(cs.AtRisk))
-		for i, dh := range cs.AtRisk {
-			classRisk[i] = driveJSON(dh)
-		}
-		byClass[cname] = map[string]any{
-			"drives":      cs.Drives,
-			"by_severity": cs.BySeverity,
-			"at_risk":     classRisk,
-		}
-	}
 	q := s.store.Quality()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"drives":           sum.Drives,
-		"max_hour":         sum.MaxHour,
-		"by_severity":      sum.BySeverity,
-		"alerting_by_type": sum.ByType,
-		"by_class":         byClass,
-		"at_risk":          atRisk,
-		"shards":           shards,
-		"evicted_now":      evicted,
-		"quality":          ledgerJSON(&q),
-	})
+	doc := wire.SummaryOf(sum, evicted, &q)
+	writeJSON(w, http.StatusOK, &doc)
 }
 
 // handleSnapshot triggers a snapshot on demand (POST /v1/admin/snapshot,
@@ -569,103 +502,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		doc["replication"] = s.replicationDoc()
 	}
 	writeJSON(w, http.StatusOK, doc)
-}
-
-// driveJSON renders a drive health snapshot; a non-finite degradation
-// (+Inf right after a model swap, until the drive reports again) or
-// hours-to-failure becomes null (JSON has no Inf).
-func driveJSON(dh fleet.DriveHealth) map[string]any {
-	out := map[string]any{
-		"serial":      dh.Serial,
-		"class":       dh.Class.String(),
-		"last_hour":   dh.LastHour,
-		"severity":    dh.Severity.String(),
-		"group":       dh.Group,
-		"type":        dh.Type.String(),
-		"degradation": finiteOrNil(dh.Degradation),
-	}
-	out["hours_to_failure"] = finiteOrNil(dh.HoursToFailure)
-	return out
-}
-
-// alertPayload is one alert in the ingest ack, shaped like the
-// map-based drive rendering but encodable without boxing.
-type alertPayload struct {
-	Serial         string   `json:"serial"`
-	Class          string   `json:"class"`
-	Hour           int      `json:"hour"`
-	Severity       string   `json:"severity"`
-	Group          int      `json:"group"`
-	Type           string   `json:"type"`
-	Degradation    float64  `json:"degradation"`
-	HoursToFailure *float64 `json:"hours_to_failure"`
-	ModelVersion   int      `json:"model_version"`
-}
-
-func alertPayloadOf(a fleet.Alert) alertPayload {
-	p := alertPayload{
-		Serial:       a.Serial,
-		Class:        a.Class.String(),
-		Hour:         a.Hour,
-		Severity:     a.Severity.String(),
-		Group:        a.Group,
-		Type:         a.Type.String(),
-		Degradation:  a.Degradation,
-		ModelVersion: a.ModelVersion,
-	}
-	if !math.IsInf(a.HoursToFailure, 0) && !math.IsNaN(a.HoursToFailure) {
-		ttf := a.HoursToFailure
-		p.HoursToFailure = &ttf
-	}
-	return p
-}
-
-// ledgerPayload is the quarantine ledger in the ingest ack, the struct
-// form of ledgerJSON.
-type ledgerPayload struct {
-	RowsRead        int            `json:"rows_read"`
-	RowsKept        int            `json:"rows_kept"`
-	RowsQuarantined int            `json:"rows_quarantined"`
-	ByKind          map[string]int `json:"by_kind"`
-}
-
-func ledgerPayloadOf(rep *quality.Report) ledgerPayload {
-	byKind := map[string]int{}
-	for k := range rep.ByKind {
-		if rep.ByKind[k] != 0 {
-			byKind[quality.Kind(k).String()] = rep.ByKind[k]
-		}
-	}
-	return ledgerPayload{
-		RowsRead:        rep.RowsRead,
-		RowsKept:        rep.RowsKept(),
-		RowsQuarantined: rep.RowsQuarantined,
-		ByKind:          byKind,
-	}
-}
-
-func finiteOrNil(v float64) any {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return nil
-	}
-	return v
-}
-
-// ledgerJSON renders a quality report as the API's quarantine ledger:
-// exact counters plus per-kind counts.
-func ledgerJSON(rep *quality.Report) map[string]any {
-	byKind := map[string]int{}
-	for k := range rep.ByKind {
-		if rep.ByKind[k] != 0 {
-			byKind[quality.Kind(k).String()] = rep.ByKind[k]
-		}
-	}
-	return map[string]any{
-		"rows_read":        rep.RowsRead,
-		"rows_kept":        rep.RowsKept(),
-		"rows_quarantined": rep.RowsQuarantined,
-		"by_kind":          byKind,
-	}
 }
 
 // jsonScratch is a pooled response-encoding buffer with its encoder

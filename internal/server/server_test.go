@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 	"time"
@@ -420,6 +422,49 @@ func TestSummaryEvictsStaleDrives(t *testing.T) {
 	sum := decodeJSON(t, sresp.Body)
 	if sum["evicted_now"].(float64) != 1 || sum["drives"].(float64) != 1 {
 		t.Fatalf("evicted_now = %v, drives = %v; want 1 and 1", sum["evicted_now"], sum["drives"])
+	}
+}
+
+// TestSummaryTopParameter: ?top= is a decimal n >= 0 and an empty value
+// means the configured default; anything else is a 400, never a numeric
+// prefix read as the whole value.
+func TestSummaryTopParameter(t *testing.T) {
+	srv := testServer(t, fleet.Config{Shards: 2}, Config{SummaryTopN: 4})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	var recs [][3]any
+	for d := 0; d < 12; d++ {
+		recs = append(recs, [3]any{fmt.Sprintf("TOP-%02d", d), 0, 0.9})
+	}
+	resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(ingestBody(t, recs...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	for _, tc := range []struct {
+		top    string
+		status int
+		atRisk int
+	}{
+		{"5abc", http.StatusBadRequest, 0}, {"5.9", http.StatusBadRequest, 0},
+		{"0x10", http.StatusBadRequest, 0}, {"1e3", http.StatusBadRequest, 0},
+		{"-1", http.StatusBadRequest, 0}, {"x", http.StatusBadRequest, 0},
+		{"", http.StatusOK, 4}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
+	} {
+		resp, err := http.Get(ts.URL + "/v1/fleet/summary?top=" + url.QueryEscape(tc.top))
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc := decodeJSON(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("top=%q: status %d, want %d (%v)", tc.top, resp.StatusCode, tc.status, doc)
+			continue
+		}
+		if tc.status == http.StatusOK && len(doc["at_risk"].([]any)) != tc.atRisk {
+			t.Errorf("top=%q: %d at-risk drives, want %d", tc.top, len(doc["at_risk"].([]any)), tc.atRisk)
+		}
 	}
 }
 

@@ -1,0 +1,280 @@
+package wire
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"strconv"
+
+	"disksig/internal/fleet"
+	"disksig/internal/quality"
+)
+
+// The API's answer documents. A node renders them, the router decodes
+// and merges them, and loadgen decodes them, so each shape is stated
+// once. The fields of the drive, summary, ledger, 400 and readiness
+// documents are declared in sorted-key order, the order encoding/json
+// gives a map, which is the order clients have always seen them in. A
+// non-finite degradation or time to failure (+Inf for a drive whose
+// windows a model swap emptied) renders as null, since JSON has no
+// infinity.
+
+// Ledger is the quarantine ledger: exact row counters plus per-kind
+// issue counts, keyed by quality.Kind name.
+type Ledger struct {
+	ByKind          map[string]int `json:"by_kind"`
+	RowsKept        int            `json:"rows_kept"`
+	RowsQuarantined int            `json:"rows_quarantined"`
+	RowsRead        int            `json:"rows_read"`
+}
+
+// LedgerOf renders a quality report as a ledger.
+func LedgerOf(rep *quality.Report) Ledger {
+	byKind := map[string]int{}
+	for k, n := range rep.ByKind {
+		if n != 0 {
+			byKind[quality.Kind(k).String()] = n
+		}
+	}
+	return Ledger{ByKind: byKind, RowsKept: rep.RowsKept(),
+		RowsQuarantined: rep.RowsQuarantined, RowsRead: rep.RowsRead}
+}
+
+// Add folds o into l. l.ByKind is created if nil, so a merged ledger
+// with no issues renders {} as a node's does.
+func (l *Ledger) Add(o Ledger) {
+	l.RowsRead += o.RowsRead
+	l.RowsKept += o.RowsKept
+	l.RowsQuarantined += o.RowsQuarantined
+	l.ByKind = addCounts(l.ByKind, o.ByKind)
+}
+
+// Alert is one escalation in an ingest ack. An alert fires only when the
+// degradation falls below a severity threshold, so it is never +Inf or
+// NaN; only the time to failure can be null.
+type Alert struct {
+	Serial         string   `json:"serial"`
+	Class          string   `json:"class"`
+	Hour           int      `json:"hour"`
+	Severity       string   `json:"severity"`
+	Group          int      `json:"group"`
+	Type           string   `json:"type"`
+	Degradation    float64  `json:"degradation"`
+	HoursToFailure *float64 `json:"hours_to_failure"`
+	ModelVersion   int      `json:"model_version"`
+}
+
+// AlertOf renders a fleet alert.
+func AlertOf(a fleet.Alert) Alert {
+	return Alert{Serial: a.Serial, Class: a.Class.String(), Hour: a.Hour,
+		Severity: a.Severity.String(), Group: a.Group, Type: a.Type.String(),
+		Degradation: a.Degradation, HoursToFailure: finite(a.HoursToFailure),
+		ModelVersion: a.ModelVersion}
+}
+
+// Ack is the POST /v1/ingest response: Ingested = Kept + Quarantined is
+// the batch's record count. ModelVersion is the version that scored the
+// batch; versions start at 1, so it is omitted only where a router's
+// parts were scored by different versions.
+type Ack struct {
+	Ingested     int     `json:"ingested"`
+	Kept         int     `json:"kept"`
+	Quarantined  int     `json:"quarantined"`
+	ModelVersion int     `json:"model_version,omitempty"`
+	Alerts       []Alert `json:"alerts"`
+	Quality      Ledger  `json:"quality"`
+}
+
+// Drive is one drive's health: the GET /v1/drives/{serial} body and an
+// at-risk entry of a summary.
+type Drive struct {
+	Class          string   `json:"class"`
+	Degradation    *float64 `json:"degradation"`
+	Group          int      `json:"group"`
+	HoursToFailure *float64 `json:"hours_to_failure"`
+	LastHour       int      `json:"last_hour"`
+	Serial         string   `json:"serial"`
+	Severity       string   `json:"severity"`
+	Type           string   `json:"type"`
+}
+
+// DriveOf renders a drive health snapshot.
+func DriveOf(dh fleet.DriveHealth) Drive {
+	return Drive{Class: dh.Class.String(), Degradation: finite(dh.Degradation), Group: dh.Group,
+		HoursToFailure: finite(dh.HoursToFailure), LastHour: dh.LastHour, Serial: dh.Serial,
+		Severity: dh.Severity.String(), Type: dh.Type.String()}
+}
+
+// degradation is the drive's ranking key: a null degradation ranks
+// last, as the +Inf it stands for does on its node.
+func (d *Drive) degradation() float64 {
+	if d.Degradation == nil {
+		return math.Inf(1)
+	}
+	return *d.Degradation
+}
+
+// ClassSummary is one device class's share of a summary.
+type ClassSummary struct {
+	AtRisk     []Drive        `json:"at_risk"`
+	BySeverity map[string]int `json:"by_severity"`
+	Drives     int            `json:"drives"`
+}
+
+// ShardCount is one shard's occupancy in a node's summary.
+type ShardCount struct {
+	Drives int `json:"drives"`
+	Shard  int `json:"shard"`
+}
+
+// Summary is the GET /v1/fleet/summary body. Shards is a node's own
+// layout, so a router's merged summary leaves it out.
+type Summary struct {
+	AlertingByType map[string]int           `json:"alerting_by_type"`
+	AtRisk         []Drive                  `json:"at_risk"`
+	ByClass        map[string]*ClassSummary `json:"by_class"`
+	BySeverity     map[string]int           `json:"by_severity"`
+	Drives         int                      `json:"drives"`
+	EvictedNow     int                      `json:"evicted_now"`
+	MaxHour        int                      `json:"max_hour"`
+	Quality        Ledger                   `json:"quality"`
+	Shards         []ShardCount             `json:"shards,omitempty"`
+}
+
+// SummaryOf renders a fleet roll-up with the number of drives this read
+// evicted and the store's quarantine ledger.
+func SummaryOf(sum fleet.Summary, evictedNow int, q *quality.Report) Summary {
+	doc := Summary{AlertingByType: sum.ByType, AtRisk: drivesOf(sum.AtRisk),
+		ByClass: make(map[string]*ClassSummary, len(sum.ByClass)), BySeverity: sum.BySeverity,
+		Drives: sum.Drives, EvictedNow: evictedNow, MaxHour: sum.MaxHour, Quality: LedgerOf(q),
+		Shards: make([]ShardCount, len(sum.Shards))}
+	for name, cs := range sum.ByClass {
+		doc.ByClass[name] = &ClassSummary{AtRisk: drivesOf(cs.AtRisk), BySeverity: cs.BySeverity, Drives: cs.Drives}
+	}
+	for i, ss := range sum.Shards {
+		doc.Shards[i] = ShardCount{Drives: ss.Drives, Shard: ss.Shard}
+	}
+	return doc
+}
+
+// drivesOf renders an at-risk list; an empty one renders as [].
+func drivesOf(dhs []fleet.DriveHealth) []Drive {
+	out := make([]Drive, len(dhs))
+	for i, dh := range dhs {
+		out[i] = DriveOf(dh)
+	}
+	return out
+}
+
+// Add folds another summary into s, concatenating the at-risk lists for
+// Rank. s's maps are created as needed; s.MaxHour must start at -1 (the
+// empty fleet's) for the maximum to be right.
+func (s *Summary) Add(o *Summary) {
+	s.Drives += o.Drives
+	s.MaxHour = max(s.MaxHour, o.MaxHour)
+	s.BySeverity = addCounts(s.BySeverity, o.BySeverity)
+	s.AlertingByType = addCounts(s.AlertingByType, o.AlertingByType)
+	if s.ByClass == nil {
+		s.ByClass = map[string]*ClassSummary{}
+	}
+	for name, oc := range o.ByClass {
+		c := s.ByClass[name]
+		if c == nil {
+			c = &ClassSummary{}
+			s.ByClass[name] = c
+		}
+		c.Drives += oc.Drives
+		c.BySeverity = addCounts(c.BySeverity, oc.BySeverity)
+		c.AtRisk = append(c.AtRisk, oc.AtRisk...)
+	}
+	s.AtRisk = append(s.AtRisk, o.AtRisk...)
+	s.EvictedNow += o.EvictedNow
+	s.Quality.Add(o.Quality)
+}
+
+func addCounts(dst, src map[string]int) map[string]int {
+	if dst == nil {
+		dst = make(map[string]int, len(src))
+	}
+	for k, n := range src {
+		dst[k] += n
+	}
+	return dst
+}
+
+// Rank re-ranks the fleet-wide and per-class at-risk lists in the
+// fleet's at-risk order (fleet.RanksBefore: degradation ascending, worst
+// first, ties by serial) and keeps the first topN of each. Every drive
+// of a merged top N is in its own node's top N, so ranking the
+// concatenated node lists gives the top N of the whole cluster.
+func (s *Summary) Rank(topN int) {
+	s.AtRisk = rank(s.AtRisk, topN)
+	for _, c := range s.ByClass {
+		c.AtRisk = rank(c.AtRisk, topN)
+	}
+}
+
+// rank sorts ds into the at-risk order and keeps the first topN. The
+// result is never nil, so an empty list renders as [].
+func rank(ds []Drive, topN int) []Drive {
+	sort.Slice(ds, func(i, j int) bool {
+		return fleet.RanksBefore(ds[i].degradation(), ds[i].Serial, ds[j].degradation(), ds[j].Serial)
+	})
+	if len(ds) > topN {
+		ds = ds[:topN]
+	}
+	if ds == nil {
+		ds = []Drive{}
+	}
+	return ds
+}
+
+// Rejection is the 400 body of an ingest batch rejected whole: nothing
+// was ingested, and the ledger names the defect.
+type Rejection struct {
+	Error   string `json:"error"`
+	Quality Ledger `json:"quality"`
+}
+
+// Reject renders a decode or split error as a Rejection: a frame-level
+// error keeps its own quality kind, any other error is a malformed row.
+func Reject(err error) Rejection {
+	var rep quality.Report
+	if fe, ok := IsFrameError(err); ok {
+		rep.Note(fe.Issue(), quality.Config{})
+	} else {
+		rep.Note(quality.Issue{Kind: quality.MalformedRow, Detail: err.Error()}, quality.Config{})
+	}
+	return Rejection{Error: fmt.Sprintf("malformed request body: %v", err), Quality: LedgerOf(&rep)}
+}
+
+// Ready is a node's GET /healthz/ready body. A follower also reports
+// how long ago it last heard from its primary and the lag it is held
+// to; the router's prober reads Role to pick a writable URL.
+type Ready struct {
+	LagMs      float64 `json:"lag_ms,omitempty"`
+	ReadyLagMs float64 `json:"ready_lag_ms,omitempty"`
+	Role       string  `json:"role"`
+	Status     string  `json:"status"`
+}
+
+// ParseTop parses the ?top= value of GET /v1/fleet/summary, a decimal
+// n >= 0; an empty value means def.
+func ParseTop(v string, def int) (int, error) {
+	if v == "" {
+		return def, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad top parameter %q", v)
+	}
+	return n, nil
+}
+
+// finite returns v's address, or nil (rendered null) for a non-finite v.
+func finite(v float64) *float64 {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return nil
+	}
+	return &v
+}

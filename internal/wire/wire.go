@@ -54,6 +54,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strings"
 
 	"disksig/internal/fleet"
 	"disksig/internal/quality"
@@ -62,6 +63,15 @@ import (
 
 // ContentType is the negotiated media type of the binary batch format.
 const ContentType = "application/x-disksig-batch"
+
+// MediaType extracts the bare, lower-cased media type of a Content-Type
+// header value, dropping parameters like charset, so the node and the
+// router negotiate the batch format alike. An absent header yields "",
+// which both read as JSON (the format the API launched with).
+func MediaType(ct string) string {
+	ct, _, _ = strings.Cut(ct, ";")
+	return strings.ToLower(strings.TrimSpace(ct))
+}
 
 // Version is the frame version pure-HDD batches are written in, and the
 // oldest version the decoder reads.
@@ -237,7 +247,8 @@ type Decoder struct {
 // into rep, exactly like the JSON path's per-record validation. A
 // frame-level failure (bad version, torn frame, CRC mismatch, count
 // mismatch, trailing bytes) returns a *FrameError and ingests nothing;
-// rep is untouched in that case.
+// rep may then hold the records quarantined before the failure, so a
+// caller answers with Reject(err), whose ledger names only the defect.
 func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation, error) {
 	if len(frame) < minFrameSize {
 		return nil, truncated("frame of %d bytes is shorter than the %d-byte minimum", len(frame), minFrameSize)
