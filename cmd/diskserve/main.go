@@ -241,16 +241,7 @@ func main() {
 				if mgr == nil {
 					return store.SwapModels(art.Models, art.Norm, art.Version)
 				}
-				// Artifact first, then swap + snapshot under the same
-				// exclusive gate: the snapshot following a promotion always
-				// carries the promoted version, and the WAL never crosses it.
-				if _, err := persist.SaveModels(mgr.Dir(), art); err != nil {
-					return err
-				}
-				_, err := mgr.SnapshotWith(store, func() error {
-					return store.SwapModels(art.Models, art.Norm, art.Version)
-				})
-				return err
+				return mgr.Promote(store, art)
 			},
 		}
 		log.Printf("online retraining enabled: %d history hours, shadow margin %.3f", *histHours, *shadowMargin)

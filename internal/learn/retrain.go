@@ -82,7 +82,7 @@ type Retrainer struct {
 	Cfg   Config
 	// Promote commits a winning candidate — the server wires it to
 	// persist the artifact and hot-swap the store under the snapshot
-	// gate (persist.Manager.SnapshotWith + fleet.Store.SwapModels).
+	// gate (persist.Manager.Promote).
 	// Required: a Retrainer without a Promote hook only evaluates.
 	Promote func(*persist.ModelArtifact) error
 }

@@ -69,17 +69,9 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 				Core:   core.Config{Seed: cfg.Workload.Seed, Workers: dep.Workers},
 				Margin: cfg.ShadowMargin,
 			},
-			// The production promote hook: artifact first, then swap +
-			// snapshot under the snapshot gate (crash-consistent promotion).
-			Promote: func(art *persist.ModelArtifact) error {
-				if _, err := persist.SaveModels(mgr.Dir(), art); err != nil {
-					return err
-				}
-				_, err := mgr.SnapshotWith(store, func() error {
-					return store.SwapModels(art.Models, art.Norm, art.Version)
-				})
-				return err
-			},
+			// diskserve's promotion protocol: artifact first, then swap +
+			// snapshot under the snapshot gate.
+			Promote: func(art *persist.ModelArtifact) error { return mgr.Promote(store, art) },
 		}
 		h, err := r.serve(store, server.Config{MaxInFlight: 256, Persist: mgr, Retrain: retr})
 		if err != nil {

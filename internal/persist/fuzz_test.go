@@ -81,3 +81,42 @@ func FuzzRestore(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBootstrap feeds arbitrary bytes to the bootstrap image
+// decoder, which reads images that arrive from the network: at a
+// follower's bootstrap and at a node's shard-handoff commit. The
+// invariant: a corrupt image is refused with an error, never a panic,
+// and an image that decodes restores into a store or is refused by
+// fleet.Restore with an error.
+func FuzzDecodeBootstrap(f *testing.F) {
+	store, err := fleet.New(testModels(), testNormalizer(), fleet.Config{Shards: 2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, b := range dirtyBatches(5, 6, 1000) {
+		store.IngestBatch(b)
+	}
+	img, err := EncodeBootstrap(store.ExportState(), 3, StartPosition(1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	pinned, err := os.ReadFile(pinnedBootstrap)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(img)
+	f.Add(pinned)
+	f.Add(img[:len(img)/2])
+	f.Add(img[:bootFixedLen])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		st, _, _, err := DecodeBootstrap(body)
+		if err != nil {
+			return
+		}
+		if s, err := fleet.Restore(st, fleet.Config{Shards: 2}); err == nil {
+			s.Tracked()
+		}
+	})
+}

@@ -1,15 +1,12 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 
+	"disksig/internal/fleet"
 	"disksig/internal/monitor"
 	"disksig/internal/smart"
 )
@@ -39,22 +36,19 @@ type ModelArtifact struct {
 	Notes []string
 }
 
-// Model artifact file layout (all integers little endian) — the same
-// framing discipline as snapshots under a distinct magic:
+// models.bin is a sealed container (container.go) under the magic
+// "DSKMODL\x01" with the fixed header
 //
-//	8-byte magic "DSKMODL\x01"
-//	u32 version (currently 1)
-//	u64 model-set version
-//	u64 payload length
-//	payload — gob-encoded *ModelArtifact
-//	u32 CRC-32 (IEEE) over version..payload
+//	u32 file version (currently 1) | u64 model-set version
 //
-// Artifacts are written tmp+fsync+rename like snapshots: a crash
-// mid-write never corrupts the previous artifact.
+// and the gob-encoded *ModelArtifact as its payload. It is committed
+// through models.tmp like a snapshot: a crash mid-write never corrupts
+// the previous artifact.
 var modelMagic = [8]byte{'D', 'S', 'K', 'M', 'O', 'D', 'L', 0x01}
 
 const (
 	modelFileVersion = 1
+	modelFixedLen    = 12
 	modelsName       = "models.bin"
 	modelsTmp        = "models.tmp"
 )
@@ -68,115 +62,61 @@ func SaveModels(dir string, art *ModelArtifact) (int64, error) {
 	if art == nil {
 		return 0, fmt.Errorf("persist: saving nil model artifact")
 	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(art); err != nil {
-		return 0, fmt.Errorf("persist: encoding model artifact: %w", err)
-	}
-
-	var buf bytes.Buffer
-	buf.Grow(payload.Len() + 32)
-	buf.Write(modelMagic[:])
-	var fixed [20]byte
+	var fixed [modelFixedLen]byte
 	binary.LittleEndian.PutUint32(fixed[0:4], modelFileVersion)
 	binary.LittleEndian.PutUint64(fixed[4:12], uint64(art.Version))
-	binary.LittleEndian.PutUint64(fixed[12:20], uint64(payload.Len()))
-	buf.Write(fixed[:])
-	buf.Write(payload.Bytes())
-	sum := crc32.ChecksumIEEE(buf.Bytes()[len(modelMagic):])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	buf.Write(tail[:])
-
+	data, err := seal(modelMagic, fixed[:], art)
+	if err != nil {
+		return 0, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return 0, fmt.Errorf("persist: creating state dir: %w", err)
 	}
-	tmp := filepath.Join(dir, modelsTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return 0, fmt.Errorf("persist: creating models.tmp: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: writing model artifact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: syncing model artifact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: closing model artifact: %w", err)
-	}
-	if err := os.Rename(tmp, ModelsPath(dir)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: committing model artifact: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
+	if err := commitFile(dir, modelsName, modelsTmp, data); err != nil {
 		return 0, err
 	}
-	return int64(buf.Len()), nil
+	return int64(len(data)), nil
 }
 
 // LoadModels reads, checksums and decodes the committed model artifact
 // of a state directory. os.IsNotExist on the error distinguishes "no
 // artifact yet" from corruption.
 func LoadModels(dir string) (*ModelArtifact, error) {
-	path := ModelsPath(dir)
-	f, err := os.Open(path)
+	data, err := os.ReadFile(ModelsPath(dir))
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
+	const what = "model artifact"
+	fixed, _, err := sealedHeader(data, modelMagic, modelFixedLen, what)
 	if err != nil {
-		return nil, fmt.Errorf("persist: stat model artifact: %w", err)
+		return nil, err
 	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact magic: %w", err)
-	}
-	if magic != modelMagic {
-		return nil, fmt.Errorf("persist: bad model artifact magic")
-	}
-	var fixed [20]byte
-	if _, err := io.ReadFull(f, fixed[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact header: %w", err)
-	}
-	fileVer := binary.LittleEndian.Uint32(fixed[0:4])
-	payloadLen := binary.LittleEndian.Uint64(fixed[12:20])
-	if fileVer != modelFileVersion {
-		return nil, fmt.Errorf("persist: model artifact version %d not supported (want %d)", fileVer, modelFileVersion)
-	}
-	if payloadLen > maxSnapshotPayload {
-		return nil, fmt.Errorf("persist: model artifact payload length %d exceeds cap", payloadLen)
-	}
-	wantSize := int64(len(modelMagic)) + 20 + int64(payloadLen) + 4
-	if fi.Size() != wantSize {
-		return nil, fmt.Errorf("persist: model artifact is %d bytes, header implies %d", fi.Size(), wantSize)
-	}
-	payload := make([]byte, payloadLen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact payload: %w", err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return nil, fmt.Errorf("persist: reading model artifact checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	sum.Write(fixed[:])
-	sum.Write(payload)
-	if sum.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
-		return nil, fmt.Errorf("persist: model artifact checksum mismatch")
+	if err := checkFileVersion(fixed, modelFileVersion, what); err != nil {
+		return nil, err
 	}
 	art := &ModelArtifact{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(art); err != nil {
-		return nil, fmt.Errorf("persist: decoding model artifact: %w", err)
+	if _, err := unseal(data, modelMagic, modelFixedLen, what, art); err != nil {
+		return nil, err
 	}
-	if art.Version <= 0 || int64(art.Version) != int64(binary.LittleEndian.Uint64(fixed[4:12])) {
-		return nil, fmt.Errorf("persist: model artifact header version %d disagrees with payload version %d",
-			binary.LittleEndian.Uint64(fixed[4:12]), art.Version)
+	if hdrVer := binary.LittleEndian.Uint64(fixed[4:12]); art.Version <= 0 || uint64(art.Version) != hdrVer {
+		return nil, fmt.Errorf("persist: model artifact header version %d disagrees with payload version %d", hdrVer, art.Version)
 	}
 	return art, nil
+}
+
+// Promote makes a retrained model set the store's serving one,
+// crash-consistently: the artifact is committed to models.bin first,
+// then the swap runs inside SnapshotWith's exclusive gate, so the
+// snapshot after a promotion carries the promoted version and no WAL
+// frame crosses the swap. A crash between the two commits leaves
+// models.bin one version ahead of the snapshot, for the boot path to
+// re-apply.
+func (m *Manager) Promote(store *fleet.Store, art *ModelArtifact) error {
+	if _, err := SaveModels(m.dir, art); err != nil {
+		return err
+	}
+	_, err := m.SnapshotWith(store, func() error {
+		return store.SwapModels(art.Models, art.Norm, art.Version)
+	})
+	return err
 }

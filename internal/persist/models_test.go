@@ -2,6 +2,7 @@ package persist
 
 import (
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -45,7 +46,7 @@ func TestModelArtifactRoundTrip(t *testing.T) {
 	if got, err := LoadModels(dir); err != nil || got.Version != 4 {
 		t.Fatalf("after re-save: version %d (%v), want 4", got.Version, err)
 	}
-	if _, err := os.Stat(ModelsPath(dir) + ".tmp"); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, modelsTmp)); !os.IsNotExist(err) {
 		t.Error("models.tmp left behind after commit")
 	}
 	// Nil artifact is an input error, not a file write.
@@ -166,5 +167,43 @@ func TestSnapshotWithSwap(t *testing.T) {
 	}
 	if v := restored2.ModelVersion(); v != 2 {
 		t.Fatalf("after aborted snapshot, restored ModelVersion = %d, want 2", v)
+	}
+}
+
+// TestPromote covers the promotion protocol: the artifact is committed
+// to models.bin and the swapped store is snapshotted, so a restore
+// comes back on the promoted version. A refused swap commits no
+// snapshot.
+func TestPromote(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	store := testStore(t, fleet.Config{Shards: 2})
+	store.Ingest("SER-1", record(0, 0.9))
+
+	if err := mgr.Promote(store, testArtifact(2)); err != nil {
+		t.Fatal(err)
+	}
+	if art, err := LoadModels(dir); err != nil || art.Version != 2 {
+		t.Fatalf("models.bin after Promote: %+v, %v", art, err)
+	}
+	if st := mgr.Stats(); st.Snapshots != 1 || store.ModelVersion() != 2 {
+		t.Fatalf("after Promote: %d snapshots, serving v%d; want 1 and v2", st.Snapshots, store.ModelVersion())
+	}
+	if err := mgr.Promote(store, testArtifact(2)); err == nil {
+		t.Fatal("promoting a version that is not newer succeeded")
+	}
+	if st := mgr.Stats(); st.Snapshots != 1 {
+		t.Fatalf("a refused promotion committed a snapshot (%d snapshots)", st.Snapshots)
+	}
+	restored, _, err := mgr.Restore(fleet.Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := restored.ModelVersion(); v != 2 {
+		t.Fatalf("restored ModelVersion = %d, want 2", v)
 	}
 }

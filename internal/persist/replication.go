@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -17,16 +15,17 @@ import (
 // exactly the bytes the primary appended, CRC and all — prefixed with
 // the sender's leadership term and the frames' position in the
 // primary's WAL, so the follower can both fence deposed senders and
-// dedup re-shipped frames against its high-water mark. The bootstrap
-// image is the full fleet state (the same gob payload a snapshot
-// holds) plus the WAL position the follower must stream from.
+// dedup re-shipped frames against its high-water mark:
 //
-//	ship request:    8-byte magic "DSKSHP\x00\x01" | u64 term |
-//	                 u64 walEpoch | u64 fromOffset | raw WAL frames
-//	bootstrap image: 8-byte magic "DSKBTS\x00\x01" | u64 term |
-//	                 u64 walEpoch | u64 walOffset | u64 payloadLen |
-//	                 gob(fleet.State) | u32 CRC-32 (IEEE) of
-//	                 term..payload
+//	8-byte magic "DSKSHP\x00\x01" | u64 term | u64 walEpoch |
+//	u64 fromOffset | raw WAL frames
+//
+// The bootstrap image is the full fleet state (the same gob payload a
+// snapshot holds) plus the WAL position the follower must stream from,
+// as a sealed container (container.go) under the magic
+// "DSKBTS\x00\x01" with the fixed header
+//
+//	u64 term | u64 walEpoch | u64 walOffset
 var (
 	shipMagic = [8]byte{'D', 'S', 'K', 'S', 'H', 'P', 0x00, 0x01}
 	bootMagic = [8]byte{'D', 'S', 'K', 'B', 'T', 'S', 0x00, 0x01}
@@ -42,7 +41,7 @@ const (
 	MaxShipBody = maxWALRecord + (1 << 20)
 
 	shipHeaderSize = 8 + 8 + 8 + 8
-	bootHeaderSize = 8 + 8 + 8 + 8 + 8
+	bootFixedLen   = 8 + 8 + 8
 )
 
 // Position is a point in the primary's WAL stream: the WAL epoch and
@@ -148,49 +147,25 @@ func (it *FrameIter) Next() ([]fleet.Observation, int64, error) {
 // EncodeBootstrap serializes a bootstrap image: the full fleet state
 // plus the WAL position replication resumes from and the sender's term.
 func EncodeBootstrap(st *fleet.State, term uint64, pos Position) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return nil, fmt.Errorf("persist: encoding bootstrap image: %w", err)
-	}
-	buf := make([]byte, bootHeaderSize, bootHeaderSize+payload.Len()+4)
-	copy(buf[:8], bootMagic[:])
-	binary.LittleEndian.PutUint64(buf[8:16], term)
-	binary.LittleEndian.PutUint64(buf[16:24], pos.Epoch)
-	binary.LittleEndian.PutUint64(buf[24:32], uint64(pos.Offset))
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(payload.Len()))
-	buf = append(buf, payload.Bytes()...)
-	sum := crc32.ChecksumIEEE(buf[8:])
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	return buf, nil
+	var fixed [bootFixedLen]byte
+	binary.LittleEndian.PutUint64(fixed[0:8], term)
+	binary.LittleEndian.PutUint64(fixed[8:16], pos.Epoch)
+	binary.LittleEndian.PutUint64(fixed[16:24], uint64(pos.Offset))
+	return seal(bootMagic, fixed[:], st)
 }
 
 // DecodeBootstrap parses and checksums a bootstrap image.
 func DecodeBootstrap(body []byte) (*fleet.State, uint64, Position, error) {
-	if len(body) < bootHeaderSize+4 {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap image truncated at %d bytes", len(body))
-	}
-	if [8]byte(body[:8]) != bootMagic {
-		return nil, 0, Position{}, fmt.Errorf("persist: bad bootstrap image magic")
-	}
-	term := binary.LittleEndian.Uint64(body[8:16])
-	pos := Position{
-		Epoch:  binary.LittleEndian.Uint64(body[16:24]),
-		Offset: int64(binary.LittleEndian.Uint64(body[24:32])),
-	}
-	payloadLen := binary.LittleEndian.Uint64(body[32:40])
-	if payloadLen > maxSnapshotPayload || uint64(len(body)-bootHeaderSize-4) != payloadLen {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap payload length %d does not match body", payloadLen)
-	}
-	payload := body[bootHeaderSize : bootHeaderSize+payloadLen]
-	sum := binary.LittleEndian.Uint32(body[len(body)-4:])
-	if crc32.ChecksumIEEE(body[8:len(body)-4]) != sum {
-		return nil, 0, Position{}, fmt.Errorf("persist: bootstrap image checksum mismatch")
-	}
 	st := &fleet.State{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, 0, Position{}, fmt.Errorf("persist: decoding bootstrap image: %w", err)
+	fixed, err := unseal(body, bootMagic, bootFixedLen, "bootstrap image", st)
+	if err != nil {
+		return nil, 0, Position{}, err
 	}
-	return st, term, pos, nil
+	pos := Position{
+		Epoch:  binary.LittleEndian.Uint64(fixed[8:16]),
+		Offset: int64(binary.LittleEndian.Uint64(fixed[16:24])),
+	}
+	return st, binary.LittleEndian.Uint64(fixed[0:8]), pos, nil
 }
 
 // Position returns the durable end of the live WAL: every frame at an

@@ -1,175 +1,89 @@
 package persist
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
 	"disksig/internal/fleet"
 )
 
-// Snapshot file layout (all integers little endian):
+// snapshot.bin is a sealed container (container.go) under the magic
+// "DSKSNAP\x01" with the fixed header
 //
-//	8-byte magic "DSKSNAP\x01"
-//	u32 version (currently 1)
-//	u64 walEpoch — the epoch of the WAL that begins after this snapshot
-//	u64 payload length
-//	payload — gob-encoded *fleet.State
-//	u32 CRC-32 (IEEE) over version..payload
+//	u32 version (currently 1) | u64 walEpoch
 //
-// The snapshot is written to snapshot.tmp, fsynced, and renamed over
-// snapshot.bin: a crash mid-write leaves the previous snapshot intact.
+// walEpoch is the epoch of the WAL that begins after this snapshot, and
+// the payload is the gob-encoded *fleet.State. The snapshot is
+// committed through snapshot.tmp (commitFile): a crash mid-write leaves
+// the previous snapshot intact.
 var snapMagic = [8]byte{'D', 'S', 'K', 'S', 'N', 'A', 'P', 0x01}
 
 const (
-	snapVersion = 1
-	// maxSnapshotPayload caps the decoded payload so a corrupt length
-	// field cannot drive a huge allocation.
-	maxSnapshotPayload = 1 << 32
+	snapVersion  = 1
+	snapFixedLen = 12
 )
 
 type snapshotHeader struct {
 	version  uint32
 	walEpoch uint64
-	// payloadLen is the gob payload's size in bytes.
-	payloadLen uint64
 }
 
 // writeSnapshot serializes the state and commits it atomically,
 // returning the file size.
 func writeSnapshot(dir string, st *fleet.State, walEpoch uint64) (int64, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(st); err != nil {
-		return 0, fmt.Errorf("persist: encoding snapshot: %w", err)
-	}
-
-	var buf bytes.Buffer
-	buf.Grow(payload.Len() + 32)
-	buf.Write(snapMagic[:])
-	var fixed [20]byte
+	var fixed [snapFixedLen]byte
 	binary.LittleEndian.PutUint32(fixed[0:4], snapVersion)
 	binary.LittleEndian.PutUint64(fixed[4:12], walEpoch)
-	binary.LittleEndian.PutUint64(fixed[12:20], uint64(payload.Len()))
-	buf.Write(fixed[:])
-	buf.Write(payload.Bytes())
-	sum := crc32.ChecksumIEEE(buf.Bytes()[len(snapMagic):])
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], sum)
-	buf.Write(tail[:])
-
-	tmp := filepath.Join(dir, snapshotTmp)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	data, err := seal(snapMagic, fixed[:], st)
 	if err != nil {
-		return 0, fmt.Errorf("persist: creating snapshot.tmp: %w", err)
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotName)); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("persist: committing snapshot: %w", err)
-	}
-	// The rename is only crash-durable once the directory entry is on
-	// disk; without the directory fsync a crash can roll the commit back
-	// to the previous snapshot after the WAL was already reset.
-	if err := syncDir(dir); err != nil {
 		return 0, err
 	}
-	return int64(buf.Len()), nil
+	if err := commitFile(dir, snapshotName, snapshotTmp, data); err != nil {
+		return 0, err
+	}
+	return int64(len(data)), nil
 }
 
-// readSnapshotHeader reads and validates only the fixed-size header.
+// parseSnapshotHeader checks a snapshot's header — magic, payload cap,
+// version — from data that need hold no more than the header.
+func parseSnapshotHeader(data []byte) (snapshotHeader, error) {
+	fixed, _, err := sealedHeader(data, snapMagic, snapFixedLen, "snapshot")
+	if err != nil {
+		return snapshotHeader{}, err
+	}
+	if err := checkFileVersion(fixed, snapVersion, "snapshot"); err != nil {
+		return snapshotHeader{}, err
+	}
+	return snapshotHeader{version: snapVersion, walEpoch: binary.LittleEndian.Uint64(fixed[4:12])}, nil
+}
+
+// readSnapshotHeader reads and validates only the header.
 func readSnapshotHeader(path string) (snapshotHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return snapshotHeader{}, err
 	}
 	defer f.Close()
-	return decodeSnapshotHeader(f)
-}
-
-func decodeSnapshotHeader(r io.Reader) (snapshotHeader, error) {
-	var magic [8]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return snapshotHeader{}, fmt.Errorf("persist: reading snapshot magic: %w", err)
-	}
-	if magic != snapMagic {
-		return snapshotHeader{}, fmt.Errorf("persist: bad snapshot magic")
-	}
-	var fixed [20]byte
-	if _, err := io.ReadFull(r, fixed[:]); err != nil {
-		return snapshotHeader{}, fmt.Errorf("persist: reading snapshot header: %w", err)
-	}
-	hdr := snapshotHeader{
-		version:    binary.LittleEndian.Uint32(fixed[0:4]),
-		walEpoch:   binary.LittleEndian.Uint64(fixed[4:12]),
-		payloadLen: binary.LittleEndian.Uint64(fixed[12:20]),
-	}
-	if hdr.version != snapVersion {
-		return snapshotHeader{}, fmt.Errorf("persist: snapshot version %d not supported (want %d)", hdr.version, snapVersion)
-	}
-	if hdr.payloadLen > maxSnapshotPayload {
-		return snapshotHeader{}, fmt.Errorf("persist: snapshot payload length %d exceeds cap", hdr.payloadLen)
-	}
-	return hdr, nil
+	// A short read leaves a header parseSnapshotHeader calls truncated.
+	var head [len(snapMagic) + snapFixedLen + 8]byte
+	n, _ := io.ReadFull(f, head[:])
+	return parseSnapshotHeader(head[:n])
 }
 
 // readSnapshot reads, checksums and decodes a committed snapshot.
 func readSnapshot(path string) (*fleet.State, snapshotHeader, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, snapshotHeader{}, err
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, snapshotHeader{}, fmt.Errorf("persist: stat snapshot: %w", err)
-	}
-	hdr, err := decodeSnapshotHeader(f)
+	hdr, err := parseSnapshotHeader(data)
 	if err != nil {
 		return nil, snapshotHeader{}, err
-	}
-	wantSize := int64(len(snapMagic)) + 20 + int64(hdr.payloadLen) + 4
-	if fi.Size() != wantSize {
-		return nil, hdr, fmt.Errorf("persist: snapshot is %d bytes, header implies %d", fi.Size(), wantSize)
-	}
-	payload := make([]byte, hdr.payloadLen)
-	if _, err := io.ReadFull(f, payload); err != nil {
-		return nil, hdr, fmt.Errorf("persist: reading snapshot payload: %w", err)
-	}
-	var tail [4]byte
-	if _, err := io.ReadFull(f, tail[:]); err != nil {
-		return nil, hdr, fmt.Errorf("persist: reading snapshot checksum: %w", err)
-	}
-	sum := crc32.NewIEEE()
-	var fixed [20]byte
-	binary.LittleEndian.PutUint32(fixed[0:4], hdr.version)
-	binary.LittleEndian.PutUint64(fixed[4:12], hdr.walEpoch)
-	binary.LittleEndian.PutUint64(fixed[12:20], hdr.payloadLen)
-	sum.Write(fixed[:])
-	sum.Write(payload)
-	if sum.Sum32() != binary.LittleEndian.Uint32(tail[:]) {
-		return nil, hdr, fmt.Errorf("persist: snapshot checksum mismatch")
 	}
 	st := &fleet.State{}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(st); err != nil {
-		return nil, hdr, fmt.Errorf("persist: decoding snapshot payload: %w", err)
+	if _, err := unseal(data, snapMagic, snapFixedLen, "snapshot", st); err != nil {
+		return nil, hdr, err
 	}
 	return st, hdr, nil
 }

@@ -205,17 +205,6 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	body, err := json.Marshal(doc)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(append(body, '\n'))
-}
-
 // forward sends one sub-request to a node, retrying across its
 // candidate URLs on connection errors and 503s (a node mid-failover
 // answers 503 from the not-yet-promoted follower). Terminal responses —
@@ -292,7 +281,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		if _, ok := err.(*http.MaxBytesError); ok {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeJSON(w, status, map[string]any{
+		wire.WriteJSON(w, status, map[string]any{
 			"error": fmt.Sprintf("reading request body: %v", err),
 		})
 		return
@@ -305,7 +294,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		ct = "application/json"
 	case wire.ContentType:
 	default:
-		writeJSON(w, http.StatusUnsupportedMediaType, map[string]any{
+		wire.WriteJSON(w, http.StatusUnsupportedMediaType, map[string]any{
 			"error": fmt.Sprintf("unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentType),
 		})
 		return
@@ -331,7 +320,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			remain := time.Until(deadline)
 			if remain <= 0 {
 				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 					"error": "shard handoff in progress; retry shortly",
 				})
 				return
@@ -343,7 +332,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 				continue
 			case <-t.C:
 				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 					"error": "shard handoff in progress; retry shortly",
 				})
 				return
@@ -384,7 +373,7 @@ func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b
 		// own error, so this is the node's 400 and ledger, and no node
 		// sees any part of the batch.
 		rej := wire.Reject(err)
-		writeJSON(w, http.StatusBadRequest, &rej)
+		wire.WriteJSON(w, http.StatusBadRequest, &rej)
 		return nil, true
 	}
 	sb.primary = bodies
@@ -401,7 +390,7 @@ func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b
 		if err != nil {
 			// The first pass accepted this body; the second sees the same
 			// bytes. Defensive only.
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
+			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 				"error": fmt.Sprintf("splitting dual-write body: %v", err),
 			})
 			return nil, true
@@ -431,7 +420,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 		}
 		if err != nil {
 			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": fmt.Sprintf("dual-write to node %s failed: %v", n.ID, err),
 			})
 			return
@@ -449,7 +438,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 		resp, rb, err := rt.forward(ctx, n, "POST", "/v1/ingest", ct, body)
 		if err != nil {
 			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": fmt.Sprintf("forwarding to node %s: %v", n.ID, err),
 			})
 			return
@@ -463,7 +452,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 		var ack wire.Ack
 		if err := json.Unmarshal(rb, &ack); err != nil {
 			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{
+			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 				"error": fmt.Sprintf("node %s sent an unreadable ingest ack: %v", n.ID, err),
 			})
 			return
@@ -492,7 +481,7 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 	merged.Quarantined += sb.rep.RowsQuarantined
 	merged.Quality.Add(wire.LedgerOf(&sb.rep))
 	rt.m.recordsRouted.Add(int64(sb.records))
-	writeJSON(w, http.StatusOK, &merged)
+	wire.WriteJSON(w, http.StatusOK, &merged)
 }
 
 // relay copies a node response through verbatim.
@@ -518,7 +507,7 @@ func (rt *Router) handleDrive(w http.ResponseWriter, r *http.Request) {
 	resp, body, err := rt.forward(r.Context(), n, "GET", "/v1/drives/"+url.PathEscape(serial), "", nil)
 	if err != nil {
 		rt.m.proxyErrors.Add(1)
-		writeJSON(w, http.StatusBadGateway, map[string]any{
+		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
 			"error": fmt.Sprintf("forwarding to node %s: %v", n.ID, err),
 		})
 		return
@@ -564,7 +553,7 @@ func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*wire.Sum
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 	topN, err := wire.ParseTop(r.URL.Query().Get("top"), rt.cfg.SummaryTopN)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
 	rt.mu.RLock()
@@ -585,14 +574,14 @@ func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
 	for i, n := range rt.cur.Nodes {
 		if errs[i] != nil {
 			rt.m.proxyErrors.Add(1)
-			writeJSON(w, http.StatusBadGateway, map[string]any{"error": errs[i].Error()})
+			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{"error": errs[i].Error()})
 			return
 		}
 		merged.Add(docs[i])
 		merged.Nodes[i] = nodeSummary{Drives: docs[i].Drives, ID: n.ID, MaxHour: docs[i].MaxHour}
 	}
 	merged.Rank(topN)
-	writeJSON(w, http.StatusOK, &merged)
+	wire.WriteJSON(w, http.StatusOK, &merged)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -609,7 +598,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			nodes[n.ID] = doc
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"router": map[string]any{
 			"ingest_batches":  rt.m.ingestBatches.Load(),
 			"records_routed":  rt.m.recordsRouted.Load(),
@@ -630,7 +619,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (rt *Router) handleLive(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "live", "mode": "router"})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "live", "mode": "router"})
 }
 
 // handleReady reports ready when every node in the current map has a
@@ -654,7 +643,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 	if !ready {
 		status, code = "degraded", http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
+	wire.WriteJSON(w, code, map[string]any{
 		"status": status,
 		"mode":   "router",
 		"epoch":  st.cur.Epoch,
@@ -674,7 +663,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 		doc["next_epoch"] = st.next.Epoch
 		doc["next_nodes"] = rt.nodeHealths(st.next.Nodes)
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (rt *Router) nodeHealths(nodes []Node) []NodeHealth {
@@ -697,7 +686,7 @@ func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var next Map
 	if err := dec.Decode(&next); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("malformed cluster map: %v", err),
 		})
 		return
@@ -712,8 +701,8 @@ func (rt *Router) handleRebalance(w http.ResponseWriter, r *http.Request) {
 			// server-side failure, not a bad request.
 			status = http.StatusInternalServerError
 		}
-		writeJSON(w, status, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, status, map[string]any{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, stats)
+	wire.WriteJSON(w, http.StatusOK, stats)
 }

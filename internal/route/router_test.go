@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +266,32 @@ func TestRouterMergesQuarantineAccounting(t *testing.T) {
 	q := doc["quality"].(map[string]any)
 	if int(q["rows_read"].(float64)) != 12 || int(q["rows_quarantined"].(float64)) != 1 {
 		t.Fatalf("merged ledger %v, want 12 read / 1 quarantined", q)
+	}
+}
+
+// A JSON record whose serial is past wire.MaxSerialLen is routed to
+// its owner like any other and quarantined there; the rest of the
+// batch is kept.
+func TestRouterQuarantinesOverlongSerial(t *testing.T) {
+	_, m := startCluster(t, 2)
+	_, ts := startRouter(t, m, nil)
+
+	obs := []fleet.Observation{testObs(strings.Repeat("L", wire.MaxSerialLen+1), 0, 0.5), testObs("rt-clean", 0, 0.5)}
+	code, doc := postIngest(t, ts.URL, "application/json", jsonBody(t, obs))
+	if code != http.StatusOK {
+		t.Fatalf("status %d: %v", code, doc)
+	}
+	checkAck(t, doc, 2, 1)
+	if n := doc["quality"].(map[string]any)["by_kind"].(map[string]any)["bad-field"]; n != 1.0 {
+		t.Fatalf("merged ledger has %v bad-field issues, want 1: %v", n, doc["quality"])
+	}
+	resp, err := http.Get(ts.URL + "/v1/drives/rt-clean")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET clean drive: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"strconv"
 
 	"disksig/internal/persist"
+	"disksig/internal/wire"
 )
 
 // The admin transfer plane is the receive/serve side of a live shard
@@ -45,7 +46,7 @@ var transferCRC = crc32.MakeTable(crc32.Castagnoli)
 func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	img, err := persist.EncodeBootstrap(s.store.ExportState(), 0, persist.Position{})
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 			"error": fmt.Sprintf("encoding state export: %v", err),
 		})
 		return
@@ -61,7 +62,7 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	offset, err := strconv.ParseInt(r.Header.Get(TransferOffsetHeader), 10, 64)
 	if err != nil || offset < 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("bad %s header %q", TransferOffsetHeader, r.Header.Get(TransferOffsetHeader)),
 		})
 		return
@@ -71,18 +72,18 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			wire.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 				"error": fmt.Sprintf("chunk exceeds %d bytes", s.cfg.MaxBodyBytes),
 			})
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("reading chunk: %v", err),
 		})
 		return
 	}
 	if buf.Len() < transferTrailerSize {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("chunk of %d bytes is shorter than its %d-byte CRC trailer", buf.Len(), transferTrailerSize),
 		})
 		return
@@ -91,7 +92,7 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 	payload, trailer := chunk[:len(chunk)-transferTrailerSize], chunk[len(chunk)-transferTrailerSize:]
 	wantSum := uint32(trailer[0]) | uint32(trailer[1])<<8 | uint32(trailer[2])<<16 | uint32(trailer[3])<<24
 	if sum := crc32.Checksum(payload, transferCRC); sum != wantSum {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("chunk checksum mismatch (computed %08x, trailer %08x)", sum, wantSum),
 		})
 		return
@@ -102,7 +103,7 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.xfers[id]
 	if !ok {
 		if len(s.xfers) >= maxTransferSessions {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+			wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 				"error": fmt.Sprintf("%d transfer sessions already open", len(s.xfers)),
 			})
 			return
@@ -117,7 +118,7 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 		// Wrong offset: the sender lost track (dropped connection, retry
 		// of an already-applied chunk). Telling it the high-water mark is
 		// what makes the transfer resumable.
-		writeJSON(w, http.StatusConflict, map[string]any{
+		wire.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":    fmt.Sprintf("chunk at offset %d, transfer %q is at %d", offset, id, len(t.buf)),
 			"expected": len(t.buf),
 		})
@@ -125,13 +126,13 @@ func (s *Server) handleTransferChunk(w http.ResponseWriter, r *http.Request) {
 	}
 	if int64(len(t.buf))+int64(len(payload)) > maxTransferBytes {
 		delete(s.xfers, id)
-		writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+		wire.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 			"error": fmt.Sprintf("transfer %q exceeds %d bytes", id, maxTransferBytes),
 		})
 		return
 	}
 	t.buf = append(t.buf, payload...)
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"received": len(payload),
 		"offset":   len(t.buf),
 	})
@@ -147,7 +148,7 @@ func (s *Server) handleTransferCommit(w http.ResponseWriter, r *http.Request) {
 	t, ok := s.xfers[id]
 	s.xferMu.Unlock()
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
+		wire.WriteJSON(w, http.StatusNotFound, map[string]any{
 			"error": fmt.Sprintf("unknown transfer %q", id),
 		})
 		return
@@ -155,14 +156,14 @@ func (s *Server) handleTransferCommit(w http.ResponseWriter, r *http.Request) {
 	st, _, _, err := persist.DecodeBootstrap(t.buf)
 	if err != nil {
 		s.dropTransfer(id)
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("decoding transfer %q: %v", id, err),
 		})
 		return
 	}
 	imported, err := s.store.ImportEntries(st)
 	if err != nil {
-		writeJSON(w, http.StatusConflict, map[string]any{
+		wire.WriteJSON(w, http.StatusConflict, map[string]any{
 			"error":    fmt.Sprintf("importing transfer %q: %v", id, err),
 			"imported": imported,
 		})
@@ -184,14 +185,14 @@ func (s *Server) handleTransferCommit(w http.ResponseWriter, r *http.Request) {
 			doc["snapshot_error"] = err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 // handleTransferAbort discards a transfer buffer. Idempotent.
 func (s *Server) handleTransferAbort(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.dropTransfer(id)
-	writeJSON(w, http.StatusOK, map[string]any{"aborted": id})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"aborted": id})
 }
 
 func (s *Server) dropTransfer(id string) {
@@ -212,7 +213,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 		Serials []string `json:"serials"`
 	}
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("malformed request body: %v", err),
 		})
 		return
@@ -237,7 +238,7 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 			doc["snapshot_error"] = err.Error()
 		}
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 // transferBuf accumulates one resumable transfer.

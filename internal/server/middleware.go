@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"disksig/internal/wire"
 )
 
 // statusWriter captures the status code and body size for access logs
@@ -91,7 +93,7 @@ func (s *Server) limitConcurrency(next http.Handler) http.Handler {
 			if !acquired {
 				s.m.requestsShed.Add(1)
 				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.QueueWait)))
-				writeJSON(w, http.StatusTooManyRequests, map[string]any{
+				wire.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 					"error": "server at concurrency limit, retry later",
 				})
 				return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
 	"disksig/internal/persist"
+	"disksig/internal/wire"
 )
 
 // sizedIngestBody builds a syntactically valid ingest body of exactly n
@@ -149,6 +151,52 @@ func TestIngestMalformedBodies(t *testing.T) {
 	}
 	if n := srv.store.Tracked(); n != 0 {
 		t.Fatalf("%d drives stored from bodies that ingest nothing", n)
+	}
+}
+
+// TestIngestJSONQuarantinesOverlongSerial sends one JSON batch with a
+// serial past wire.MaxSerialLen beside a clean record. The long record
+// is quarantined as the binary frame quarantines it, and the clean one
+// is kept: a durable node must not fail the whole batch on the WAL's
+// serial cap, and a plain node must not store what a durable one
+// cannot log.
+func TestIngestJSONQuarantinesOverlongSerial(t *testing.T) {
+	long := strings.Repeat("L", wire.MaxSerialLen+1)
+	body := ingestBody(t, [3]any{long, 0, 0.5}, [3]any{"SER-1", 0, 0.5})
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+			var scfg Config
+			if durable {
+				mgr, err := persist.Open(t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer mgr.Close()
+				scfg.Persist = mgr
+			}
+			srv := testServer(t, fleet.Config{Shards: 2}, scfg)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			resp, err := http.Post(ts.URL+"/v1/ingest", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200", resp.StatusCode)
+			}
+			var ack wire.Ack
+			if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+				t.Fatal(err)
+			}
+			if ack.Ingested != 2 || ack.Kept != 1 || ack.Quarantined != 1 || ack.Quality.ByKind["bad-field"] != 1 {
+				t.Fatalf("ack %+v, want 2 ingested, 1 kept, 1 bad-field quarantined", ack)
+			}
+			if _, ok := srv.store.Drive("SER-1"); !ok || srv.store.Tracked() != 1 {
+				t.Fatalf("store tracks %d drives, want only SER-1", srv.store.Tracked())
+			}
+		})
 	}
 }
 

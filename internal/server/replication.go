@@ -149,7 +149,7 @@ func (s *Server) Term() uint64 {
 // leader hint the failover-aware client follows.
 func (s *Server) notPrimary(w http.ResponseWriter, role Role, leader string) {
 	s.m.ingestNotPrimary.Add(1)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+	wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":  fmt.Sprintf("not the primary (role %s); writes go to the leader", role),
 		"leader": leader,
 	})
@@ -363,7 +363,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err := dec.Decode(&req); err != nil || req.FollowerURL == "" {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": "bootstrap request needs a follower_url",
 		})
 		return
@@ -372,7 +372,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	role, term, leader := rp.role, rp.term, rp.leaderURL
 	rp.mu.Unlock()
 	if role != RolePrimary {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error":  fmt.Sprintf("not the primary (role %s)", role),
 			"leader": leader,
 		})
@@ -382,7 +382,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 	st, pos := s.cfg.Persist.BootstrapImage(s.store)
 	img, err := persist.EncodeBootstrap(st, term, pos)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 			"error": fmt.Sprintf("encoding bootstrap image: %v", err),
 		})
 		return
@@ -411,7 +411,7 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 // shipAckJSON writes the follower's high-water mark (its term rides
 // along so a fenced sender learns what deposed it).
 func shipAckJSON(w http.ResponseWriter, status int, term uint64, pos persist.Position) {
-	writeJSON(w, status, map[string]any{
+	wire.WriteJSON(w, status, map[string]any{
 		"term":   term,
 		"epoch":  pos.Epoch,
 		"offset": pos.Offset,
@@ -428,14 +428,14 @@ func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 	rp := s.repl
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, persist.MaxShipBody))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("reading ship request: %v", err),
 		})
 		return
 	}
 	term, from, frames, err := persist.DecodeShipRequest(body)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
 
@@ -444,7 +444,7 @@ func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 	if rp.role == RoleCandidate {
 		// Mid-promotion: the sender retries, and once the term bump lands
 		// it gets fenced properly.
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"error": "promotion in progress",
 		})
 		return
@@ -519,7 +519,7 @@ func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 		res, err := s.applyReplicated(obs)
 		if err != nil {
 			rp.expected = exp
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
+			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 				"error": fmt.Sprintf("applying shipped frame: %v", err),
 			})
 			return
@@ -551,10 +551,10 @@ func (s *Server) applyReplicated(obs []fleet.Observation) (fleet.BatchResult, er
 func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	term, err := s.Promote()
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"role": s.Role().String(),
 		"term": term,
 	})
@@ -562,7 +562,7 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 
 // handleReplStatus reports role, term, stream positions, and counters.
 func (s *Server) handleReplStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.replicationDoc())
+	wire.WriteJSON(w, http.StatusOK, s.replicationDoc())
 }
 
 // replicationDoc renders the replication state for both the status
@@ -617,7 +617,7 @@ func (s *Server) replicationDoc() map[string]any {
 
 // handleLive is pure liveness: the process is up and serving.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"drives": s.store.Tracked(),
 	})
@@ -631,7 +631,7 @@ func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	rp := s.repl
 	if rp == nil {
-		writeJSON(w, http.StatusOK, &wire.Ready{Status: "ready", Role: "standalone"})
+		wire.WriteJSON(w, http.StatusOK, &wire.Ready{Status: "ready", Role: "standalone"})
 		return
 	}
 	rp.mu.Lock()
@@ -653,5 +653,5 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 			doc.Status, code = "stale", http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, code, &doc)
+	wire.WriteJSON(w, code, &doc)
 }

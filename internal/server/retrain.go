@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"disksig/internal/learn"
+	"disksig/internal/wire"
 )
 
 // retrainLoop runs periodic retraining cycles until stop closes. A
@@ -64,12 +65,12 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.Log != nil {
 			s.cfg.Log.Printf("admin retrain failed: %v", err)
 		}
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 			"error": fmt.Sprintf("retrain failed: %v", err),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	wire.WriteJSON(w, http.StatusOK, res)
 }
 
 // handleModelStatus reports the serving model set (GET
@@ -101,5 +102,5 @@ func (s *Server) handleModelStatus(w http.ResponseWriter, r *http.Request) {
 	if last != nil {
 		doc["last_retrain"] = last
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }

@@ -14,13 +14,11 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -290,7 +288,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	case wire.ContentType:
 		s.m.ingestReqBinary.Add(1)
 	default:
-		writeJSON(w, http.StatusUnsupportedMediaType, map[string]any{
+		wire.WriteJSON(w, http.StatusUnsupportedMediaType, map[string]any{
 			"error": fmt.Sprintf("unsupported Content-Type %q (want application/json or %s)", ct, wire.ContentType),
 		})
 		return
@@ -303,12 +301,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
-			writeJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
+			wire.WriteJSON(w, http.StatusRequestEntityTooLarge, map[string]any{
 				"error": fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes),
 			})
 			return
 		}
-		writeJSON(w, http.StatusBadRequest, map[string]any{
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("reading request body: %v", err),
 		})
 		return
@@ -328,7 +326,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// A malformed body or frame: nothing in the batch can be trusted,
 		// so nothing was ingested, and the ledger names the defect.
 		rej := wire.Reject(err)
-		writeJSON(w, http.StatusBadRequest, &rej)
+		wire.WriteJSON(w, http.StatusBadRequest, &rej)
 		return
 	}
 	s.finishIngest(w, r, obs, &rep)
@@ -363,7 +361,7 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 			if s.cfg.Log != nil {
 				s.cfg.Log.Printf("WAL append failed, batch rejected: %v", err)
 			}
-			writeJSON(w, http.StatusInternalServerError, map[string]any{
+			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 				"error": "write-ahead log append failed; batch not applied",
 			})
 			return
@@ -377,7 +375,7 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 					// this node's lineage is dead — the client must retry
 					// against the new primary, which never saw the batch.
 					s.m.ingestNotPrimary.Add(1)
-					writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+					wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 						"error": "deposed during replication; retry against the new primary",
 					})
 					return
@@ -388,7 +386,7 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 				if s.cfg.Log != nil {
 					s.cfg.Log.Printf("replication ack wait failed: %v", rerr)
 				}
-				writeJSON(w, http.StatusInternalServerError, map[string]any{
+				wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 					"error": "replication ack timeout; batch durable locally but unconfirmed on the follower",
 				})
 				return
@@ -418,33 +416,33 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 		s.m.alertsBySeverity[int(a.Severity)].Add(1)
 		ack.Alerts[i] = wire.AlertOf(a)
 	}
-	writeJSON(w, http.StatusOK, &ack)
+	wire.WriteJSON(w, http.StatusOK, &ack)
 }
 
 func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {
 	serial := r.PathValue("serial")
 	dh, ok := s.store.Drive(serial)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]any{
+		wire.WriteJSON(w, http.StatusNotFound, map[string]any{
 			"error": fmt.Sprintf("unknown drive %q", serial),
 		})
 		return
 	}
 	doc := wire.DriveOf(dh)
-	writeJSON(w, http.StatusOK, &doc)
+	wire.WriteJSON(w, http.StatusOK, &doc)
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	topN, err := wire.ParseTop(r.URL.Query().Get("top"), s.cfg.SummaryTopN)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
+		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
 	}
 	evicted := s.store.EvictStale()
 	sum := s.store.Summary(topN)
 	q := s.store.Quality()
 	doc := wire.SummaryOf(sum, evicted, &q)
-	writeJSON(w, http.StatusOK, &doc)
+	wire.WriteJSON(w, http.StatusOK, &doc)
 }
 
 // handleSnapshot triggers a snapshot on demand (POST /v1/admin/snapshot,
@@ -455,12 +453,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		if s.cfg.Log != nil {
 			s.cfg.Log.Printf("admin snapshot failed: %v", err)
 		}
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
+		wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
 			"error": fmt.Sprintf("snapshot failed: %v", err),
 		})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"drives":      info.Drives,
 		"bytes":       info.Bytes,
 		"duration_ms": float64(info.Duration) / float64(time.Millisecond),
@@ -501,38 +499,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.repl != nil {
 		doc["replication"] = s.replicationDoc()
 	}
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// jsonScratch is a pooled response-encoding buffer with its encoder
-// permanently bound, so writeJSON allocates neither per request.
-type jsonScratch struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var jsonPool = sync.Pool{New: func() any {
-	sc := &jsonScratch{}
-	sc.enc = json.NewEncoder(&sc.buf)
-	sc.enc.SetIndent("", "  ")
-	return sc
-}}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	sc := jsonPool.Get().(*jsonScratch)
-	sc.buf.Reset()
-	if err := sc.enc.Encode(v); err != nil {
-		// An unencodable response value is a programming error; surface it
-		// instead of a silent empty body.
-		jsonPool.Put(sc)
-		http.Error(w, fmt.Sprintf("encoding response: %v", err), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(sc.buf.Len()))
-	w.WriteHeader(status)
-	_, _ = w.Write(sc.buf.Bytes())
-	jsonPool.Put(sc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 // Severity index sanity: the alerts metric array is indexed by

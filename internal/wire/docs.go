@@ -1,10 +1,14 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 
 	"disksig/internal/fleet"
 	"disksig/internal/quality"
@@ -277,4 +281,35 @@ func finite(v float64) *float64 {
 		return nil
 	}
 	return &v
+}
+
+// jsonScratch is a pooled response-encoding buffer with its encoder
+// permanently bound, so WriteJSON allocates neither per response.
+type jsonScratch struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+var jsonPool = sync.Pool{New: func() any {
+	sc := &jsonScratch{}
+	sc.enc = json.NewEncoder(&sc.buf)
+	return sc
+}}
+
+// WriteJSON answers with v as one line of compact JSON. Node and
+// router write every JSON document through it.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	sc := jsonPool.Get().(*jsonScratch)
+	defer jsonPool.Put(sc)
+	sc.buf.Reset()
+	if err := sc.enc.Encode(v); err != nil {
+		// An unencodable response value is a programming error; surface
+		// it instead of a silent empty body.
+		http.Error(w, fmt.Sprintf("encoding response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(sc.buf.Len()))
+	w.WriteHeader(status)
+	_, _ = w.Write(sc.buf.Bytes())
 }

@@ -484,10 +484,11 @@ func (s *jsonScanner) expected(want string) error {
 // DecodeJSON parses one JSON ingest body into observations, sharing the
 // observation buffer and serial interning with Decode (the slice is
 // valid until the next call). Each record gets the JSON format's
-// record checks, in this order: an empty serial, an unknown class, a
-// value count other than smart.NumAttrs, and values that are not finite
-// float64s (every one is noted). A failing record is quarantined into
-// rep once; null values decode as NaN, the store's to judge. A body
+// record checks, in this order: a serial longer than MaxSerialLen, an
+// empty serial, an unknown class, a value count other than
+// smart.NumAttrs, and values that are not finite float64s (every one
+// is noted). A failing record is quarantined into rep once; null
+// values decode as NaN, the store's to judge. A body
 // that is not the ingest schema — a syntax or type error, an unknown or
 // repeated field, data after the top-level value — returns a
 // *FrameError and ingests nothing; rep is untouched in that case.
@@ -516,6 +517,15 @@ func (d *Decoder) DecodeJSON(body []byte, rep *quality.Report) ([]fleet.Observat
 // observations or holding its issues for rep, and reports whether it
 // was kept.
 func (d *Decoder) keepJSON(i int, r *jsonRecord) bool {
+	if len(r.serial) > MaxSerialLen {
+		// The binary frame's check, so that no format admits a serial the
+		// WAL refuses.
+		d.held = append(d.held, quality.Issue{
+			Kind: quality.BadField, Field: "serial",
+			Detail: fmt.Sprintf("record %d serial length %d outside [1, %d]", i, len(r.serial), MaxSerialLen),
+		})
+		return false
+	}
 	serial := d.intern(r.serial)
 	class, classErr := smart.ParseClass(d.intern(r.class))
 	switch {

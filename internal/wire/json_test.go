@@ -43,6 +43,12 @@ func referenceDecodeJSON(body []byte, rep *quality.Report) ([]fleet.Observation,
 	for i, rec := range req.Records {
 		class, classErr := smart.ParseClass(rec.Class)
 		switch {
+		case len(rec.Serial) > MaxSerialLen:
+			rep.Note(quality.Issue{
+				Kind: quality.BadField, Field: "serial",
+				Detail: fmt.Sprintf("record %d serial length %d outside [1, %d]", i, len(rec.Serial), MaxSerialLen),
+			}, quality.Config{})
+			rep.AddRows(1, 1, 0)
 		case rec.Serial == "":
 			rep.Note(quality.Issue{
 				Kind: quality.BadField, Field: "serial",
@@ -236,6 +242,11 @@ var jsonSeeds = []string{
 	jsonBody(jsonRec(`"A"`, `[0,1,2,3,4,5,6,7,8,9,10]`)),
 	jsonBody(jsonRec(`"A"`, `[0,1,2,3,4,5,6,7,8,9,10,11,12]`)),
 	jsonBody(jsonRec(`"A"`, `[0,1,2,3,4,5,6,7,8,9,10,11,"x"]`)),
+	// Serials at and past MaxSerialLen, counted after unescaping.
+	jsonBody(jsonRec(`"`+strings.Repeat("s", MaxSerialLen)+`"`, vals12)),
+	jsonBody(jsonRec(`"`+strings.Repeat("s", MaxSerialLen+1)+`"`, vals12), jsonRec(`"A"`, vals12)),
+	jsonBody(jsonRec(`"`+strings.Repeat(`\u00e9`, MaxSerialLen/2+1)+`"`, vals12)),
+	jsonBody(jsonRec(`"`+strings.Repeat(`\u0041`, MaxSerialLen/4)+`"`, vals12)),
 	// Wrong shapes.
 	`{"records":42}`, `{"records":{}}`, `{"records":[[]]}`, `{"records":[1]}`,
 	jsonBody(`{"serial":5,"hour":1,"values":` + vals12 + `}`),
