@@ -139,15 +139,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	models, err := monitor.ModelsFromCharacterization(ch)
+	set, err := monitor.SetOf(ch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("trained %d group models in %v", len(models), time.Since(start).Round(time.Millisecond))
+	log.Printf("trained %d group models in %v", len(set.Models), time.Since(start).Round(time.Millisecond))
 
 	dep := loadgen.Deployment{
-		Models:  models,
-		Norm:    ch.Dataset.Norm,
+		Set:     set,
 		Monitor: monitor.Config{},
 		Shards:  *shards,
 		Workers: *workers,

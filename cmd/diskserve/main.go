@@ -197,7 +197,11 @@ func main() {
 		if q := ch.Quarantine; q != nil && !q.Clean() {
 			log.Print(q.Summary())
 		}
-		store, err = fleet.FromCharacterization(ch, fcfg)
+		set, err := monitor.SetOf(ch)
+		if err != nil {
+			log.Fatal(err)
+		}
+		store, err = fleet.FromSet(set, fcfg)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -212,23 +216,6 @@ func main() {
 		}
 	}
 
-	if mgr != nil {
-		// A promotion saves the model artifact before the swapped snapshot
-		// commits; a crash between the two leaves the artifact one version
-		// ahead of the snapshot. Re-applying it on boot makes promotion
-		// effectively atomic across restarts.
-		if art, lerr := persist.LoadModels(mgr.Dir()); lerr == nil {
-			if art.Version > store.ModelVersion() {
-				if err := store.SwapModels(art.Models, art.Norm, art.Version); err != nil {
-					log.Fatalf("re-applying model artifact v%d: %v", art.Version, err)
-				}
-				log.Printf("re-applied promoted model artifact v%d (fingerprint %s)", art.Version, art.Fingerprint)
-			}
-		} else if !os.IsNotExist(lerr) {
-			log.Fatalf("loading model artifact from %s: %v (move it aside to serve the snapshot's models)", mgr.Dir(), lerr)
-		}
-	}
-
 	var retrainer *learn.Retrainer
 	if *histHours > 0 {
 		retrainer = &learn.Retrainer{
@@ -239,7 +226,7 @@ func main() {
 			},
 			Promote: func(art *persist.ModelArtifact) error {
 				if mgr == nil {
-					return store.SwapModels(art.Models, art.Norm, art.Version)
+					return store.SwapModels(art.Set())
 				}
 				return mgr.Promote(store, art)
 			},

@@ -15,7 +15,6 @@ import (
 	"sort"
 	"sync"
 
-	"disksig/internal/core"
 	"disksig/internal/monitor"
 	"disksig/internal/parallel"
 	"disksig/internal/quality"
@@ -185,16 +184,14 @@ type Store struct {
 	// hold it shared, SwapModels holds it exclusively. No batch is ever
 	// scored by two model versions, and no export straddles a swap.
 	swapMu sync.RWMutex
-	// models and norms are retained (read-only) so ExportState can emit a
-	// self-contained snapshot that restores without retraining. Guarded
-	// by swapMu once the store is live.
-	models []monitor.GroupModel
-	norms  monitor.ClassNorms
-	// version numbers the serving model set, starting at 1 for a
-	// freshly trained store; every promoted swap must increase it.
-	version int
-	shards  []*shard
-	mask    uint64
+	// set is the serving model set, retained (read-only) so ExportState
+	// can emit a self-contained snapshot that restores without
+	// retraining. Its version starts at 1 for a freshly trained store,
+	// and every promoted swap must increase it. Guarded by swapMu once
+	// the store is live.
+	set    monitor.ModelSet
+	shards []*shard
+	mask   uint64
 	// scratch pools the per-batch fan-out buffers of IngestBatch so the
 	// steady-state ingest hot path allocates nothing per batch.
 	scratch sync.Pool
@@ -232,56 +229,32 @@ func (s *Store) getScratch() *batchScratch {
 	}
 }
 
-// New builds a store whose shards each score drives with the given group
-// models and normalizer (shared read-only across shards; predictors must
-// be safe for concurrent Predict calls, which trees and forests are).
-// The models must be HDD-class; a mixed fleet uses NewMulti.
-func New(models []monitor.GroupModel, norm *smart.Normalizer, cfg Config) (*Store, error) {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return nil, fmt.Errorf("fleet: group %d is %v-class; a mixed model set needs NewMulti", m.Group, m.Class)
-		}
-	}
-	return NewMulti(models, monitor.ClassNorms{HDD: norm}, cfg)
-}
-
-// NewMulti builds a store serving a heterogeneous fleet: models carry
-// their device class and norms holds one fitted normalizer per served
-// class. Observations are scored only against models of their own
-// class.
-func NewMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg Config) (*Store, error) {
+// FromSet builds a store whose shards each score drives with the model
+// set (shared read-only across shards; predictors must be safe for
+// concurrent Predict calls, which trees and forests are). Observations
+// are scored only against models of their own class. The store serves
+// the set's version, or version 1 when the set's is below 1.
+func FromSet(set monitor.ModelSet, cfg Config) (*Store, error) {
 	cfg = cfg.withDefaults()
+	if set.Version < 1 {
+		set.Version = 1
+	}
 	shards := make([]*shard, cfg.Shards)
 	for i := range shards {
-		mon, err := monitor.NewMulti(models, norms, cfg.Monitor)
+		mon, err := monitor.FromSet(set, cfg.Monitor)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building shard %d: %w", i, err)
 		}
 		shards[i] = &shard{mon: mon, ids: map[string]int{}, maxHour: math.MinInt,
 			histCap: cfg.HistoryHours}
 	}
-	return &Store{cfg: cfg, models: models, norms: norms, version: 1,
-		shards: shards, mask: uint64(cfg.Shards - 1)}, nil
+	return &Store{cfg: cfg, set: set, shards: shards, mask: uint64(cfg.Shards - 1)}, nil
 }
 
-// FromCharacterization builds a store directly from a pipeline run that
-// included the prediction stage.
-func FromCharacterization(ch *core.Characterization, cfg Config) (*Store, error) {
-	models, err := monitor.ModelsFromCharacterization(ch)
-	if err != nil {
-		return nil, err
-	}
-	return New(models, ch.Dataset.Norm, cfg)
-}
-
-// FromMixed builds a store directly from a class-partitioned pipeline
-// run: per-class model sets and per-class normalizers.
-func FromMixed(mc *core.MixedCharacterization, cfg Config) (*Store, error) {
-	models, norms, err := monitor.ModelsFromMixed(mc)
-	if err != nil {
-		return nil, err
-	}
-	return NewMulti(models, norms, cfg)
+// New builds a store over HDD-class group models and the normalizer they
+// were trained with: FromSet over a one-class set.
+func New(models []monitor.GroupModel, norm *smart.Normalizer, cfg Config) (*Store, error) {
+	return FromSet(monitor.ModelSet{Models: models, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm}}, cfg)
 }
 
 // fnv1a is the 64-bit FNV-1a hash of the serial, the shard-selection
@@ -315,7 +288,7 @@ func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
 	defer sh.mu.Unlock()
 	a := sh.ingestLocked(serial, smart.HDD, rec)
 	if a != nil {
-		a.ModelVersion = s.version
+		a.ModelVersion = s.set.Version
 	}
 	return a
 }
@@ -346,7 +319,7 @@ func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.
 func (s *Store) IngestBatch(obs []Observation) BatchResult {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	res := BatchResult{Ingested: len(obs), ModelVersion: s.version}
+	res := BatchResult{Ingested: len(obs), ModelVersion: s.set.Version}
 	if len(obs) == 0 {
 		return res
 	}
@@ -382,7 +355,7 @@ func (s *Store) IngestBatch(obs []Observation) BatchResult {
 	res.Alerts = make([]Alert, len(sc.merged))
 	for i, ia := range sc.merged {
 		res.Alerts[i] = ia.alert
-		res.Alerts[i].ModelVersion = s.version
+		res.Alerts[i].ModelVersion = s.set.Version
 	}
 	for si := range sc.quality {
 		d := &sc.quality[si]

@@ -16,14 +16,16 @@ type invPredictor struct{}
 
 func (invPredictor) Predict(x []float64) float64 { return -x[smart.RRER] }
 
-func mixedModels() ([]monitor.GroupModel, monitor.ClassNorms) {
+func mixedSet() monitor.ModelSet {
 	hdd := testModels()[0]
 	ssd := hdd
 	ssd.Group = 2
 	ssd.Class = smart.SSD
 	ssd.Predictor = invPredictor{}
-	return []monitor.GroupModel{hdd, ssd},
-		monitor.ClassNorms{HDD: testNormalizer(), SSD: testNormalizer()}
+	return monitor.ModelSet{
+		Models: []monitor.GroupModel{hdd, ssd},
+		Norms:  [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer(), smart.SSD: testNormalizer()},
+	}
 }
 
 // stripDriveIDs zeroes the per-shard internal drive IDs, which are not
@@ -38,8 +40,7 @@ func stripDriveIDs(alerts []Alert) []Alert {
 
 func mixedTestStore(t *testing.T, cfg Config) *Store {
 	t.Helper()
-	models, norms := mixedModels()
-	s, err := NewMulti(models, norms, cfg)
+	s, err := FromSet(mixedSet(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

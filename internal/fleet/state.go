@@ -67,10 +67,10 @@ func (s *Store) ExportState() *State {
 	defer s.swapMu.RUnlock()
 	st := &State{
 		MonitorCfg:   s.cfg.Monitor,
-		Models:       s.models,
-		Norm:         s.norms.HDD,
-		SSDNorm:      s.norms.SSD,
-		ModelVersion: s.version,
+		Models:       s.set.Models,
+		Norm:         s.set.Norms[smart.HDD],
+		SSDNorm:      s.set.Norms[smart.SSD],
+		ModelVersion: s.set.Version,
 	}
 	perShard := parallel.Map(s.cfg.Workers, len(s.shards), func(si int) []DriveEntry {
 		sh := s.shards[si]
@@ -96,6 +96,15 @@ func (s *Store) ExportState() *State {
 	st.Quality = s.Quality()
 	st.MaxHour, st.HasHour = s.MaxHour()
 	return st
+}
+
+// ModelSet returns the model set the state was exported under.
+func (st *State) ModelSet() monitor.ModelSet {
+	return monitor.ModelSet{
+		Version: st.ModelVersion,
+		Models:  st.Models,
+		Norms:   [smart.NumClasses]*smart.Normalizer{smart.HDD: st.Norm, smart.SSD: st.SSDNorm},
+	}
 }
 
 func sortDriveEntries(entries []DriveEntry) {
@@ -136,12 +145,9 @@ func Restore(st *State, cfg Config) (*Store, error) {
 		return nil, fmt.Errorf("fleet: restoring nil state")
 	}
 	cfg.Monitor = st.MonitorCfg
-	store, err := NewMulti(st.Models, monitor.ClassNorms{HDD: st.Norm, SSD: st.SSDNorm}, cfg)
+	store, err := FromSet(st.ModelSet(), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: restoring: %w", err)
-	}
-	if st.ModelVersion > 0 {
-		store.version = st.ModelVersion
 	}
 	perShard := make([][]DriveEntry, len(store.shards))
 	seen := make(map[string]bool, len(st.Drives))

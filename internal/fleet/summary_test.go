@@ -30,7 +30,7 @@ func referenceSummary(s *Store, topN int) Summary {
 	perClass := map[string][]DriveHealth{}
 	for si, sh := range s.shards {
 		sh.mu.Lock()
-		statuses := recomputedStatuses(sh.mon.ExportDrives(), s.models)
+		statuses := recomputedStatuses(sh.mon.ExportDrives(), s.set.Models)
 		sum.Shards[si] = ShardStats{Shard: si, Drives: sh.mon.Tracked()}
 		if sh.mon.Tracked() > 0 && sh.maxHour > sum.MaxHour {
 			sum.MaxHour = sh.maxHour
@@ -208,8 +208,9 @@ func TestSummaryMatchesReference(t *testing.T) {
 		{"swapped", func(t *testing.T, shards int) *Store {
 			s := mixedTestStore(t, Config{Shards: shards})
 			s.IngestBatch(tiedStream(drives, 4))
-			models, norms := mixedModels()
-			if err := s.SwapModelsMulti(models, norms, 2); err != nil {
+			set := mixedSet()
+			set.Version = 2
+			if err := s.SwapModels(set); err != nil {
 				t.Fatal(err)
 			}
 			return s
@@ -217,8 +218,9 @@ func TestSummaryMatchesReference(t *testing.T) {
 		{"swapped-partly-rescored", func(t *testing.T, shards int) *Store {
 			s := mixedTestStore(t, Config{Shards: shards})
 			s.IngestBatch(tiedStream(drives, 4))
-			models, norms := mixedModels()
-			if err := s.SwapModelsMulti(models, norms, 2); err != nil {
+			set := mixedSet()
+			set.Version = 2
+			if err := s.SwapModels(set); err != nil {
 				t.Fatal(err)
 			}
 			// A third of the drives report again; the rest keep their

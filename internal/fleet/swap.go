@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"disksig/internal/monitor"
-	"disksig/internal/smart"
 )
 
 // ModelVersion returns the version of the model set currently scoring
@@ -13,15 +12,18 @@ import (
 func (s *Store) ModelVersion() int {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	return s.version
+	return s.set.Version
 }
 
-// Models returns a copy of the model set currently scoring the fleet,
-// consistent with the version ModelVersion reports at the same moment.
-func (s *Store) Models() []monitor.GroupModel {
+// ModelSet returns the model set currently scoring the fleet, version
+// included, read under one hold of the swap barrier. Its model slice is
+// a copy.
+func (s *Store) ModelSet() monitor.ModelSet {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	return append([]monitor.GroupModel(nil), s.models...)
+	set := s.set
+	set.Models = append([]monitor.GroupModel(nil), set.Models...)
+	return set
 }
 
 // SwapModels hot-swaps the serving model set atomically across all
@@ -30,6 +32,12 @@ func (s *Store) Models() []monitor.GroupModel {
 // batch is ever scored by two versions — batches in flight drain first,
 // batches arriving during the swap score entirely on the new version.
 //
+// The store serves ModelSet().With(next): each class next has models
+// for is replaced, and every other class keeps its current models and
+// normalizer. The online-learning cycle retrains the HDD population
+// from its harvested history, and that promotion must not drop the SSD
+// models (or vice versa).
+//
 // Per-drive monitor state migrates: severity, last hour, quality
 // ledgers and retraining history survive, while the smoothing windows
 // reset (scores from different model versions must never be median-
@@ -37,54 +45,16 @@ func (s *Store) Models() []monitor.GroupModel {
 // under the new models and alerts only on a further escalation, so a
 // swap never re-alerts a stable fleet wholesale.
 //
-// The swap validates and stages every shard before committing any of
-// them: on error the store still serves the old version unchanged.
-//
-// The incoming set replaces only the model sets of the classes it
-// contains: the online-learning cycle retrains the HDD population from
-// its harvested history, and that promotion must not drop the SSD model
-// set (or vice versa). Classes absent from the incoming set keep their
-// current models and normalizer.
-func (s *Store) SwapModels(models []monitor.GroupModel, norm *smart.Normalizer, version int) error {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return fmt.Errorf("fleet: swap group %d is %v-class; a mixed swap needs SwapModelsMulti", m.Group, m.Class)
-		}
-	}
-	return s.SwapModelsMulti(models, monitor.ClassNorms{HDD: norm}, version)
-}
-
-// SwapModelsMulti is SwapModels for class-stamped model sets: each class
-// present in models (with its normalizer in norms) replaces the serving
-// set of that class; absent classes are preserved.
-func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.ClassNorms, version int) error {
+// The swap is refused when next's version is not newer than the
+// serving one or the merged set fails validation, and it stages every
+// shard before committing any of them: on error the store still serves
+// the old version unchanged.
+func (s *Store) SwapModels(next monitor.ModelSet) error {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	if version <= s.version {
-		return fmt.Errorf("fleet: swap to version %d refused: serving version %d is not older", version, s.version)
-	}
-
-	// Merge with the preserved classes: incoming models first (they are
-	// ordered by class already when built by ModelsFromMixed), then the
-	// retained sets of untouched classes in their current order.
-	var incoming [smart.NumClasses]bool
-	for _, m := range models {
-		if !m.Class.Valid() {
-			return fmt.Errorf("fleet: swap to version %d: group %d has invalid class %d", version, m.Group, m.Class)
-		}
-		incoming[m.Class] = true
-	}
-	combined := append([]monitor.GroupModel(nil), models...)
-	mergedNorms := norms
-	for _, m := range s.models {
-		if !incoming[m.Class] {
-			combined = append(combined, m)
-		}
-	}
-	for c := smart.DeviceClass(0); c < smart.NumClasses; c++ {
-		if !incoming[c] {
-			mergedNorms = setNorm(mergedNorms, c, s.norms)
-		}
+	set, err := s.merge(next)
+	if err != nil {
+		return err
 	}
 
 	// Stage: build one replacement monitor per shard with every drive
@@ -92,9 +62,9 @@ func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.Class
 	// read shards, so each shard locks while its state is copied out.
 	staged := make([]*monitor.Monitor, len(s.shards))
 	for si, sh := range s.shards {
-		mon, err := monitor.NewMulti(combined, mergedNorms, s.cfg.Monitor)
+		mon, err := monitor.FromSet(set, s.cfg.Monitor)
 		if err != nil {
-			return fmt.Errorf("fleet: swap to version %d: building shard %d: %w", version, si, err)
+			return fmt.Errorf("fleet: swap to version %d: building shard %d: %w", set.Version, si, err)
 		}
 		sh.mu.Lock()
 		drives := sh.mon.ExportDrives()
@@ -103,10 +73,10 @@ func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.Class
 			if ds.Tracked {
 				// Reset the smoothing windows to one empty window per
 				// new model; everything else carries over.
-				ds.Recent = make([][]float64, len(combined))
+				ds.Recent = make([][]float64, len(set.Models))
 			}
 			if err := mon.ImportDrive(id, ds); err != nil {
-				return fmt.Errorf("fleet: swap to version %d: migrating shard %d drive %d: %w", version, si, id, err)
+				return fmt.Errorf("fleet: swap to version %d: migrating shard %d drive %d: %w", set.Version, si, id, err)
 			}
 		}
 		staged[si] = mon
@@ -118,19 +88,31 @@ func (s *Store) SwapModelsMulti(models []monitor.GroupModel, norms monitor.Class
 		sh.mon = staged[si]
 		sh.mu.Unlock()
 	}
-	s.models = combined
-	s.norms = mergedNorms
-	s.version = version
+	s.set = set
 	return nil
 }
 
-// setNorm copies class c's normalizer from src into dst.
-func setNorm(dst monitor.ClassNorms, c smart.DeviceClass, src monitor.ClassNorms) monitor.ClassNorms {
-	switch c {
-	case smart.HDD:
-		dst.HDD = src.HDD
-	case smart.SSD:
-		dst.SSD = src.SSD
+// CheckSwap reports the refusal SwapModels(next) would return, without
+// swapping: nil when next is newer than the serving set and the merged
+// set passes validation. A caller that must commit next elsewhere
+// before the swap (persist's Promote writes models.bin) asks first, so
+// a refused set commits nothing.
+func (s *Store) CheckSwap(next monitor.ModelSet) error {
+	s.swapMu.RLock()
+	defer s.swapMu.RUnlock()
+	_, err := s.merge(next)
+	return err
+}
+
+// merge returns the set that swapping in next serves, or why the swap
+// is refused. The caller holds swapMu.
+func (s *Store) merge(next monitor.ModelSet) (monitor.ModelSet, error) {
+	if next.Version <= s.set.Version {
+		return monitor.ModelSet{}, fmt.Errorf("fleet: swap to version %d refused: serving version %d is not older", next.Version, s.set.Version)
 	}
-	return dst
+	set := s.set.With(next)
+	if _, err := monitor.FromSet(set, s.cfg.Monitor); err != nil {
+		return monitor.ModelSet{}, fmt.Errorf("fleet: swap to version %d: %w", next.Version, err)
+	}
+	return set, nil
 }

@@ -19,14 +19,18 @@ type shiftPredictor struct{ off float64 }
 
 func (p shiftPredictor) Predict(x []float64) float64 { return x[smart.RRER] + p.off }
 
-func swappedModels(off float64) []monitor.GroupModel {
-	return []monitor.GroupModel{{
-		Group:     1,
-		Type:      core.Logical,
-		Form:      regression.FormQuadratic,
-		WindowD:   12,
-		Predictor: shiftPredictor{off: off},
-	}}
+func swappedSet(off float64, version int) monitor.ModelSet {
+	return monitor.ModelSet{
+		Version: version,
+		Models: []monitor.GroupModel{{
+			Group:     1,
+			Type:      core.Logical,
+			Form:      regression.FormQuadratic,
+			WindowD:   12,
+			Predictor: shiftPredictor{off: off},
+		}},
+		Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer()},
+	}
 }
 
 func TestSwapModelsVersioning(t *testing.T) {
@@ -36,28 +40,28 @@ func TestSwapModelsVersioning(t *testing.T) {
 	}
 	// Same or older version: refused, store unchanged.
 	for _, v := range []int{0, 1} {
-		if err := s.SwapModels(swappedModels(0.5), testNormalizer(), v); err == nil {
+		if err := s.SwapModels(swappedSet(0.5, v)); err == nil {
 			t.Fatalf("swap to version %d accepted, want refusal", v)
 		}
 	}
 	if v := s.ModelVersion(); v != 1 {
 		t.Fatalf("ModelVersion = %d after refused swaps, want 1", v)
 	}
-	if err := s.SwapModels(swappedModels(0.5), testNormalizer(), 2); err != nil {
+	if err := s.SwapModels(swappedSet(0.5, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if v := s.ModelVersion(); v != 2 {
 		t.Fatalf("ModelVersion = %d after swap, want 2", v)
 	}
-	m := s.Models()
-	if len(m) != 1 {
-		t.Fatalf("Models() = %d models, want 1", len(m))
+	set := s.ModelSet()
+	if len(set.Models) != 1 || set.Version != 2 {
+		t.Fatalf("ModelSet() = %d models at version %d, want 1 at version 2", len(set.Models), set.Version)
 	}
-	if _, ok := m[0].Predictor.(shiftPredictor); !ok {
-		t.Fatalf("Models()[0].Predictor = %T, want the swapped-in shiftPredictor", m[0].Predictor)
+	if _, ok := set.Models[0].Predictor.(shiftPredictor); !ok {
+		t.Fatalf("ModelSet().Models[0].Predictor = %T, want the swapped-in shiftPredictor", set.Models[0].Predictor)
 	}
 	// Versions need not be consecutive — only increasing.
-	if err := s.SwapModels(swappedModels(0.25), testNormalizer(), 7); err != nil {
+	if err := s.SwapModels(swappedSet(0.25, 7)); err != nil {
 		t.Fatal(err)
 	}
 	if v := s.ModelVersion(); v != 7 {
@@ -75,7 +79,7 @@ func TestSwapPreservesStatePerDrive(t *testing.T) {
 
 	// The swap itself re-scores nothing: severity and last-hour carry
 	// over as-is.
-	if err := s.SwapModels(swappedModels(0.25), testNormalizer(), 2); err != nil {
+	if err := s.SwapModels(swappedSet(0.25, 2)); err != nil {
 		t.Fatal(err)
 	}
 	after, ok := s.Drive("SER-1")
@@ -101,6 +105,50 @@ func TestSwapPreservesStatePerDrive(t *testing.T) {
 	a := s.Ingest("SER-1", record(2, -0.9))
 	if a == nil || a.ModelVersion != 2 || a.Severity != monitor.Critical {
 		t.Fatalf("post-swap alert = %+v, want version-2 critical", a)
+	}
+}
+
+// TestSwapKeepsOtherClasses: swapping in a one-class set replaces that
+// class only, and CheckSwap refuses exactly what SwapModels refuses,
+// leaving the store as it was.
+func TestSwapKeepsOtherClasses(t *testing.T) {
+	s := mixedTestStore(t, Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}})
+	s.Ingest("HDD-1", record(0, 0.9))
+	s.IngestBatch([]Observation{{Serial: "SSD-1", Class: smart.SSD, Record: record(0, -0.9)}})
+	before := s.ModelSet()
+
+	ssdOnly := swappedSet(0.5, 2)
+	ssdOnly.Models[0].Class = smart.SSD
+	for _, refused := range []monitor.ModelSet{swappedSet(0.5, 1), ssdOnly} {
+		if err := s.CheckSwap(refused); err == nil {
+			t.Fatalf("CheckSwap accepted %+v", refused)
+		}
+		if err := s.SwapModels(refused); err == nil {
+			t.Fatalf("SwapModels accepted %+v", refused)
+		}
+	}
+	if !reflect.DeepEqual(s.ModelSet(), before) {
+		t.Fatal("refused swaps changed the serving set")
+	}
+
+	next := swappedSet(0.5, 2)
+	if err := s.CheckSwap(next); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SwapModels(next); err != nil {
+		t.Fatal(err)
+	}
+	after := s.ModelSet()
+	if after.Version != 2 || len(after.Models) != 2 || after.Norms[smart.HDD] != next.Norms[smart.HDD] {
+		t.Fatalf("after the swap: %+v", after)
+	}
+	if !reflect.DeepEqual(after.Models[1], before.Models[1]) || after.Norms[smart.SSD] != before.Norms[smart.SSD] {
+		t.Fatal("an HDD-only swap replaced the SSD models or normalizer")
+	}
+	// The SSD drive keeps scoring under its own class's model.
+	res := s.IngestBatch([]Observation{{Serial: "SSD-1", Class: smart.SSD, Record: record(1, 0.9)}})
+	if len(res.Alerts) != 1 || res.Alerts[0].Class != smart.SSD || res.Alerts[0].ModelVersion != 2 {
+		t.Fatalf("SSD record after an HDD-only swap: %+v", res)
 	}
 }
 
@@ -140,7 +188,7 @@ func TestSwapBarrierUnderLoad(t *testing.T) {
 			// Swaps race the ingest load; each lands between two batches,
 			// never inside one.
 			for v := 2; v <= 12; v++ {
-				if err := s.SwapModels(swappedModels(float64(v)/100), testNormalizer(), v); err != nil {
+				if err := s.SwapModels(swappedSet(float64(v)/100, v)); err != nil {
 					t.Error(err)
 				}
 			}
@@ -177,7 +225,7 @@ func TestRestoreAfterSwap(t *testing.T) {
 	cfg := Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}, HistoryHours: 50}
 	s := testStore(t, cfg)
 	s.IngestBatch(buildStream(30, 10))
-	if err := s.SwapModels(swappedModels(0.5), testNormalizer(), 3); err != nil {
+	if err := s.SwapModels(swappedSet(0.5, 3)); err != nil {
 		t.Fatal(err)
 	}
 	// Post-swap traffic shapes state under the new version.
@@ -201,7 +249,7 @@ func TestRestoreAfterSwap(t *testing.T) {
 	}
 	// The restored store keeps scoring under the promoted models, and a
 	// swap to a version at or below the restored one is still refused.
-	if err := restored.SwapModels(swappedModels(0.1), testNormalizer(), 3); err == nil {
+	if err := restored.SwapModels(swappedSet(0.1, 3)); err == nil {
 		t.Fatal("restored store accepted a swap to its own version")
 	}
 	if a := restored.Ingest("SER-0001", record(12, -3)); a == nil || a.ModelVersion != 3 {

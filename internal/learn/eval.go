@@ -5,7 +5,6 @@ import (
 
 	"disksig/internal/monitor"
 	"disksig/internal/parallel"
-	"disksig/internal/smart"
 )
 
 // Score summarizes one model set's shadow evaluation on the held-out
@@ -31,11 +30,13 @@ func (s Score) String() string {
 
 // Evaluate replays every held-out drive through a fresh monitor built
 // from the given model set and scores the flag decisions against the
-// harvest labels. It also returns the per-drive decisions (in eval
-// order) so callers can measure agreement between two model sets. The
-// replay fans out per drive via internal/parallel — evaluation runs off
-// the ingest hot path and must not serialize on it.
-func Evaluate(models []monitor.GroupModel, norm *smart.Normalizer, mcfg monitor.Config, eval []EvalDrive, workers int) (Score, []bool, error) {
+// harvest labels. Harvest holds out HDDs only, which score against the
+// set's HDD models, so a mixed set is evaluated whole. It also returns
+// the per-drive decisions (in eval order) so callers can measure
+// agreement between two model sets. The replay fans out per drive via
+// internal/parallel — evaluation runs off the ingest hot path and must
+// not serialize on it.
+func Evaluate(set monitor.ModelSet, mcfg monitor.Config, eval []EvalDrive, workers int) (Score, []bool, error) {
 	sc := Score{EvalDrives: len(eval)}
 	if len(eval) == 0 {
 		return sc, nil, nil
@@ -45,7 +46,7 @@ func Evaluate(models []monitor.GroupModel, norm *smart.Normalizer, mcfg monitor.
 		err     error
 	}
 	outcomes := parallel.Map(workers, len(eval), func(i int) outcome {
-		m, err := monitor.New(models, norm, mcfg)
+		m, err := monitor.FromSet(set, mcfg)
 		if err != nil {
 			return outcome{err: fmt.Errorf("learn: evaluating drive %s: %w", eval[i].Serial, err)}
 		}

@@ -65,12 +65,14 @@ type HarvestResult struct {
 	// harvested drive's serial, hour range and label: two harvests of
 	// identical telemetry agree exactly.
 	Fingerprint string
-	// Skipped counts drives with too little history to harvest.
+	// Skipped counts the drives not harvested: those with too little
+	// history, and every drive of a class other than HDD, which
+	// retraining does not cover.
 	Skipped int
 }
 
 // Harvest extracts labeled training profiles and a held-out evaluation
-// cohort from a fleet state's retained drive histories. It is
+// cohort from the retained histories of a fleet state's HDDs. It is
 // deterministic: State.Drives is sorted by serial and the holdout split
 // hashes serials, so the same state always yields the same harvest.
 func Harvest(st *fleet.State) (*HarvestResult, error) {
@@ -81,7 +83,7 @@ func Harvest(st *fleet.State) (*HarvestResult, error) {
 	digest := fnv.New64a()
 	for _, e := range st.Drives {
 		n := len(e.History)
-		if n < harvestMinRecords {
+		if n < harvestMinRecords || e.State.Class != smart.HDD {
 			res.Skipped++
 			continue
 		}

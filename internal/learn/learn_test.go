@@ -2,6 +2,7 @@ package learn
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"disksig/internal/core"
@@ -10,6 +11,7 @@ import (
 	"disksig/internal/persist"
 	"disksig/internal/regression"
 	"disksig/internal/smart"
+	"disksig/internal/synth"
 )
 
 // history synthesizes n hourly records whose health attributes start at
@@ -87,8 +89,14 @@ func TestHarvestCohortsAndDeterminism(t *testing.T) {
 			wantGood++
 		}
 	}
-	// Too little history: skipped, never labeled.
+	// Too little history, or an SSD (retraining covers HDDs only):
+	// skipped, never labeled.
 	entries = append(entries, fleet.DriveEntry{Serial: "short-1", History: history(10, smart.RRER, 95, 30)})
+	entries = append(entries, fleet.DriveEntry{
+		Serial:  "ssd-1",
+		State:   monitor.DriveState{Tracked: true, Class: smart.SSD},
+		History: history(60, smart.RRER, 95, 25),
+	})
 
 	h, err := Harvest(stateWith(entries...))
 	if err != nil {
@@ -98,8 +106,8 @@ func TestHarvestCohortsAndDeterminism(t *testing.T) {
 		t.Fatalf("cohorts = %d failed / %d good / %d eval, want %d/%d/%d",
 			len(h.Failed), len(h.Good), len(h.Eval), wantFailed, wantGood, wantEval)
 	}
-	if h.Skipped != 1 {
-		t.Fatalf("Skipped = %d, want 1", h.Skipped)
+	if h.Skipped != 2 {
+		t.Fatalf("Skipped = %d, want 2", h.Skipped)
 	}
 	for _, e := range h.Eval {
 		// Every eval drive's label must match its construction.
@@ -157,6 +165,10 @@ func evalModels() []monitor.GroupModel {
 	}}
 }
 
+func evalSet() monitor.ModelSet {
+	return monitor.ModelSet{Models: evalModels(), Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: evalNormalizer()}}
+}
+
 // flatDrive builds an eval drive whose RRER sits at a constant score:
 // negative scores degrade past Warning, positive ones stay healthy.
 func flatDrive(serial string, failing bool, score float64) EvalDrive {
@@ -178,7 +190,7 @@ func TestEvaluateScoring(t *testing.T) {
 		flatDrive("tn-1", false, 0.9),  // healthy, clean
 		flatDrive("tn-2", false, 0.9),
 	}
-	sc, flags, err := Evaluate(evalModels(), evalNormalizer(), monitor.Config{Smoothing: 1}, eval, 2)
+	sc, flags, err := Evaluate(evalSet(), monitor.Config{Smoothing: 1}, eval, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +214,7 @@ func TestEvaluateScoring(t *testing.T) {
 		}
 	}
 	// Empty cohort: a zero score, no error.
-	sc, flags, err = Evaluate(evalModels(), evalNormalizer(), monitor.Config{}, nil, 2)
+	sc, flags, err = Evaluate(evalSet(), monitor.Config{}, nil, 2)
 	if err != nil || sc.EvalDrives != 0 || flags != nil {
 		t.Fatalf("empty eval = %+v, %v, %v", sc, flags, err)
 	}
@@ -240,5 +252,72 @@ func TestRetrainOnceSkipsSmallCohort(t *testing.T) {
 	}
 	if res.Reason == "" || res.ServingVersion != 1 || res.CandidateVersion != 2 {
 		t.Fatalf("skipped cycle result = %+v", res)
+	}
+}
+
+// TestRetrainOnceMixedFleet: a mixed HDD+SSD store retrains its HDD
+// population. The harvest leaves the SSDs out, both sets are evaluated
+// whole, and the promotion replaces the HDD models only: afterwards the
+// store serves the same SSD models and normalizer as before.
+func TestRetrainOnceMixedFleet(t *testing.T) {
+	ds, err := synth.GenerateMixed(synth.DefaultMixedFleet(synth.ScaleSmall).WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := core.CharacterizeMixed(ds, core.Config{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := monitor.SetOf(mc.ByClass[:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := fleet.FromSet(set, fleet.Config{Shards: 4, HistoryHours: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssdDrives := 0
+	for _, p := range append(append([]*smart.Profile(nil), ds.Failed...), ds.Good...) {
+		serial := fmt.Sprintf("%v-%v-%05d", p.Class, p.Failed, p.DriveID)
+		obs := make([]fleet.Observation, len(p.Records))
+		for i, rec := range p.Records {
+			obs[i] = fleet.Observation{Serial: serial, Class: p.Class, Record: rec}
+		}
+		store.IngestBatch(obs)
+		if p.Class == smart.SSD {
+			ssdDrives++
+		}
+	}
+	before := store.ModelSet()
+	r := &Retrainer{
+		Store:   store,
+		Cfg:     Config{Core: core.Config{Seed: 1}},
+		Promote: func(art *persist.ModelArtifact) error { return store.SwapModels(art.Set()) },
+	}
+	res, err := r.RetrainOnce(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Promoted || res.SkippedDrives < ssdDrives {
+		t.Fatalf("cycle = %+v; want a promotion that skipped the %d SSDs", res, ssdDrives)
+	}
+	after := store.ModelSet()
+	if after.Version != 2 || after.Norms[smart.SSD] != before.Norms[smart.SSD] || after.Norms[smart.HDD] == before.Norms[smart.HDD] {
+		t.Fatalf("after promotion: version %d; want version 2 with a new HDD and the old SSD normalizer", after.Version)
+	}
+	classModels := func(set monitor.ModelSet, c smart.DeviceClass) []monitor.GroupModel {
+		var out []monitor.GroupModel
+		for _, m := range set.Models {
+			if m.Class == c {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	if got, want := classModels(after, smart.SSD), classModels(before, smart.SSD); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("SSD models after promotion = %+v, want %+v", got, want)
+	}
+	if len(classModels(after, smart.HDD)) == 0 {
+		t.Fatal("promotion left no HDD models")
 	}
 }

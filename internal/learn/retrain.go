@@ -10,6 +10,7 @@ import (
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
 	"disksig/internal/persist"
+	"disksig/internal/smart"
 )
 
 // Config parameterizes one retraining cycle.
@@ -121,22 +122,26 @@ func (r *Retrainer) RetrainOnce(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("learn: characterizing harvested fleet: %w", err)
 	}
-	candModels, err := monitor.ModelsFromCharacterization(ch)
+	cand, err := monitor.SetOf(ch)
 	if err != nil {
 		return nil, fmt.Errorf("learn: extracting candidate models: %w", err)
 	}
+	cand.Version = res.CandidateVersion
 	res.TrainMillis = time.Since(trainStart).Milliseconds()
-	for _, gm := range candModels {
+	for _, gm := range cand.Models {
 		if gm.Note != "" {
 			res.Notes = append(res.Notes, fmt.Sprintf("group %d: %s", gm.Group, gm.Note))
 		}
 	}
 
-	serving, servFlags, err := Evaluate(st.Models, st.Norm, st.MonitorCfg, h.Eval, cfg.Core.Workers)
+	// The candidate replaces the HDD models only, so it is evaluated as
+	// the set a promotion would serve.
+	servingSet := st.ModelSet()
+	serving, servFlags, err := Evaluate(servingSet, st.MonitorCfg, h.Eval, cfg.Core.Workers)
 	if err != nil {
 		return nil, err
 	}
-	candidate, candFlags, err := Evaluate(candModels, ch.Dataset.Norm, st.MonitorCfg, h.Eval, cfg.Core.Workers)
+	candidate, candFlags, err := Evaluate(servingSet.With(cand), st.MonitorCfg, h.Eval, cfg.Core.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -168,13 +173,13 @@ func (r *Retrainer) RetrainOnce(ctx context.Context) (*Result, error) {
 		return res, nil
 	}
 	art := &persist.ModelArtifact{
-		Version:        res.CandidateVersion,
+		Version:        cand.Version,
 		Fingerprint:    h.Fingerprint,
 		TrainedMaxHour: st.MaxHour,
 		FailedDrives:   len(h.Failed),
 		GoodDrives:     len(h.Good),
-		Models:         candModels,
-		Norm:           ch.Dataset.Norm,
+		Models:         cand.Models,
+		Norm:           cand.Norms[smart.HDD],
 		Notes:          res.Notes,
 	}
 	promoteStart := time.Now()

@@ -6,7 +6,6 @@ import (
 
 	"disksig/internal/core"
 	"disksig/internal/learn"
-	"disksig/internal/monitor"
 	"disksig/internal/persist"
 	"disksig/internal/server"
 	"disksig/internal/smart"
@@ -56,7 +55,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 		if err != nil {
 			return err
 		}
-		if err := r.deploy(dep.Models, monitor.ClassNorms{HDD: dep.Norm}, driftHistoryHours); err != nil {
+		if err := r.deploy(dep.Set, driftHistoryHours); err != nil {
 			return err
 		}
 		store, mgr, err := r.persisted("")
@@ -227,7 +226,7 @@ func RunDrift(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Scenari
 			return fail("artifact-matches-cycle", fmt.Errorf("artifact fingerprint %s, cycle reported %s", art.Fingerprint, res.Fingerprint))
 		}
 		r.rep.addCheck("artifact-matches-cycle", nil)
-		if err := r.shadow.Store().SwapModels(art.Models, art.Norm, art.Version); err != nil {
+		if err := r.shadow.Store().SwapModels(art.Set()); err != nil {
 			return fail("shadow-swap", err)
 		}
 		if v, err := ActiveModelVersion(h.URL); err != nil || v != art.Version {

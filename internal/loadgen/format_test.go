@@ -88,7 +88,7 @@ func TestFormatsReplayToIdenticalState(t *testing.T) {
 	dep := testDeployment(t)
 	run := func(f Format) (string, []string, int) {
 		wl := WorkloadFromDrives(testDrives(), 4).WithFormat(f)
-		h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{MaxInFlight: 16})
+		h, err := StartHarness(dep.Set, dep.fleetConfig(), server.Config{MaxInFlight: 16})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,6 @@ import (
 	"disksig/internal/monitor"
 	"disksig/internal/persist"
 	"disksig/internal/server"
-	"disksig/internal/smart"
 )
 
 // Harness is an in-process diskserve: a fleet store wrapped in the real
@@ -33,11 +32,11 @@ type Harness struct {
 	stopErr error
 }
 
-// StartHarness builds a store from models and serves it on a loopback
-// port. When scfg.Persist is set, the caller owns the manager's
+// StartHarness builds a store from a model set and serves it on a
+// loopback port. When scfg.Persist is set, the caller owns the manager's
 // lifecycle (the chaos scenario abandons it to simulate a crash).
-func StartHarness(models []monitor.GroupModel, norm *smart.Normalizer, fcfg fleet.Config, scfg server.Config) (*Harness, error) {
-	store, err := fleet.New(models, norm, fcfg)
+func StartHarness(set monitor.ModelSet, fcfg fleet.Config, scfg server.Config) (*Harness, error) {
+	store, err := fleet.FromSet(set, fcfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: building harness store: %w", err)
 	}

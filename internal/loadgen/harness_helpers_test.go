@@ -192,7 +192,7 @@ func TestCheckClassSummaryViolations(t *testing.T) {
 func TestHarnessStopPromptAndRepeatable(t *testing.T) {
 	dep := testDeployment(t)
 	for i := 0; i < 20; i++ {
-		h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{})
+		h, err := StartHarness(dep.Set, dep.fleetConfig(), server.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,14 +36,16 @@ func testDeployment(t *testing.T) Deployment {
 	norm.Observe(lo)
 	norm.Observe(hi)
 	return Deployment{
-		Models: []monitor.GroupModel{{
-			Group:     1,
-			Type:      core.Logical,
-			Form:      regression.FormQuadratic,
-			WindowD:   12,
-			Predictor: rampPredictor{},
-		}},
-		Norm:    norm,
+		Set: monitor.ModelSet{
+			Models: []monitor.GroupModel{{
+				Group:     1,
+				Type:      core.Logical,
+				Form:      regression.FormQuadratic,
+				WindowD:   12,
+				Predictor: rampPredictor{},
+			}},
+			Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm},
+		},
 		Monitor: monitor.Config{Smoothing: 1},
 		Shards:  4,
 	}
@@ -201,11 +203,11 @@ func TestChunkQueuesPartitions(t *testing.T) {
 func TestDriverDeliversEverythingOnce(t *testing.T) {
 	dep := testDeployment(t)
 	wl := WorkloadFromDrives(testDrives(), 4)
-	shadow, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	shadow, err := ShadowFromSet(dep.Set, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{MaxInFlight: 16})
+	h, err := StartHarness(dep.Set, dep.fleetConfig(), server.Config{MaxInFlight: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +257,7 @@ func TestDriverDeliversEverythingOnce(t *testing.T) {
 func TestDriverRetriesShedBatches(t *testing.T) {
 	dep := testDeployment(t)
 	wl := WorkloadFromDrives(testDrives(), 2)
-	h, err := StartHarness(dep.Models, dep.Norm, dep.fleetConfig(), server.Config{
+	h, err := StartHarness(dep.Set, dep.fleetConfig(), server.Config{
 		MaxInFlight: 1,
 		IngestDelay: 5 * time.Millisecond,
 	})
@@ -304,11 +306,11 @@ func TestScenariosEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	models, err := monitor.ModelsFromCharacterization(ch)
+	set, err := monitor.SetOf(ch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep := Deployment{Models: models, Norm: ch.Dataset.Norm, Shards: 4}
+	dep := Deployment{Set: set, Shards: 4}
 	cfg := ScenarioConfig{
 		Workload:        DefaultWorkloadConfig(synth.ScaleSmall, 1),
 		Clients:         3,

@@ -96,11 +96,11 @@ func (r *run) trainMixed() (*core.MixedCharacterization, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, norms, err := monitor.ModelsFromMixed(mc)
+	set, err := monitor.SetOf(mc.ByClass[:]...)
 	if err != nil {
 		return nil, err
 	}
-	return mc, r.deploy(models, norms, 0)
+	return mc, r.deploy(set, 0)
 }
 
 // classRows reads the per-class ingest counters off /metrics and

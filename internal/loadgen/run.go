@@ -38,10 +38,9 @@ type run struct {
 	clients  int
 	interval time.Duration
 
-	// models, norms and fcfg are what the scenario's stores serve.
-	models []monitor.GroupModel
-	norms  monitor.ClassNorms
-	fcfg   fleet.Config
+	// set and fcfg are what the scenario's stores serve.
+	set  monitor.ModelSet
+	fcfg fleet.Config
 
 	// root is the scenario's state directory, chosen on first use.
 	root    string
@@ -80,7 +79,7 @@ func scenario(ctx context.Context, name string, dep Deployment, cfg ScenarioConf
 			r.cleanup[i]()
 		}
 	}()
-	err := r.deploy(dep.Models, monitor.ClassNorms{HDD: dep.Norm}, 0)
+	err := r.deploy(dep.Set, 0)
 	if err == nil {
 		err = body(r)
 	}
@@ -102,14 +101,14 @@ func (r *run) driver(base string) *Driver {
 	return &Driver{BaseURL: base, Client: r.client, Log: r.dep.Log}
 }
 
-// deploy sets the models, normalizers and per-drive telemetry retention
-// the scenario's stores serve, and starts a fresh shadow over them.
-func (r *run) deploy(models []monitor.GroupModel, norms monitor.ClassNorms, historyHours int) error {
-	shadow, err := NewShadowMulti(models, norms, fleet.Config{Monitor: r.dep.Monitor, HistoryHours: historyHours})
+// deploy sets the model set and per-drive telemetry retention the
+// scenario's stores serve, and starts a fresh shadow over them.
+func (r *run) deploy(set monitor.ModelSet, historyHours int) error {
+	shadow, err := ShadowFromSet(set, fleet.Config{Monitor: r.dep.Monitor, HistoryHours: historyHours})
 	if err != nil {
 		return err
 	}
-	r.models, r.norms, r.shadow = models, norms, shadow
+	r.set, r.shadow = set, shadow
 	r.fcfg = r.dep.fleetConfig()
 	r.fcfg.HistoryHours = historyHours
 	return nil
@@ -122,7 +121,7 @@ func (r *run) store(shards int) (*fleet.Store, error) {
 	if shards > 0 {
 		fcfg.Shards = shards
 	}
-	return fleet.NewMulti(r.models, r.norms, fcfg)
+	return fleet.FromSet(r.set, fcfg)
 }
 
 // dir returns sub below the scenario's state directory: <StateDir>/<name>,

@@ -9,14 +9,12 @@ import (
 	"disksig/internal/fleet"
 	"disksig/internal/monitor"
 	"disksig/internal/server"
-	"disksig/internal/smart"
 )
 
 // Deployment is everything a scenario needs to stand up servers and
-// shadows: the trained scoring models plus the deployment knobs.
+// shadows: the trained model set plus the deployment knobs.
 type Deployment struct {
-	Models  []monitor.GroupModel
-	Norm    *smart.Normalizer
+	Set     monitor.ModelSet
 	Monitor monitor.Config
 	// Shards and Workers configure the system under test's store; the
 	// shadow always runs with defaults (layout independence is part of

@@ -221,24 +221,21 @@ type Shadow struct {
 	ingested, quarantined int
 }
 
-// NewShadow builds a shadow store. The shard count is free to differ
-// from the system under test — CanonicalState is layout-independent.
-func NewShadow(models []monitor.GroupModel, norm *smart.Normalizer, cfg fleet.Config) (*Shadow, error) {
-	store, err := fleet.New(models, norm, cfg)
+// ShadowFromSet builds a shadow store serving a model set. The shard
+// count is free to differ from the system under test — CanonicalState
+// is layout-independent.
+func ShadowFromSet(set monitor.ModelSet, cfg fleet.Config) (*Shadow, error) {
+	store, err := fleet.FromSet(set, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("loadgen: building shadow store: %w", err)
 	}
 	return &Shadow{store: store}, nil
 }
 
-// NewShadowMulti is NewShadow for class-stamped model sets (mixed
-// HDD+SSD fleets).
-func NewShadowMulti(models []monitor.GroupModel, norms monitor.ClassNorms, cfg fleet.Config) (*Shadow, error) {
-	store, err := fleet.NewMulti(models, norms, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("loadgen: building shadow store: %w", err)
-	}
-	return &Shadow{store: store}, nil
+// NewShadow builds a shadow store over HDD-class group models and their
+// normalizer: ShadowFromSet over a one-class set.
+func NewShadow(models []monitor.GroupModel, norm *smart.Normalizer, cfg fleet.Config) (*Shadow, error) {
+	return ShadowFromSet(monitor.ModelSet{Models: models, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm}}, cfg)
 }
 
 // Apply ingests one batch into the shadow, recording its alerts and

@@ -59,7 +59,7 @@ func TestCompareStatesDetectsDivergence(t *testing.T) {
 	mk := func(shards int) *fleet.Store {
 		cfg := dep.fleetConfig()
 		cfg.Shards = shards
-		s, err := fleet.New(dep.Models, dep.Norm, cfg)
+		s, err := fleet.FromSet(dep.Set, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func TestCompareStatesDetectsDivergence(t *testing.T) {
 
 func TestShadowLedgerAccounting(t *testing.T) {
 	dep := testDeployment(t)
-	sh, err := NewShadow(dep.Models, dep.Norm, fleet.Config{Monitor: dep.Monitor})
+	sh, err := ShadowFromSet(dep.Set, fleet.Config{Monitor: dep.Monitor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestShadowLedgerAccounting(t *testing.T) {
 
 func TestBatchAlertKeysSubmissionOrder(t *testing.T) {
 	dep := testDeployment(t)
-	store, err := fleet.New(dep.Models, dep.Norm, dep.fleetConfig())
+	store, err := fleet.FromSet(dep.Set, dep.fleetConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMergeStatesPartition(t *testing.T) {
 	mk := func(shards int, obs []fleet.Observation) *fleet.Store {
 		cfg := dep.fleetConfig()
 		cfg.Shards = shards
-		s, err := fleet.New(dep.Models, dep.Norm, cfg)
+		s, err := fleet.FromSet(dep.Set, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

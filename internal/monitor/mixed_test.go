@@ -1,11 +1,17 @@
 package monitor
 
 import (
+	"fmt"
 	"testing"
 
 	"disksig/internal/core"
+	"disksig/internal/dataset"
+	"disksig/internal/predict"
 	"disksig/internal/quality"
+	"disksig/internal/regression"
+	"disksig/internal/signature"
 	"disksig/internal/smart"
+	"disksig/internal/tree"
 )
 
 // negPredictor inverts the RRER score, so the same record yields
@@ -15,20 +21,22 @@ type negPredictor struct{}
 
 func (negPredictor) Predict(x []float64) float64 { return -x[smart.RRER] }
 
-// mixedTestModels returns one HDD and one SSD model with deliberately
+// mixedTestSet returns one HDD and one SSD model with deliberately
 // opposite predictors, plus identity-ish per-class normalizers.
-func mixedTestModels() ([]GroupModel, ClassNorms) {
+func mixedTestSet() ModelSet {
 	hdd := testModels()[0]
 	ssd := hdd
 	ssd.Class = smart.SSD
 	ssd.Type = core.BadSector
 	ssd.Predictor = negPredictor{}
-	return []GroupModel{hdd, ssd}, ClassNorms{HDD: testNormalizer(), SSD: testNormalizer()}
+	return ModelSet{
+		Models: []GroupModel{hdd, ssd},
+		Norms:  [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer(), smart.SSD: testNormalizer()},
+	}
 }
 
 func TestIngestClassRoutesToClassModels(t *testing.T) {
-	models, norms := mixedTestModels()
-	m, err := NewMulti(models, norms, Config{Smoothing: 1})
+	m, err := FromSet(mixedTestSet(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +76,7 @@ func TestIngestClassUnservedQuarantined(t *testing.T) {
 }
 
 func TestIngestClassFlipFlopQuarantined(t *testing.T) {
-	models, norms := mixedTestModels()
-	m, err := NewMulti(models, norms, Config{Smoothing: 1})
+	m, err := FromSet(mixedTestSet(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,10 +103,9 @@ func TestIngestClassFlipFlopQuarantined(t *testing.T) {
 // ever passing through Watch or Warning — the alert a mixed fleet's
 // pager must treat as "already dead", not "worth watching".
 func TestSSDCliffStraightToCritical(t *testing.T) {
-	models, norms := mixedTestModels()
 	// Smoothing 1 so the cliff record is not averaged away; the SSD
 	// model scores -RRER, so a healthy drive reports RRER -0.9.
-	m, err := NewMulti(models, norms, Config{Smoothing: 1})
+	m, err := FromSet(mixedTestSet(), Config{Smoothing: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,19 +126,103 @@ func TestSSDCliffStraightToCritical(t *testing.T) {
 	}
 }
 
-func TestModelsFromMixedClassStamping(t *testing.T) {
-	// Guard NewMulti's validation: an SSD model without an SSD
-	// normalizer must be rejected, as must a normalizer-less class set.
-	models, norms := mixedTestModels()
-	if _, err := NewMulti(models, ClassNorms{HDD: testNormalizer()}, Config{}); err == nil {
+// stubCharacterization is a characterization of one class's population
+// with one stump-predicted group per number in groups.
+func stubCharacterization(t *testing.T, norm *smart.Normalizer, groups ...int) *core.Characterization {
+	t.Helper()
+	stump, err := tree.Train([][]float64{{0}, {1}, {0}, {1}}, []float64{0, 1, 0, 1}, tree.Config{MinLeaf: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := &core.Characterization{Dataset: &dataset.Dataset{Norm: norm}}
+	for _, g := range groups {
+		ch.Results = append(ch.Results, &core.GroupResult{
+			Group:      &core.Group{Number: g, Type: core.Logical},
+			Summary:    &signature.GroupSummary{MajorityForm: regression.FormLinear, MedianD: 48},
+			Prediction: &predict.DegradationResult{Tree: stump},
+		})
+	}
+	return ch
+}
+
+// TestSetOfClassStamping: SetOf stamps each characterization's models
+// with the class of its position, orders them by class then group, and
+// takes each class's normalizer; FromSet then rejects a set whose class
+// lacks its normalizer, an empty set and an invalid class.
+func TestSetOfClassStamping(t *testing.T) {
+	hddNorm, ssdNorm := testNormalizer(), testNormalizer()
+	set, err := SetOf(stubCharacterization(t, hddNorm, 1, 2), stubCharacterization(t, ssdNorm, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range set.Models {
+		got = append(got, fmt.Sprintf("%v/%d", m.Class, m.Group))
+	}
+	if want := "[hdd/1 hdd/2 ssd/1]"; fmt.Sprint(got) != want {
+		t.Fatalf("models = %v, want %s", got, want)
+	}
+	if set.Norms[smart.HDD] != hddNorm || set.Norms[smart.SSD] != ssdNorm || set.Version != 0 {
+		t.Fatalf("set norms/version = %v/%d, want each class's normalizer and version 0", set.Norms, set.Version)
+	}
+	if _, err := FromSet(set, Config{}); err != nil {
+		t.Fatal(err)
+	}
+	// A class with no population keeps no models and no normalizer.
+	ssdOnly, err := SetOf(nil, stubCharacterization(t, ssdNorm, 3))
+	if err != nil || len(ssdOnly.Models) != 1 || ssdOnly.Models[0].Class != smart.SSD || ssdOnly.Norms[smart.HDD] != nil {
+		t.Fatalf("SSD-only set = %+v, %v", ssdOnly, err)
+	}
+	if _, err := SetOf(nil, nil, nil); err == nil {
+		t.Error("SetOf accepted more characterizations than device classes")
+	}
+
+	mixed := mixedTestSet()
+	noSSDNorm := mixed
+	noSSDNorm.Norms[smart.SSD] = nil
+	if _, err := FromSet(noSSDNorm, Config{}); err == nil {
 		t.Error("SSD model accepted without SSD normalizer")
 	}
-	if _, err := NewMulti(nil, norms, Config{}); err == nil {
+	if _, err := FromSet(ModelSet{Norms: mixed.Norms}, Config{}); err == nil {
 		t.Error("empty model set accepted")
 	}
-	bad := append([]GroupModel{}, models...)
-	bad[1].Class = smart.DeviceClass(9)
-	if _, err := NewMulti(bad, norms, Config{}); err == nil {
+	bad := mixed
+	bad.Models = append([]GroupModel{}, mixed.Models...)
+	bad.Models[1].Class = smart.DeviceClass(9)
+	if _, err := FromSet(bad, Config{}); err == nil {
 		t.Error("invalid model class accepted")
+	}
+}
+
+// TestModelSetWith: installing a one-class set replaces that class's
+// models and normalizer, keeps the other class's after them, takes the
+// new version, and shares no model slice with either input.
+func TestModelSetWith(t *testing.T) {
+	serving := mixedTestSet()
+	serving.Version = 3
+	hdd := testModels()[0]
+	hdd.Group, hdd.Predictor = 5, negPredictor{}
+	next := ModelSet{
+		Version: 4,
+		Models:  []GroupModel{hdd},
+		Norms:   [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer(), smart.SSD: testNormalizer()},
+	}
+	got := serving.With(next)
+	if got.Version != 4 || len(got.Models) != 2 {
+		t.Fatalf("With = version %d, %d models; want version 4, 2 models", got.Version, len(got.Models))
+	}
+	if got.Models[0].Group != 5 || got.Models[1].Class != smart.SSD || got.Models[1].Type != core.BadSector {
+		t.Fatalf("With models = %+v, want the new HDD group then the serving SSD group", got.Models)
+	}
+	if got.Norms[smart.HDD] != next.Norms[smart.HDD] || got.Norms[smart.SSD] != serving.Norms[smart.SSD] {
+		t.Fatal("With took a normalizer from the wrong set")
+	}
+	got.Models[0].Group = 9
+	if next.Models[0].Group != 5 || serving.Models[0].Group != 1 {
+		t.Fatal("With's result shares a model slice with an input")
+	}
+	// A set that brings every class replaces the serving set whole.
+	if whole := serving.With(mixedTestSet()); len(whole.Models) != 2 || whole.Models[0].Group != 1 {
+		t.Fatalf("whole replacement = %+v", whole.Models)
 	}
 }

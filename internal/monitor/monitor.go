@@ -54,7 +54,7 @@ type GroupModel struct {
 // MinWindowHours is the floor for a group's signature window. A tiny
 // group can characterize with a degenerate MedianD of 0 (every member
 // failed abruptly within one sample), which would make time-to-failure
-// inversion divide by zero and New reject the model set. Such windows
+// inversion divide by zero and FromSet reject the model set. Such windows
 // are clamped here instead of failing fleet startup.
 const MinWindowHours = 24.0
 
@@ -233,43 +233,11 @@ func (l *issueLedger) addField(field string, n int) {
 	l.byField = append(l.byField, fieldCount{field, n})
 }
 
-// ClassNorms bundles the per-class Eq. (1) normalizers of a mixed
-// fleet. A class with no population (and no models) keeps a nil entry;
-// nil-ness is significant and survives gob (struct pointer fields are
-// simply omitted when nil).
-type ClassNorms struct {
-	HDD *smart.Normalizer
-	SSD *smart.Normalizer
-}
-
-// For returns the normalizer of a class (nil when the class is not
-// served).
-func (cn ClassNorms) For(c smart.DeviceClass) *smart.Normalizer {
-	switch c {
-	case smart.HDD:
-		return cn.HDD
-	case smart.SSD:
-		return cn.SSD
-	}
-	return nil
-}
-
-// set returns a copy with class c's normalizer replaced.
-func (cn ClassNorms) set(c smart.DeviceClass, n *smart.Normalizer) ClassNorms {
-	switch c {
-	case smart.HDD:
-		cn.HDD = n
-	case smart.SSD:
-		cn.SSD = n
-	}
-	return cn
-}
-
 // Monitor scores streaming SMART records.
 type Monitor struct {
 	cfg    Config
 	models []GroupModel
-	norms  ClassNorms
+	norms  [smart.NumClasses]*smart.Normalizer
 	// classModels counts models per device class; records of a class
 	// with no models are quarantined rather than silently scored healthy.
 	classModels [smart.NumClasses]int
@@ -309,31 +277,20 @@ type DriveLedger struct {
 	ByField         map[string]int
 }
 
-// New builds a monitor from trained group models and the fleet
-// normalizer used during training. Every model must be HDD-class (the
-// single-class legacy path); use NewMulti for a mixed fleet.
-func New(models []GroupModel, norm *smart.Normalizer, cfg Config) (*Monitor, error) {
-	for _, m := range models {
-		if m.Class != smart.HDD {
-			return nil, fmt.Errorf("monitor: group %d is %v-class; a mixed model set needs NewMulti", m.Group, m.Class)
-		}
-	}
-	return NewMulti(models, ClassNorms{HDD: norm}, cfg)
-}
-
-// NewMulti builds a monitor serving a heterogeneous fleet: models carry
-// their device class, and norms holds one Eq. (1) normalizer per served
-// class. A class is served iff it has at least one model and a fitted
-// normalizer; records of unserved classes are quarantined on ingest.
-func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, error) {
-	if len(models) == 0 {
+// FromSet builds a monitor serving a model set. Every model must carry
+// a valid device class, a predictor and a positive window, and every
+// class with models needs a fitted normalizer. A class is served iff it
+// has at least one model; records of unserved classes are quarantined
+// on ingest.
+func FromSet(set ModelSet, cfg Config) (*Monitor, error) {
+	if len(set.Models) == 0 {
 		return nil, fmt.Errorf("monitor: no group models")
 	}
-	if len(models) > maxModels {
-		return nil, fmt.Errorf("monitor: %d group models, at most %d fit a drive's verdict", len(models), maxModels)
+	if len(set.Models) > maxModels {
+		return nil, fmt.Errorf("monitor: %d group models, at most %d fit a drive's verdict", len(set.Models), maxModels)
 	}
 	var classModels [smart.NumClasses]int
-	for _, m := range models {
+	for _, m := range set.Models {
 		if !m.Class.Valid() {
 			return nil, fmt.Errorf("monitor: group %d has invalid device class %d", m.Group, m.Class)
 		}
@@ -346,88 +303,38 @@ func NewMulti(models []GroupModel, norms ClassNorms, cfg Config) (*Monitor, erro
 		classModels[m.Class]++
 	}
 	for c := smart.DeviceClass(0); c < smart.NumClasses; c++ {
-		n := norms.For(c)
-		if classModels[c] > 0 && (n == nil || !n.Fitted()) {
+		if n := set.Norms[c]; classModels[c] > 0 && (n == nil || !n.Fitted()) {
 			return nil, fmt.Errorf("monitor: %v models without a fitted %v normalizer", c, c)
 		}
 	}
 	return &Monitor{
 		cfg:         cfg.withDefaults(),
-		models:      models,
-		norms:       norms,
+		models:      set.Models,
+		norms:       set.Norms,
 		classModels: classModels,
 		index:       map[int]int32{},
 		normBuf:     make([]float64, smart.NumAttrs),
 	}, nil
 }
 
+// New builds a monitor from HDD-class group models and the normalizer
+// they were trained with: FromSet over a one-class set.
+func New(models []GroupModel, norm *smart.Normalizer, cfg Config) (*Monitor, error) {
+	return FromSet(ModelSet{Models: models, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm}}, cfg)
+}
+
 // maxModels is the largest model set a monitor serves: a slot keeps its
 // worst model's index in 16 bits.
 const maxModels = math.MaxUint16 + 1
 
-// ModelsFromCharacterization extracts the per-group scoring models of a
-// pipeline run that included the prediction stage. It is the hook the
-// fleet store uses to build many monitors (one per shard) from a single
-// training run.
-func ModelsFromCharacterization(ch *core.Characterization) ([]GroupModel, error) {
-	var models []GroupModel
-	for _, gr := range ch.Results {
-		if gr.Prediction == nil {
-			return nil, fmt.Errorf("monitor: group %d has no trained predictor (pipeline ran with SkipPrediction)", gr.Group.Number)
-		}
-		gm := GroupModel{
-			Group:     gr.Group.Number,
-			Type:      gr.Group.Type,
-			Form:      gr.Summary.MajorityForm,
-			WindowD:   float64(gr.Summary.MedianD),
-			Predictor: gr.Prediction.Tree,
-		}
-		if gm.WindowD <= 0 {
-			// A degenerate window (tiny group, abrupt failures) would
-			// fail New's validation and take the whole fleet down with
-			// it; clamp and note instead.
-			gm.Note = fmt.Sprintf("degenerate signature window %v clamped to %v", gm.WindowD, MinWindowHours)
-			gm.WindowD = MinWindowHours
-		}
-		models = append(models, gm)
-	}
-	return models, nil
-}
-
-// ModelsFromMixed extracts the scoring models of a class-partitioned
-// pipeline run, each stamped with its class, along with the per-class
-// normalizers. The combined list is ordered by class then group number,
-// so model sets from the same mixed characterization are always laid
-// out identically.
-func ModelsFromMixed(mc *core.MixedCharacterization) ([]GroupModel, ClassNorms, error) {
-	var models []GroupModel
-	var norms ClassNorms
-	for c := smart.DeviceClass(0); c < smart.NumClasses; c++ {
-		ch := mc.ByClass[c]
-		if ch == nil {
-			continue
-		}
-		cms, err := ModelsFromCharacterization(ch)
-		if err != nil {
-			return nil, ClassNorms{}, fmt.Errorf("monitor: %v models: %w", c, err)
-		}
-		for i := range cms {
-			cms[i].Class = c
-		}
-		models = append(models, cms...)
-		norms = norms.set(c, ch.Dataset.Norm)
-	}
-	return models, norms, nil
-}
-
 // FromCharacterization builds a monitor directly from a pipeline run that
 // included the prediction stage.
 func FromCharacterization(ch *core.Characterization, cfg Config) (*Monitor, error) {
-	models, err := ModelsFromCharacterization(ch)
+	set, err := SetOf(ch)
 	if err != nil {
 		return nil, err
 	}
-	return New(models, ch.Dataset.Norm, cfg)
+	return FromSet(set, cfg)
 }
 
 // Ingest scores one raw (vendor health-value) record of a drive. It
@@ -443,22 +350,16 @@ func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
 	return a
 }
 
-// IngestKept scores one record like Ingest and additionally reports
-// whether the record was kept — it entered (or, for a repeated hour,
-// replaced the tail of) the smoothing window — as opposed to being
-// quarantined or dropped. Callers that retain raw telemetry for
-// retraining use the kept flag to mirror exactly the records that
-// shaped monitor state.
-func (m *Monitor) IngestKept(driveID int, rec smart.Record) (*Alert, bool) {
-	return m.IngestClass(driveID, smart.HDD, rec)
-}
-
-// IngestClass is IngestKept with an explicit device class: the record is
+// IngestClass is Ingest with an explicit device class: the record is
 // normalized with its class's normalizer and scored only against models
 // of that class. Records of a class the monitor has no models for, and
 // records that contradict the class a drive first reported with, are
 // quarantined (a serial cannot change hardware mid-stream; one of the
-// two reports is corrupt).
+// two reports is corrupt). It also reports whether the record was kept
+// — it entered (or, for a repeated hour, replaced the tail of) the
+// smoothing window — as opposed to being quarantined or dropped, so a
+// caller that retains raw telemetry for retraining mirrors exactly the
+// records that shaped monitor state.
 func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
 	si := m.slotOf(driveID)
 	s := &m.slots[si]
@@ -537,7 +438,7 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	s.seen = true
 	s.lastHour = rec.Hour
 
-	norm := m.norms.For(class)
+	norm := m.norms[class]
 	for a := range m.normBuf {
 		m.normBuf[a] = norm.NormalizeValue(smart.Attr(a), rec.Values[a])
 	}

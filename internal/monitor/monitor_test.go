@@ -70,20 +70,19 @@ func TestNewValidation(t *testing.T) {
 }
 
 // TestModelSetFitsVerdictIndex: a slot keeps its worst model's index in
-// 16 bits, so NewMulti rejects a larger model set, and the last index of
+// 16 bits, so FromSet rejects a larger model set, and the last index of
 // the largest accepted set still names its model.
 func TestModelSetFitsVerdictIndex(t *testing.T) {
 	models := make([]GroupModel, maxModels+1)
 	for i := range models {
 		models[i] = testModels()[0]
 	}
-	norms := ClassNorms{HDD: testNormalizer()}
-	if _, err := NewMulti(models, norms, Config{}); err == nil {
-		t.Fatalf("NewMulti accepted %d models", len(models))
+	if _, err := New(models, testNormalizer(), Config{}); err == nil {
+		t.Fatalf("New accepted %d models", len(models))
 	}
 	models = models[:maxModels]
 	models[maxModels-1].Group, models[maxModels-1].Predictor = 7, negPredictor{}
-	m, err := NewMulti(models, norms, Config{})
+	m, err := New(models, testNormalizer(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 type referenceMonitor struct {
 	cfg         Config
 	models      []GroupModel
-	norms       ClassNorms
+	norms       [smart.NumClasses]*smart.Normalizer
 	classModels [smart.NumClasses]int
 	drives      map[int]*referenceDrive
 	ledgers     map[int]*DriveLedger
@@ -36,17 +36,17 @@ type referenceDrive struct {
 	recent   [][]float64
 }
 
-// newReference builds a reference over a model set NewMulti accepted.
-func newReference(models []GroupModel, norms ClassNorms, cfg Config) *referenceMonitor {
+// newReference builds a reference over a model set FromSet accepted.
+func newReference(set ModelSet, cfg Config) *referenceMonitor {
 	r := &referenceMonitor{
 		cfg:     cfg.withDefaults(),
-		models:  models,
-		norms:   norms,
+		models:  set.Models,
+		norms:   set.Norms,
 		drives:  map[int]*referenceDrive{},
 		ledgers: map[int]*DriveLedger{},
 		normBuf: make([]float64, smart.NumAttrs),
 	}
-	for _, m := range models {
+	for _, m := range set.Models {
 		r.classModels[m.Class]++
 	}
 	return r
@@ -136,7 +136,7 @@ func (r *referenceMonitor) IngestClass(driveID int, class smart.DeviceClass, rec
 	}
 	st.seen = true
 	st.lastHour = rec.Hour
-	normalized := r.norms.For(class).Normalize(rec.Values)
+	normalized := r.norms[class].Normalize(rec.Values)
 	copy(r.normBuf, normalized[:])
 	for gi, gm := range r.models {
 		if gm.Class != class {
@@ -333,19 +333,20 @@ func (p attrPredictor) Predict(x []float64) float64 { return 1 - 2*x[p.attr] }
 
 // differentialModels returns two HDD models and, when mixed, one SSD
 // model, each scoring a different attribute.
-func differentialModels(mixed bool) ([]GroupModel, ClassNorms) {
+func differentialModels(mixed bool) ModelSet {
 	hdd := testModels()[0]
 	hdd2 := hdd
 	hdd2.Group, hdd2.Type, hdd2.Predictor = 2, core.BadSector, attrPredictor{smart.Attr(1)}
 	models := []GroupModel{hdd, hdd2}
-	norms := ClassNorms{HDD: testNormalizer()}
+	set := ModelSet{Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer()}}
 	if mixed {
 		ssd := hdd
 		ssd.Class, ssd.Group, ssd.Type, ssd.Predictor = smart.SSD, 1, core.ReadWriteHead, attrPredictor{smart.Attr(2)}
 		models = append(models, ssd)
-		norms.SSD = testNormalizer()
+		set.Norms[smart.SSD] = testNormalizer()
 	}
-	return models, norms
+	set.Models = models
+	return set
 }
 
 // TestSlotTableMatchesReference drives the slot-table monitor and the
@@ -368,13 +369,13 @@ func TestSlotTableMatchesReference(t *testing.T) {
 		{true, 3, 1}, {true, 1, 2}, {false, 3, 3}, {true, 5, 4},
 	} {
 		t.Run(fmt.Sprintf("mixed=%v/smoothing=%d/seed=%d", tc.mixed, tc.smoothing, tc.seed), func(t *testing.T) {
-			models, norms := differentialModels(tc.mixed)
+			set := differentialModels(tc.mixed)
 			cfg := Config{Smoothing: tc.smoothing}
-			m, err := NewMulti(models, norms, cfg)
+			m, err := FromSet(set, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			differential(t, m, newReference(models, norms, cfg), tc.seed, 1500)
+			differential(t, m, newReference(set, cfg), tc.seed, 1500)
 		})
 	}
 }

@@ -36,6 +36,16 @@ type ModelArtifact struct {
 	Notes []string
 }
 
+// Set returns the artifact's model set. A retrained artifact carries
+// HDD models only, so its set has the HDD normalizer alone.
+func (art *ModelArtifact) Set() monitor.ModelSet {
+	return monitor.ModelSet{
+		Version: art.Version,
+		Models:  art.Models,
+		Norms:   [smart.NumClasses]*smart.Normalizer{smart.HDD: art.Norm},
+	}
+}
+
 // models.bin is a sealed container (container.go) under the magic
 // "DSKMODL\x01" with the fixed header
 //
@@ -105,18 +115,24 @@ func LoadModels(dir string) (*ModelArtifact, error) {
 }
 
 // Promote makes a retrained model set the store's serving one,
-// crash-consistently: the artifact is committed to models.bin first,
-// then the swap runs inside SnapshotWith's exclusive gate, so the
-// snapshot after a promotion carries the promoted version and no WAL
-// frame crosses the swap. A crash between the two commits leaves
-// models.bin one version ahead of the snapshot, for the boot path to
-// re-apply.
+// crash-consistently. Everything runs inside SnapshotWith's exclusive
+// gate: the store first decides whether it takes the set (CheckSwap),
+// so a version that is not newer, or a set the store's validation
+// rejects, commits nothing. Then the artifact is committed to
+// models.bin, the store swaps, and the snapshot after the swap carries
+// the promoted version, so no WAL frame crosses the swap. A crash
+// between the two commits leaves models.bin one version ahead of the
+// snapshot, and Restore finishes the promotion.
 func (m *Manager) Promote(store *fleet.Store, art *ModelArtifact) error {
-	if _, err := SaveModels(m.dir, art); err != nil {
-		return err
-	}
+	set := art.Set()
 	_, err := m.SnapshotWith(store, func() error {
-		return store.SwapModels(art.Models, art.Norm, art.Version)
+		if err := store.CheckSwap(set); err != nil {
+			return err
+		}
+		if _, err := SaveModels(m.dir, art); err != nil {
+			return err
+		}
+		return store.SwapModels(set)
 	})
 	return err
 }

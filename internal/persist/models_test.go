@@ -1,12 +1,15 @@
 package persist
 
 import (
+	"encoding/gob"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"disksig/internal/fleet"
+	"disksig/internal/monitor"
+	"disksig/internal/smart"
 )
 
 func testArtifact(version int) *ModelArtifact {
@@ -132,7 +135,7 @@ func TestSnapshotWithSwap(t *testing.T) {
 	next := []fleet.Observation{{Serial: "SER-1", Record: record(5, 0.9)}}
 
 	if _, err := mgr.SnapshotWith(store, func() error {
-		return store.SwapModels(testModels(), testNormalizer(), 2)
+		return store.SwapModels(testArtifact(2).Set())
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +160,7 @@ func TestSnapshotWithSwap(t *testing.T) {
 	// A failing mutate aborts the snapshot: nothing newer is committed,
 	// and a restore still sees the promoted version from before.
 	if _, err := mgr.SnapshotWith(store, func() error {
-		return store.SwapModels(testModels(), testNormalizer(), 2) // refused: not newer
+		return store.SwapModels(testArtifact(2).Set()) // refused: not newer
 	}); err == nil {
 		t.Fatal("SnapshotWith committed despite a failing mutate")
 	}
@@ -205,5 +208,121 @@ func TestPromote(t *testing.T) {
 	}
 	if v := restored.ModelVersion(); v != 2 {
 		t.Fatalf("restored ModelVersion = %d, want 2", v)
+	}
+}
+
+// shiftPredictor scores records by one attribute's value plus an offset:
+// a retrained model whose verdicts differ from scalePredictor's, so a
+// record scored under the wrong version shows in the drive's state.
+type shiftPredictor struct {
+	Attr int
+	Off  float64
+}
+
+func (p shiftPredictor) Predict(x []float64) float64 { return x[p.Attr] + p.Off }
+
+func init() { gob.Register(shiftPredictor{}) }
+
+// shiftedArtifact is a version-v artifact whose model scores 0.4 lower
+// than testModels' and whose training fingerprint is fp.
+func shiftedArtifact(v int, fp string) *ModelArtifact {
+	art := testArtifact(v)
+	art.Fingerprint = fp
+	art.Models = testModels()
+	art.Models[0].Predictor = shiftPredictor{Attr: int(smart.RRER), Off: -0.4}
+	return art
+}
+
+// TestPromoteRefusedCommitsNothing: a promotion the store refuses — a
+// version that is not newer, or a set that fails the store's
+// validation — leaves models.bin holding the promoted artifact and adds
+// no snapshot. Two retrain cycles can race to the same candidate
+// version, so the first case is reachable in production.
+func TestPromoteRefusedCommitsNothing(t *testing.T) {
+	dir := t.TempDir()
+	mgr, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	store := testStore(t, fleet.Config{Shards: 2})
+	store.Ingest("SER-1", record(0, 0.9))
+	if err := mgr.Promote(store, shiftedArtifact(2, "first")); err != nil {
+		t.Fatal(err)
+	}
+
+	invalid := shiftedArtifact(3, "invalid")
+	invalid.Norm = nil
+	for _, art := range []*ModelArtifact{shiftedArtifact(2, "second"), invalid} {
+		if err := mgr.Promote(store, art); err == nil {
+			t.Fatalf("promotion of %s v%d succeeded", art.Fingerprint, art.Version)
+		}
+		if got, err := LoadModels(dir); err != nil || got.Fingerprint != "first" {
+			t.Fatalf("after refusing %s: models.bin holds %+v (%v), want the first artifact", art.Fingerprint, got, err)
+		}
+		if st := mgr.Stats(); st.Snapshots != 1 || store.ModelVersion() != 2 {
+			t.Fatalf("after refusing %s: %d snapshots, serving v%d; want 1 and v2", art.Fingerprint, st.Snapshots, store.ModelVersion())
+		}
+	}
+}
+
+// TestRestoreFinishesInterruptedPromotion: a crash between Promote's two
+// commits leaves a v1 snapshot and a v2 models.bin. Restore swaps v2 in
+// under the snapshot gate, so the batches served next land in a new WAL
+// epoch, and a second crash replays them under v2: the store comes back
+// exactly as it was served.
+func TestRestoreFinishesInterruptedPromotion(t *testing.T) {
+	dir := t.TempDir()
+	cfg := fleet.Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}}
+	batches := dirtyBatches(20, 16, 20)
+	mgr, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := testStore(t, cfg)
+	for _, b := range batches[:8] {
+		store.IngestBatch(b)
+	}
+	if _, err := mgr.Snapshot(store); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := SaveModels(dir, shiftedArtifact(2, "promoted")); err != nil {
+		t.Fatal(err)
+	}
+	mgr.Close() // the crash: the swap and its snapshot never happened
+
+	mgr1, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	served, rec, err := mgr1.Restore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ReappliedVersion != 2 || served.ModelVersion() != 2 {
+		t.Fatalf("first boot: re-applied v%d, serving v%d; want v2 for both", rec.ReappliedVersion, served.ModelVersion())
+	}
+	for _, b := range batches[8:16] {
+		if _, _, err := mgr1.LogBatch(b, func() fleet.BatchResult { return served.IngestBatch(b) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := canonical(served.ExportState())
+	mgr1.Close() // the second crash
+
+	mgr2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr2.Close()
+	got, rec2, err := mgr2.Restore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec2.ReappliedVersion != 0 || rec2.WALBatches != 8 {
+		t.Fatalf("second boot: re-applied v%d, replayed %d batches; want none and 8", rec2.ReappliedVersion, rec2.WALBatches)
+	}
+	if !reflect.DeepEqual(want, canonical(got.ExportState())) {
+		t.Fatal("the second restore differs from the served state")
 	}
 }

@@ -153,6 +153,10 @@ type Recovery struct {
 	// Replayed merges the per-batch quality ledgers of the replay.
 	Quality  quality.Report
 	Replayed quality.Report
+	// ReappliedVersion is the version of a models.bin artifact newer
+	// than the snapshot, which Restore swapped in to finish an
+	// interrupted promotion; 0 when there was none.
+	ReappliedVersion int
 }
 
 // String summarizes the recovery for startup logs.
@@ -164,6 +168,9 @@ func (r *Recovery) String() string {
 	}
 	if r.TornTail {
 		s += fmt.Sprintf("; quarantined torn WAL tail (%d bytes)", r.DroppedBytes)
+	}
+	if r.ReappliedVersion > 0 {
+		s += fmt.Sprintf("; re-applied promoted model artifact v%d", r.ReappliedVersion)
 	}
 	return s
 }
@@ -340,7 +347,37 @@ func (m *Manager) resetWALLocked(epoch uint64) error {
 // configuration and trained models come from the snapshot. The manager
 // stays open for appends afterwards: a torn WAL tail is truncated away
 // so subsequent LogBatch appends start at the last good record.
+//
+// A models.bin newer than the restored store is what a crash between
+// Promote's two commits leaves. Restore finishes that promotion as
+// Promote would have: it swaps inside SnapshotWith's gate, so the
+// frames served under the promoted version start a new WAL epoch and a
+// second crash replays them under that version. A models.bin that
+// cannot be read fails the restore.
 func (m *Manager) Restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
+	store, rec, err := m.restore(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	art, err := LoadModels(m.dir)
+	switch {
+	case os.IsNotExist(err):
+		return store, rec, nil
+	case err != nil:
+		return nil, nil, fmt.Errorf("persist: loading model artifact: %w (move it aside to serve the snapshot's models)", err)
+	case art.Version <= store.ModelVersion():
+		return store, rec, nil
+	}
+	if _, err := m.SnapshotWith(store, func() error { return store.SwapModels(art.Set()) }); err != nil {
+		return nil, nil, fmt.Errorf("persist: re-applying model artifact v%d: %w", art.Version, err)
+	}
+	rec.ReappliedVersion = art.Version
+	return store, rec, nil
+}
+
+// restore is Restore up to the model artifact: the snapshot and the
+// WAL replay, under the gate.
+func (m *Manager) restore(cfg fleet.Config) (*fleet.Store, *Recovery, error) {
 	m.gate.Lock()
 	defer m.gate.Unlock()
 

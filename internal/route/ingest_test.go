@@ -196,7 +196,9 @@ func TestRouterAckModelVersion(t *testing.T) {
 	_, ts := startRouter(t, m, nil)
 	swap := func(n testNode, version int) {
 		t.Helper()
-		if err := n.store.SwapModels(n.store.Models(), testNormalizer(), version); err != nil {
+		set := n.store.ModelSet()
+		set.Version = version
+		if err := n.store.SwapModels(set); err != nil {
 			t.Fatal(err)
 		}
 	}

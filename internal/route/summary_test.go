@@ -28,8 +28,8 @@ func mixedStore(t testing.TB) *fleet.Store {
 			WindowD: 12, Predictor: rampPredictor{}}
 	}
 	models := []monitor.GroupModel{model(smart.HDD, core.Logical), model(smart.SSD, core.BadSector)}
-	s, err := fleet.NewMulti(models, monitor.ClassNorms{HDD: testNormalizer(), SSD: testNormalizer()},
-		fleet.Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}})
+	set := monitor.ModelSet{Models: models, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: testNormalizer(), smart.SSD: testNormalizer()}}
+	s, err := fleet.FromSet(set, fleet.Config{Shards: 2, Monitor: monitor.Config{Smoothing: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

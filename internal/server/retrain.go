@@ -75,13 +75,16 @@ func (s *Server) handleRetrain(w http.ResponseWriter, r *http.Request) {
 
 // handleModelStatus reports the serving model set (GET
 // /v1/models/status): active version, per-group model metadata
-// including training-quality notes, and the last retraining cycle's
-// outcome when one has run.
+// including device class and training-quality notes, and the last
+// retraining cycle's outcome when one has run. The version and groups
+// come from one read of the set, so a concurrent swap cannot pair one
+// version's groups with another's number.
 func (s *Server) handleModelStatus(w http.ResponseWriter, r *http.Request) {
-	models := s.store.Models()
-	groups := make([]map[string]any, len(models))
-	for i, gm := range models {
+	set := s.store.ModelSet()
+	groups := make([]map[string]any, len(set.Models))
+	for i, gm := range set.Models {
 		g := map[string]any{
+			"class":        gm.Class.String(),
 			"group":        gm.Group,
 			"type":         gm.Type.String(),
 			"window_hours": gm.WindowD,
@@ -92,7 +95,7 @@ func (s *Server) handleModelStatus(w http.ResponseWriter, r *http.Request) {
 		groups[i] = g
 	}
 	doc := map[string]any{
-		"active_version":  s.store.ModelVersion(),
+		"active_version":  set.Version,
 		"groups":          groups,
 		"retrain_enabled": s.cfg.Retrain != nil,
 	}

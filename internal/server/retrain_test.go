@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"disksig/internal/fleet"
 	"disksig/internal/learn"
 	"disksig/internal/monitor"
+	"disksig/internal/smart"
 )
 
 func TestModelStatusWithoutRetrainer(t *testing.T) {
@@ -45,6 +47,51 @@ func TestModelStatusWithoutRetrainer(t *testing.T) {
 	resp2.Body.Close()
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("retrain without retrainer = %d, want 404", resp2.StatusCode)
+	}
+}
+
+// TestModelStatusMixedStore: each group carries its device class, so a
+// mixed fleet's two "group 1"s are told apart, and the version and
+// groups reported after a one-class swap come from the one new set.
+func TestModelStatusMixedStore(t *testing.T) {
+	models, norm := testModels()
+	ssd := models[0]
+	ssd.Class, ssd.Type = smart.SSD, core.BadSector
+	store, err := fleet.FromSet(monitor.ModelSet{
+		Models: append(models, ssd),
+		Norms:  [smart.NumClasses]*smart.Normalizer{smart.HDD: norm, smart.SSD: norm},
+	}, fleet.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(New(store, Config{}).Handler())
+	defer ts.Close()
+	status := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/models/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		doc := decodeJSON(t, resp.Body)
+		out := fmt.Sprintf("v%v", doc["active_version"])
+		for _, g := range doc["groups"].([]any) {
+			gm := g.(map[string]any)
+			out += fmt.Sprintf(" %v/%v/%v", gm["class"], gm["group"], gm["type"])
+		}
+		return out
+	}
+	if got, want := status(), "v1 hdd/1/logical ssd/1/bad-sector"; got != want {
+		t.Fatalf("status = %q, want %q", got, want)
+	}
+	hdd := models[0]
+	hdd.Type = core.ReadWriteHead
+	next := monitor.ModelSet{Version: 2, Models: []monitor.GroupModel{hdd}, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm}}
+	if err := store.SwapModels(next); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := status(), "v2 hdd/1/read/write-head ssd/1/bad-sector"; got != want {
+		t.Fatalf("status after an HDD-only swap = %q, want %q", got, want)
 	}
 }
 

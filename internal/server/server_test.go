@@ -536,7 +536,7 @@ func TestInfiniteDegradationRendersNull(t *testing.T) {
 	}
 	resp.Body.Close()
 	models, norm := testModels()
-	if err := srv.store.SwapModels(models, norm, 2); err != nil {
+	if err := srv.store.SwapModels(monitor.ModelSet{Version: 2, Models: models, Norms: [smart.NumClasses]*smart.Normalizer{smart.HDD: norm}}); err != nil {
 		t.Fatal(err)
 	}
 
