@@ -173,7 +173,7 @@ func main() {
 
 	ctx := context.Background()
 	rep := &loadgen.Report{Schema: "disksig/loadgen/v1", Seed: *seed, Scale: scale.String()}
-	run := func(name string, f scenarioFunc) *loadgen.ScenarioReport {
+	run := func(name string, f scenarioFunc, cfg loadgen.ScenarioConfig) *loadgen.ScenarioReport {
 		start := time.Now()
 		sr, err := f(ctx, dep, cfg)
 		if err != nil {
@@ -187,14 +187,17 @@ func main() {
 		if !selected[sc.name] && !selected["all"] {
 			continue
 		}
-		a := run(sc.name, sc.run)
+		a := run(sc.name, sc.run, cfg)
 		if sc.name != "steady" || !*double {
 			continue
 		}
 		// The determinism proof: an independent second run — fresh
-		// server, fresh shadow, same seed — must replay byte-identical
-		// requests and land on a byte-identical fleet summary.
-		b := run(sc.name, sc.run)
+		// server, fresh shadow, same seed, and the first run's pass count,
+		// which under -soak depends on the wall clock — must replay
+		// byte-identical requests and land on a byte-identical fleet summary.
+		rerun := cfg
+		rerun.Passes, rerun.SoakFor = len(a.Phases), 0
+		b := run(sc.name, sc.run, rerun)
 		b.Name = "steady-rerun"
 		var detErr error
 		if a.WorkloadFingerprint != b.WorkloadFingerprint {

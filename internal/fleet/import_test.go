@@ -124,3 +124,38 @@ func TestImportEntriesKeepsMaxHourSurplus(t *testing.T) {
 		t.Fatalf("imported MaxHour = %d,%v, want 500", h, ok)
 	}
 }
+
+// Serials lists exactly the drives ExportState exports, quarantine-only
+// drives included and removed ones not, and an export filtered by
+// serials holds just the named drives the store has, as the full export
+// holds them.
+func TestSerialsAndFilteredExport(t *testing.T) {
+	s := testStore(t, Config{Shards: 4})
+	if got := s.Serials(); got == nil || len(got) != 0 {
+		t.Fatalf("empty store lists %#v, want []", got)
+	}
+	s.IngestBatch(dirtyFleetStream(20, 6))
+	s.Ingest("QONLY", nonFiniteRecord(3))
+	s.Remove("SN0001")
+	full := s.ExportState()
+	var want []string
+	entries := map[string]DriveEntry{}
+	for _, e := range full.Drives {
+		want = append(want, e.Serial)
+		entries[e.Serial] = e
+	}
+	if got := s.Serials(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Serials() = %v, ExportState() exports %v", got, want)
+	}
+
+	sub := s.ExportState("SN0002", "QONLY", "SN0001", "NOPE")
+	if len(sub.Drives) != 2 || !reflect.DeepEqual(sub.Drives, []DriveEntry{entries["QONLY"], entries["SN0002"]}) {
+		t.Fatalf("filtered export holds %+v, want QONLY and SN0002 as exported in full", sub.Drives)
+	}
+	if !reflect.DeepEqual(sub.ModelSet(), full.ModelSet()) || sub.MaxHour != full.MaxHour || !sub.HasHour {
+		t.Fatal("filtered export lost the store's model set or max hour")
+	}
+	if sub.Quality.RowsRead != 0 {
+		t.Fatalf("filtered export carries a fleet ledger of %d rows", sub.Quality.RowsRead)
+	}
+}

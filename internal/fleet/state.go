@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 
 	"disksig/internal/monitor"
@@ -48,7 +49,8 @@ type State struct {
 	// Drives holds per-drive state sorted by ascending serial.
 	Drives []DriveEntry
 	// Quality is the merged fleet ledger, kept as a restore-time
-	// checksum: the per-drive ledgers must sum back to it.
+	// checksum: the per-drive ledgers must sum back to it. A filtered
+	// export leaves it zero; ImportEntries does not read it.
 	Quality quality.Report
 	// MaxHour/HasHour preserve the fleet's newest observed hour, which
 	// can exceed every tracked drive's LastHour (a quarantined record
@@ -61,8 +63,17 @@ type State struct {
 // collecting shards in parallel. Each shard is locked while it is
 // copied, but the export is not a fleet-wide atomic cut: the caller
 // must quiesce ingestion (the persistence layer's snapshot gate does)
-// if a consistent point-in-time image is required.
-func (s *Store) ExportState() *State {
+// if a consistent point-in-time image is required. Given serials, it
+// exports only those of them the store holds: the source side of a
+// shard handoff.
+func (s *Store) ExportState(serials ...string) *State {
+	var only map[string]bool
+	if len(serials) > 0 {
+		only = make(map[string]bool, len(serials))
+		for _, serial := range serials {
+			only[serial] = true
+		}
+	}
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
 	st := &State{
@@ -79,7 +90,7 @@ func (s *Store) ExportState() *State {
 		drives := sh.mon.ExportDrives()
 		entries := make([]DriveEntry, 0, len(sh.ids))
 		for serial, id := range sh.ids {
-			if ds, ok := drives[id]; ok {
+			if ds, ok := drives[id]; ok && (only == nil || only[serial]) {
 				e := DriveEntry{Serial: serial, State: ds}
 				if sh.histCap > 0 && len(sh.history[id]) > 0 {
 					e.History = append([]smart.Record(nil), sh.history[id]...)
@@ -93,9 +104,26 @@ func (s *Store) ExportState() *State {
 		st.Drives = append(st.Drives, entries...)
 	}
 	sortDriveEntries(st.Drives)
-	st.Quality = s.Quality()
+	if only == nil {
+		st.Quality = s.Quality()
+	}
 	st.MaxHour, st.HasHour = s.MaxHour()
 	return st
+}
+
+// Serials returns the serials of the drives ExportState exports,
+// sorted, without copying their state.
+func (s *Store) Serials() []string {
+	out := []string{}
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		for serial := range sh.ids {
+			out = append(out, serial)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Strings(out)
+	return out
 }
 
 // ModelSet returns the model set the state was exported under.
@@ -199,14 +227,18 @@ func Restore(st *State, cfg Config) (*Store, error) {
 
 // ImportEntries merges an exported State's drives into a live store —
 // the receive side of a shard handoff. Unlike Restore it does not build
-// a fresh store: the receiving store keeps its own models, normalizer
-// and monitor configuration (a handoff moves drive state between
-// identically-trained nodes), and each drive's monitor state and
-// quality-ledger contribution land exactly as exported, so the drive
-// scores its next record as if it had never moved. The state's MaxHour
-// surplus is absorbed too (a quarantined record can advance telemetry
-// time past every surviving drive's LastHour, and eviction must not
-// rejuvenate on a move).
+// a fresh store: the receiving store keeps its own model set and
+// monitor configuration, and each drive's quality-ledger contribution,
+// severity, last hour and retraining history land exactly as exported.
+// The drive's score windows land too only when the state's model set
+// (version, models and normalizers) equals the store's: nodes retrain
+// and promote independently, so two nodes can serve different sets,
+// even under one version number, and scores from different sets must
+// never be median-filtered together. Otherwise the windows reset, as
+// SwapModels resets them, and the drive re-enters its smoothing ramp
+// under the store's models. The state's MaxHour surplus is absorbed too
+// (a quarantined record can advance telemetry time past every surviving
+// drive's LastHour, and eviction must not rejuvenate on a move).
 //
 // A serial that is already tracked is an error: the import aborts at the
 // offending entry, leaving earlier entries imported (the merge is
@@ -222,6 +254,7 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 	if len(st.Drives) > 0 && !st.HasHour {
 		return 0, fmt.Errorf("fleet: importing: state has %d drives but no max hour", len(st.Drives))
 	}
+	sameSet := reflect.DeepEqual(st.ModelSet(), s.set)
 	perShard := make([][]DriveEntry, len(s.shards))
 	seen := make(map[string]bool, len(st.Drives))
 	for _, e := range st.Drives {
@@ -248,7 +281,11 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 				return imported, fmt.Errorf("fleet: importing: serial %q already tracked", e.Serial)
 			}
 			id := sh.assign(e.Serial)
-			if err := sh.mon.ImportDrive(id, e.State); err != nil {
+			ds := e.State
+			if ds.Tracked && !sameSet {
+				ds.Recent = make([][]float64, len(s.set.Models))
+			}
+			if err := sh.mon.ImportDrive(id, ds); err != nil {
 				sh.release(id)
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing drive %s: %w", e.Serial, err)

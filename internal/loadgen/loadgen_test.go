@@ -288,10 +288,11 @@ func TestDriverRetriesShedBatches(t *testing.T) {
 	}
 }
 
-// TestScenariosEndToEnd runs all three scripted scenarios over real
-// trained models (the diskload path) and requires every check to pass —
-// and the steady scenario to be bit-deterministic across two
-// independent runs.
+// TestScenariosEndToEnd runs every scripted scenario over real trained
+// models (the diskload path) and requires every check to pass, the
+// steady scenario to be bit-deterministic across two independent runs,
+// and each scenario's deterministic fields to match the committed
+// golden file (testdata/scenarios.golden.json; -update rewrites it).
 func TestScenariosEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario suite in -short mode")
@@ -425,6 +426,7 @@ func TestScenariosEndToEnd(t *testing.T) {
 	if err := rep.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
+	checkScenarioGoldens(t, rep.Scenarios)
 }
 
 func TestPacingIntervalPacesSteady(t *testing.T) {

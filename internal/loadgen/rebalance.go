@@ -68,11 +68,10 @@ func (h *RouterHarness) Stop(ctx context.Context) error {
 // three different shard counts) behind a router absorb the workload,
 // then a fourth node joins and the router live-migrates its share of
 // the keyspace mid-stream, then the first node drains out the same way.
-// Both handoffs run concurrently with ingest — filler traffic keeps
-// flowing until each migration's epoch flip lands, so the copy gate and
-// dual-write window are genuinely exercised — while a poller reads
-// known serials through the router and must never see a failure. The
-// scenario passes only if the merged post-drain cluster state matches
+// Both handoffs run concurrently with a scheduled chunk of ingest, so
+// the copy gate and dual-write window see live traffic, while a poller
+// reads known serials through the router and must never see a failure.
+// The scenario passes only if the merged post-drain cluster state matches
 // an in-process shadow record-for-record (MergeStates proves the nodes
 // partition the fleet: a serial on two nodes is a split-brain failure),
 // the alert multiset matches, the drained node is empty, and the map
@@ -119,8 +118,8 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 			Map:        m1,
 			ProbeEvery: 50 * time.Millisecond,
 			GateWait:   30 * time.Second,
-			// The dwell needs at least 20 dual-written records before the
-			// epoch flips; the filler loop below guarantees they arrive.
+			// The dwell waits for 20 dual-written records before the epoch
+			// flips, or DualWriteMax once the scheduled chunk is spent.
 			DualWriteMin: 20,
 			DualWriteMax: 2 * time.Second,
 			Log:          dep.Log,
@@ -173,13 +172,8 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 		poll.start()
 		r.atExit(func() { poll.stop() })
 
-		// runMigration kicks off the handoff over HTTP and drives traffic at
-		// the router until it completes: first the scheduled chunk, then —
-		// if the migration is still running — filler workloads with fresh
-		// serials (also applied to the shadow, so every comparison still
-		// holds). The filler is what guarantees the handoff overlaps live
-		// ingest instead of racing an idle router, and it feeds the
-		// dual-write dwell its minimum record count.
+		// runMigration starts the handoff over HTTP, sends the scheduled
+		// chunk through the router while it runs, and waits for it.
 		runMigration := func(tag string, m *route.Map, chunk [][]*Batch) (*route.RebalanceStats, error) {
 			done := make(chan struct{})
 			var stats *route.RebalanceStats
@@ -188,24 +182,12 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 				defer close(done)
 				stats, rbErr = rebalanceHTTP(ctx, rh.URL, m)
 			}()
-			if _, err := r.phase(tag, chunk); err != nil {
-				<-done
+			_, err := r.phase(tag, chunk)
+			<-done
+			if err != nil {
 				return nil, err
 			}
-			for i := 0; ; i++ {
-				fq := wl.WithSuffix(fmt.Sprintf("-%s-f%d", tag, i)).Split(r.clients)
-				for ci, fc := range ChunkQueues(fq, 4) {
-					select {
-					case <-done:
-						return stats, rbErr
-					default:
-					}
-					if _, err := r.phase(fmt.Sprintf("%s-filler%d.%d", tag, i, ci), fc); err != nil {
-						<-done
-						return nil, err
-					}
-				}
-			}
+			return stats, rbErr
 		}
 
 		// Join: node-d comes up empty, the map advances to epoch 2 with four

@@ -134,7 +134,7 @@ type FailoverReport struct {
 // proxy overhead against a direct node connection.
 type RebalanceReport struct {
 	// Join and Drain measure each migration: serials bulk-copied,
-	// (source, target) transfer streams, records captured by the
+	// (source, target) transfer images, records captured by the
 	// dual-write window, and wall-clock time.
 	JoinMs          float64 `json:"join_ms"`
 	JoinMoved       int     `json:"join_moved"`

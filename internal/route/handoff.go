@@ -6,32 +6,20 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net/http"
-	"strconv"
 	"time"
 
-	"disksig/internal/fleet"
-	"disksig/internal/persist"
-	"disksig/internal/quality"
+	"disksig/internal/wire"
 )
 
 // errRebalanceBusy is returned when a migration is already in flight.
 var errRebalanceBusy = errors.New("route: a rebalance is already in progress")
 
-// transferChunkBytes is the handoff stream's chunk size. Small enough
-// that a torn connection resumes cheaply, big enough that a realistic
-// shard image moves in a handful of requests.
-const transferChunkBytes = 256 << 10
-
-var transferCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // RebalanceStats summarizes a completed map migration.
 type RebalanceStats struct {
 	Epoch      uint64  `json:"epoch"`
 	Moved      int     `json:"moved"`     // serials that changed owner
-	Transfers  int     `json:"transfers"` // (source, target) streams
+	Transfers  int     `json:"transfers"` // (source, target) images
 	DualWrites int64   `json:"dual_writes"`
 	DurationMs float64 `json:"duration_ms"`
 }
@@ -40,20 +28,21 @@ type RebalanceStats struct {
 // traffic flowing:
 //
 //  1. copy stage — ingest of moving serials gates (bounded wait), so
-//     each mover's record stream is frozen on its old owner;
-//  2. every current node exports its state, the router filters out the
-//     entries that change owner and streams them to their new owners
-//     over the resumable CRC-framed transfer API;
-//  3. dual-write stage — the gate opens and moving records are written
+//     each mover's record stream is frozen on its old owner; the router
+//     lists every current node's serials, computes the movers with Diff
+//     and GroupMoves, and for each (source, target) pair asks the source
+//     for one image of exactly those drives and posts it, as sent, to
+//     the target;
+//  2. dual-write stage — the gate opens and moving records are written
 //     to both owners (acked by the old one) for a short dwell;
-//  4. the map epoch flips atomically (the routing lock drains every
+//  3. the epoch flips atomically (the routing lock drains every
 //     in-flight request, so no batch straddles two maps), after which
 //     the old owners drop their moved serials.
 //
 // A failure before the flip rolls the router back to the old map. A
-// target that already committed a transfer keeps those entries, but the
-// old map never routes to it for them; they are inert remnants that the
-// next successful migration's ownership filter steps around.
+// target that already imported keeps those entries, but the old map
+// never routes to it for them; they are inert remnants that the next
+// migration's pre-import drop clears.
 func (rt *Router) Rebalance(ctx context.Context, next *Map) (*RebalanceStats, error) {
 	if !rt.rebalanceMu.TryLock() {
 		return nil, errRebalanceBusy
@@ -92,60 +81,30 @@ func (rt *Router) Rebalance(ctx context.Context, next *Map) (*RebalanceStats, er
 		return stats, err
 	}
 
-	// Bulk copy: export each current node, carve out its movers, stream
-	// them to their new owners. Mover streams are frozen by the gate, so
-	// the export is complete for every moving serial.
+	// Bulk copy. Mover streams are frozen by the gate, so each source's
+	// export is complete for every serial it moves.
+	var moves []Move
 	for _, src := range cur.Nodes {
-		st, err := rt.exportNode(ctx, src)
+		serials, err := rt.serialsOf(ctx, src)
 		if err != nil {
-			return abort(fmt.Errorf("exporting node %s: %w", src.ID, err))
+			return abort(fmt.Errorf("listing node %s: %w", src.ID, err))
 		}
-		perTarget := map[string][]fleet.DriveEntry{}
-		for _, e := range st.Drives {
-			serial := []byte(e.Serial)
-			if cur.Nodes[cur.OwnerIndex(serial)].ID != src.ID {
-				// Not this node's serial under the current map: a remnant
-				// of an earlier aborted migration. Leave it alone.
-				continue
+		for _, mv := range Diff(cur, next, serials) {
+			// A serial src holds but does not own under the current map is
+			// a remnant of an earlier aborted migration. Leave it alone.
+			if mv.From == src.ID {
+				moves = append(moves, mv)
 			}
-			to := next.Nodes[next.OwnerIndex(serial)].ID
-			if to == src.ID {
-				continue
-			}
-			perTarget[to] = append(perTarget[to], e)
-			stats.Moved++
 		}
-		for _, tgt := range next.Nodes {
-			entries := perTarget[tgt.ID]
-			if len(entries) == 0 {
-				continue
-			}
-			// Clear remnants of an earlier aborted migration first: the
-			// import conflicts on any serial the target already tracks, and
-			// under the current map these serials belong to src, so any
-			// copy on the target is stale by definition.
-			serials := make([]string, len(entries))
-			for i, e := range entries {
-				serials[i] = e.Serial
-			}
-			if err := rt.dropSerials(ctx, tgt, serials, false); err != nil {
-				return abort(fmt.Errorf("clearing stale entries on node %s: %w", tgt.ID, err))
-			}
-			sub := &fleet.State{
-				MonitorCfg: st.MonitorCfg,
-				Models:     st.Models,
-				Norm:       st.Norm,
-				Drives:     entries,
-				Quality:    quality.Report{},
-				MaxHour:    st.MaxHour,
-				HasHour:    st.HasHour,
-			}
-			id := fmt.Sprintf("rebalance-%d-%s-%s", next.Epoch, src.ID, tgt.ID)
-			if err := rt.streamState(ctx, tgt, id, sub); err != nil {
-				return abort(fmt.Errorf("streaming %d drives %s → %s: %w", len(entries), src.ID, tgt.ID, err))
-			}
-			stats.Transfers++
+	}
+	for _, tr := range GroupMoves(moves) {
+		src, _ := cur.Node(tr.From)
+		tgt, _ := next.Node(tr.To)
+		if err := rt.handOff(ctx, src, tgt, tr.Serials); err != nil {
+			return abort(fmt.Errorf("moving %d drives %s → %s: %w", len(tr.Serials), src.ID, tgt.ID, err))
 		}
+		stats.Moved += len(tr.Serials)
+		stats.Transfers++
 	}
 
 	// Open the gate into the dual-write stage. The write lock drains
@@ -180,19 +139,19 @@ dwell:
 	rt.probe.setNodes(next.Nodes)
 
 	// Retire from each old node every serial the new map assigns
-	// elsewhere. The list comes from a fresh post-flip export, not the
-	// bulk-copy one: a serial first seen during the dual-write window
-	// was written to both owners but never bulk-copied, and only a
-	// post-flip inventory catches that copy on the old owner.
+	// elsewhere. The list is taken after the flip, not reused from the
+	// bulk copy: a serial first seen during the dual-write window was
+	// written to both owners but never bulk-copied, and only a post-flip
+	// listing catches that copy on the old owner.
 	for _, src := range cur.Nodes {
-		st, err := rt.exportNode(ctx, src)
+		held, err := rt.serialsOf(ctx, src)
 		if err != nil {
-			return stats, fmt.Errorf("inventorying node %s after cutover: %w", src.ID, err)
+			return stats, fmt.Errorf("listing node %s after cutover: %w", src.ID, err)
 		}
 		var serials []string
-		for _, e := range st.Drives {
-			if next.Nodes[next.OwnerIndex([]byte(e.Serial))].ID != src.ID {
-				serials = append(serials, e.Serial)
+		for _, serial := range held {
+			if next.OwnerID(serial) != src.ID {
+				serials = append(serials, serial)
 			}
 		}
 		if len(serials) == 0 {
@@ -226,126 +185,67 @@ func unionNodes(a, b []Node) []Node {
 	return out
 }
 
-// exportNode pulls a node's full bootstrap-image state.
-func (rt *Router) exportNode(ctx context.Context, n Node) (*fleet.State, error) {
-	resp, body, err := rt.forward(ctx, n, "GET", "/v1/admin/export", "", nil)
+// admin sends one admin request to node n and returns the body and
+// Content-Type of its 200 answer; any other status is an error.
+func (rt *Router) admin(ctx context.Context, n Node, method, path, ct string, body []byte) ([]byte, string, error) {
+	resp, rb, err := rt.forward(ctx, n, method, path, ct, body)
+	if err != nil {
+		return nil, "", err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, "", fmt.Errorf("%s %s status %d: %s", method, path, resp.StatusCode, bytes.TrimSpace(rb))
+	}
+	return rb, resp.Header.Get("Content-Type"), nil
+}
+
+// serialsOf lists the serials node n holds.
+func (rt *Router) serialsOf(ctx context.Context, n Node) ([]string, error) {
+	rb, _, err := rt.admin(ctx, n, "GET", "/v1/admin/serials", "", nil)
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("export status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	var doc wire.SerialList
+	if err := json.Unmarshal(rb, &doc); err != nil {
+		return nil, fmt.Errorf("unreadable serials answer: %v", err)
 	}
-	st, _, _, err := persist.DecodeBootstrap(body)
-	return st, err
+	return doc.Serials, nil
 }
 
-// streamState encodes a state subset and streams it to the target node
-// over the resumable transfer API, then commits the import. A chunk the
-// target already has (409 with its expected offset) re-syncs the cursor
-// instead of failing — the resume path a torn connection needs.
-func (rt *Router) streamState(ctx context.Context, tgt Node, id string, st *fleet.State) error {
-	img, err := persist.EncodeBootstrap(st, 0, persist.Position{})
+// handOff copies serials from src to tgt. The target first drops any
+// copy it already holds: the import conflicts on a serial the target
+// tracks, and under the current map these serials belong to src, so any
+// copy on the target is a stale remnant of an earlier aborted migration.
+// The source then carves exactly these drives into one image, which the
+// target imports as sent; the router never decodes it.
+func (rt *Router) handOff(ctx context.Context, src, tgt Node, serials []string) error {
+	if err := rt.dropSerials(ctx, tgt, serials, false); err != nil {
+		return fmt.Errorf("clearing stale entries on node %s: %w", tgt.ID, err)
+	}
+	req, err := json.Marshal(wire.SerialList{Serials: serials})
 	if err != nil {
 		return err
 	}
-	offset := 0
-	for offset < len(img) {
-		end := offset + transferChunkBytes
-		if end > len(img) {
-			end = len(img)
-		}
-		sent, err := rt.postChunk(ctx, tgt, id, offset, img[offset:end])
-		if err != nil {
-			return err
-		}
-		offset = sent
-	}
-	resp, body, err := rt.forward(ctx, tgt, "POST", "/v1/admin/transfer/"+id+"/commit", "", nil)
+	img, ct, err := rt.admin(ctx, src, "POST", "/v1/admin/export", "application/json", req)
 	if err != nil {
-		return err
+		return fmt.Errorf("exporting from node %s: %w", src.ID, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("commit status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	if _, _, err := rt.admin(ctx, tgt, "POST", "/v1/admin/import", ct, img); err != nil {
+		return fmt.Errorf("importing on node %s: %w", tgt.ID, err)
 	}
 	return nil
-}
-
-// postChunk sends one CRC-sealed chunk and returns the target's next
-// expected offset (from either a 200 or a 409 resume answer).
-func (rt *Router) postChunk(ctx context.Context, tgt Node, id string, offset int, payload []byte) (int, error) {
-	sum := crc32.Checksum(payload, transferCRC)
-	chunk := make([]byte, 0, len(payload)+4)
-	chunk = append(chunk, payload...)
-	chunk = append(chunk, byte(sum), byte(sum>>8), byte(sum>>16), byte(sum>>24))
-
-	var lastErr error
-	wait := 2 * time.Millisecond
-	for attempt := 0; attempt < rt.cfg.ForwardAttempts; attempt++ {
-		if attempt > 0 {
-			select {
-			case <-time.After(wait):
-			case <-ctx.Done():
-				return 0, ctx.Err()
-			}
-			if wait *= 2; wait > rt.cfg.MaxRetryWait {
-				wait = rt.cfg.MaxRetryWait
-			}
-		}
-		urls := rt.probe.candidates(tgt)
-		u := urls[attempt%len(urls)]
-		req, err := http.NewRequestWithContext(ctx, "POST", u+"/v1/admin/transfer/"+id, bytes.NewReader(chunk))
-		if err != nil {
-			return 0, err
-		}
-		req.Header.Set("X-Transfer-Offset", strconv.Itoa(offset))
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			var doc struct {
-				Offset int `json:"offset"`
-			}
-			if err := json.Unmarshal(body, &doc); err != nil {
-				return 0, fmt.Errorf("unreadable transfer ack: %v", err)
-			}
-			return doc.Offset, nil
-		case http.StatusConflict:
-			var doc struct {
-				Expected int `json:"expected"`
-			}
-			if err := json.Unmarshal(body, &doc); err != nil {
-				return 0, fmt.Errorf("unreadable transfer resume answer: %v", err)
-			}
-			return doc.Expected, nil
-		case http.StatusServiceUnavailable:
-			lastErr = fmt.Errorf("node %s transfer answered 503", tgt.ID)
-			continue
-		default:
-			return 0, fmt.Errorf("transfer chunk status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-		}
-	}
-	return 0, fmt.Errorf("transfer chunk to node %s failed after %d attempts: %w", tgt.ID, rt.cfg.ForwardAttempts, lastErr)
 }
 
 // dropSerials removes serials from a node. With strict set, every
 // serial must actually have been dropped (retiring movers from their
 // old owner); without it, absent serials are fine (clearing remnants).
 func (rt *Router) dropSerials(ctx context.Context, n Node, serials []string, strict bool) error {
-	body, err := json.Marshal(map[string][]string{"serials": serials})
+	body, err := json.Marshal(wire.SerialList{Serials: serials})
 	if err != nil {
 		return err
 	}
-	resp, rb, err := rt.forward(ctx, n, "POST", "/v1/admin/drop", "application/json", body)
+	rb, _, err := rt.admin(ctx, n, "POST", "/v1/admin/drop", "application/json", body)
 	if err != nil {
 		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("drop status %d: %s", resp.StatusCode, bytes.TrimSpace(rb))
 	}
 	var doc struct {
 		Dropped int `json:"dropped"`

@@ -59,7 +59,8 @@ func (n Node) weight() float64 {
 
 // Map is one version of the cluster layout. Maps are compared by Epoch:
 // a router switches from map v to map v' only through the handoff
-// protocol, which streams the moving serials before the epoch flips.
+// protocol, which copies the moving serials to their new owners before
+// the epoch flips.
 type Map struct {
 	Epoch uint64 `json:"epoch"`
 	Nodes []Node `json:"nodes"`
@@ -223,7 +224,7 @@ type Move struct {
 // between two maps, sorted by serial. Rendezvous hashing has no
 // contiguous hash ranges, so movement is enumerated per serial: the
 // caller supplies the serial universe (in practice, each node's
-// exported drive list).
+// GET /v1/admin/serials listing).
 func Diff(old, new *Map, serials []string) []Move {
 	var moves []Move
 	for _, s := range serials {
@@ -239,7 +240,7 @@ func Diff(old, new *Map, serials []string) []Move {
 }
 
 // Transfer is the unit of a handoff: every moving serial that shares a
-// (from, to) node pair, streamed as one state image.
+// (from, to) node pair, moved as one state image.
 type Transfer struct {
 	From, To string
 	Serials  []string

@@ -113,10 +113,6 @@ type Server struct {
 	retrainMu   sync.Mutex
 	lastRetrain *learn.Result
 
-	// xfers holds in-progress resumable state transfers (admin.go).
-	xferMu sync.Mutex
-	xfers  map[string]*transferBuf
-
 	// testHoldIngest, when set, is called by the ingest handler after
 	// decoding and before responding — the shutdown-drain test uses it
 	// to keep a request in flight deterministically.
@@ -150,11 +146,10 @@ func (s *Server) Handler() http.Handler {
 	if s.cfg.Retrain != nil {
 		limited.HandleFunc("POST /v1/admin/retrain", s.handleRetrain)
 	}
-	// The handoff plane: state export, resumable transfer-in, drop-out.
-	limited.HandleFunc("GET /v1/admin/export", s.handleExport)
-	limited.HandleFunc("POST /v1/admin/transfer/{id}", s.handleTransferChunk)
-	limited.HandleFunc("POST /v1/admin/transfer/{id}/commit", s.handleTransferCommit)
-	limited.HandleFunc("DELETE /v1/admin/transfer/{id}", s.handleTransferAbort)
+	// The handoff plane (admin.go).
+	limited.HandleFunc("GET /v1/admin/serials", s.handleSerials)
+	limited.HandleFunc("POST /v1/admin/export", s.handleExport)
+	limited.HandleFunc("POST /v1/admin/import", s.handleImport)
 	limited.HandleFunc("POST /v1/admin/drop", s.handleDrop)
 
 	mux := http.NewServeMux()

@@ -89,6 +89,12 @@ type Ack struct {
 	Quality      Ledger  `json:"quality"`
 }
 
+// SerialList names drives: the body of a node's export and drop
+// requests and of its GET /v1/admin/serials answer.
+type SerialList struct {
+	Serials []string `json:"serials"`
+}
+
 // Drive is one drive's health: the GET /v1/drives/{serial} body and an
 // at-risk entry of a summary.
 type Drive struct {
