@@ -284,9 +284,8 @@ func printScenario(sr *loadgen.ScenarioReport, elapsed time.Duration) {
 			f.PromoteMs, f.PreKillRate, f.FailoverRate, f.PostFailoverRate, f.ThroughputDipPct, f.NetRetries)
 	}
 	if rb := sr.Rebalance; rb != nil {
-		log.Printf("  rebalance: join %.1fms (%d moved, %d transfers, %d dual writes), drain %.1fms (%d moved, %d transfers, %d dual writes), %d gated batches",
-			rb.JoinMs, rb.JoinMoved, rb.JoinTransfers, rb.JoinDualWrites,
-			rb.DrainMs, rb.DrainMoved, rb.DrainTransfers, rb.DrainDualWrites, rb.GatedRequests)
+		log.Printf("  rebalance: join %.1fms (%d moved, %d transfers), drain %.1fms (%d moved, %d transfers), %d gated batches",
+			rb.JoinMs, rb.JoinMoved, rb.JoinTransfers, rb.DrainMs, rb.DrainMoved, rb.DrainTransfers, rb.GatedRequests)
 		log.Printf("  rebalance reads: %d probes, %d failures; router overhead: json %.0f -> %.0f rec/s, binary %.0f -> %.0f rec/s",
 			rb.ReadProbes, rb.ReadFailures, rb.DirectJSONRate, rb.RoutedJSONRate, rb.DirectBinaryRate, rb.RoutedBinaryRate)
 	}

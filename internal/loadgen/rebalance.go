@@ -69,7 +69,7 @@ func (h *RouterHarness) Stop(ctx context.Context) error {
 // then a fourth node joins and the router live-migrates its share of
 // the keyspace mid-stream, then the first node drains out the same way.
 // Both handoffs run concurrently with a scheduled chunk of ingest, so
-// the copy gate and dual-write window see live traffic, while a poller
+// the copy gate and the epoch flip see live traffic, while a poller
 // reads known serials through the router and must never see a failure.
 // The scenario passes only if the merged post-drain cluster state matches
 // an in-process shadow record-for-record (MergeStates proves the nodes
@@ -114,16 +114,7 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 		if err != nil {
 			return err
 		}
-		rh, err := StartRouterHarness(route.Config{
-			Map:        m1,
-			ProbeEvery: 50 * time.Millisecond,
-			GateWait:   30 * time.Second,
-			// The dwell waits for 20 dual-written records before the epoch
-			// flips, or DualWriteMax once the scheduled chunk is spent.
-			DualWriteMin: 20,
-			DualWriteMax: 2 * time.Second,
-			Log:          dep.Log,
-		})
+		rh, err := StartRouterHarness(route.Config{Map: m1, ProbeEvery: 50 * time.Millisecond, Log: dep.Log})
 		if err != nil {
 			return err
 		}
@@ -275,16 +266,14 @@ func RunRebalance(ctx context.Context, dep Deployment, cfg ScenarioConfig) (*Sce
 		r.rep.addCheck("no-read-unavailability", availErr)
 
 		rr := &RebalanceReport{
-			JoinMs:          joinStats.DurationMs,
-			JoinMoved:       joinStats.Moved,
-			JoinTransfers:   joinStats.Transfers,
-			JoinDualWrites:  joinStats.DualWrites,
-			DrainMs:         drainStats.DurationMs,
-			DrainMoved:      drainStats.Moved,
-			DrainTransfers:  drainStats.Transfers,
-			DrainDualWrites: drainStats.DualWrites,
-			ReadProbes:      probes,
-			ReadFailures:    failures,
+			JoinMs:         joinStats.DurationMs,
+			JoinMoved:      joinStats.Moved,
+			JoinTransfers:  joinStats.Transfers,
+			DrainMs:        drainStats.DurationMs,
+			DrainMoved:     drainStats.Moved,
+			DrainTransfers: drainStats.Transfers,
+			ReadProbes:     probes,
+			ReadFailures:   failures,
 		}
 		var metricsDoc struct {
 			Router struct {

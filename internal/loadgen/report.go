@@ -133,17 +133,14 @@ type FailoverReport struct {
 // node drain, each cut over live under ingest load, plus the router's
 // proxy overhead against a direct node connection.
 type RebalanceReport struct {
-	// Join and Drain measure each migration: serials bulk-copied,
-	// (source, target) transfer images, records captured by the
-	// dual-write window, and wall-clock time.
-	JoinMs          float64 `json:"join_ms"`
-	JoinMoved       int     `json:"join_moved"`
-	JoinTransfers   int     `json:"join_transfers"`
-	JoinDualWrites  int64   `json:"join_dual_writes"`
-	DrainMs         float64 `json:"drain_ms"`
-	DrainMoved      int     `json:"drain_moved"`
-	DrainTransfers  int     `json:"drain_transfers"`
-	DrainDualWrites int64   `json:"drain_dual_writes"`
+	// Join and Drain measure each migration: serials copied,
+	// (source, target) transfer images, and wall-clock time.
+	JoinMs         float64 `json:"join_ms"`
+	JoinMoved      int     `json:"join_moved"`
+	JoinTransfers  int     `json:"join_transfers"`
+	DrainMs        float64 `json:"drain_ms"`
+	DrainMoved     int     `json:"drain_moved"`
+	DrainTransfers int     `json:"drain_transfers"`
 	// GatedRequests counts ingest batches parked at the copy gate.
 	GatedRequests int64 `json:"gated_requests"`
 	// ReadProbes/ReadFailures are the concurrent availability poller's

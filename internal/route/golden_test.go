@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // regenerate.
 func TestGoldenRoutedResponses(t *testing.T) {
 	_, m := startClusterOf(t, 3, mixedStore)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 
 	// Twelve drives of both classes, each healthy at hour 0 and at a
 	// distinct degradation at hour 1, so some alert; plus one record with

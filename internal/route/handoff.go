@@ -20,24 +20,24 @@ type RebalanceStats struct {
 	Epoch      uint64  `json:"epoch"`
 	Moved      int     `json:"moved"`     // serials that changed owner
 	Transfers  int     `json:"transfers"` // (source, target) images
-	DualWrites int64   `json:"dual_writes"`
 	DurationMs float64 `json:"duration_ms"`
 }
 
 // Rebalance migrates the cluster from the current map to next with live
 // traffic flowing:
 //
-//  1. copy stage — ingest of moving serials gates (bounded wait), so
-//     each mover's record stream is frozen on its old owner; the router
-//     lists every current node's serials, computes the movers with Diff
-//     and GroupMoves, and for each (source, target) pair asks the source
-//     for one image of exactly those drives and posts it, as sent, to
-//     the target;
-//  2. dual-write stage — the gate opens and moving records are written
-//     to both owners (acked by the old one) for a short dwell;
-//  3. the epoch flips atomically (the routing lock drains every
-//     in-flight request, so no batch straddles two maps), after which
-//     the old owners drop their moved serials.
+//  1. copy stage — ingest batches holding a moving serial park at the
+//     gate (bounded wait), so each mover's record stream is frozen on its
+//     old owner; the router lists every current node's serials, computes
+//     the movers with Diff and GroupMoves, and for each (source, target)
+//     pair asks the source for one image of exactly those drives and
+//     posts it, as sent, to the target;
+//  2. flip — once the last image is imported, the epoch flips atomically
+//     (the routing lock drains every in-flight batch, so no batch
+//     straddles two maps) and the gate opens: parked batches re-split by
+//     the new map, whose owners already hold every earlier record of
+//     their movers;
+//  3. retire pass — the old owners drop the serials they no longer own.
 //
 // A failure before the flip rolls the router back to the old map. A
 // target that already imported keeps those entries, but the old map
@@ -62,27 +62,23 @@ func (rt *Router) Rebalance(ctx context.Context, next *Map) (*RebalanceStats, er
 	// Enter the copy stage: moving-serial ingest gates from here on.
 	copyDone := make(chan struct{})
 	rt.mu.Lock()
-	rt.next, rt.stage, rt.copyDone = next, stageCopy, copyDone
+	rt.next, rt.copyDone = next, copyDone
 	rt.mu.Unlock()
 	rt.probe.setNodes(unionNodes(cur.Nodes, next.Nodes))
 	stats := &RebalanceStats{Epoch: next.Epoch}
 
 	abort := func(err error) (*RebalanceStats, error) {
-		rt.mu.Lock()
-		rt.next, rt.stage, rt.copyDone = nil, stageIdle, nil
-		rt.mu.Unlock()
-		// Release any batches parked at the gate; they re-route by the
-		// old map, which is still correct.
-		close(copyDone)
-		rt.probe.setNodes(cur.Nodes)
+		// Routing stays on cur, which is still correct for every serial;
+		// batches parked at the gate re-split by it.
+		rt.endCopy(cur, copyDone)
 		if rt.cfg.Log != nil {
 			rt.cfg.Log.Printf("rebalance to epoch %d aborted: %v", next.Epoch, err)
 		}
 		return stats, err
 	}
 
-	// Bulk copy. Mover streams are frozen by the gate, so each source's
-	// export is complete for every serial it moves.
+	// Copy. Mover streams are frozen by the gate, so each source's export
+	// is complete for every serial it moves.
 	var moves []Move
 	for _, src := range cur.Nodes {
 		serials, err := rt.serialsOf(ctx, src)
@@ -107,42 +103,14 @@ func (rt *Router) Rebalance(ctx context.Context, next *Map) (*RebalanceStats, er
 		stats.Transfers++
 	}
 
-	// Open the gate into the dual-write stage. The write lock drains
-	// in-flight batches split under the copy-stage map first.
-	dualBase := rt.m.dualWrites.Load()
-	rt.mu.Lock()
-	rt.stage = stageDual
-	rt.mu.Unlock()
-	close(copyDone)
-
-	// Dwell: let the dual-write window absorb live mover traffic before
-	// cutting over, bounded so an idle cluster still converges.
-	dwell := time.NewTimer(rt.cfg.DualWriteMax)
-	defer dwell.Stop()
-dwell:
-	for rt.m.dualWrites.Load()-dualBase < int64(rt.cfg.DualWriteMin) {
-		select {
-		case <-dwell.C:
-			break dwell
-		case <-ctx.Done():
-			break dwell
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-	stats.DualWrites = rt.m.dualWrites.Load() - dualBase
-
-	// Cut over: the write lock drains every in-flight dual-write, then
-	// the new map becomes the only map — one epoch, one owner per serial.
-	rt.mu.Lock()
-	rt.cur, rt.next, rt.stage, rt.copyDone = next, nil, stageIdle, nil
-	rt.mu.Unlock()
-	rt.probe.setNodes(next.Nodes)
+	// Flip: the new map becomes the only map, one epoch and one owner per
+	// serial.
+	rt.endCopy(next, copyDone)
 
 	// Retire from each old node every serial the new map assigns
-	// elsewhere. The list is taken after the flip, not reused from the
-	// bulk copy: a serial first seen during the dual-write window was
-	// written to both owners but never bulk-copied, and only a post-flip
-	// listing catches that copy on the old owner.
+	// elsewhere. The list is taken after the flip rather than reused from
+	// the copy, so it also catches remnants of earlier aborted migrations
+	// that the old map never routed to.
 	for _, src := range cur.Nodes {
 		held, err := rt.serialsOf(ctx, src)
 		if err != nil {
@@ -164,10 +132,21 @@ dwell:
 
 	stats.DurationMs = float64(time.Since(start)) / float64(time.Millisecond)
 	if rt.cfg.Log != nil {
-		rt.cfg.Log.Printf("rebalance: epoch %d→%d moved=%d transfers=%d dual_writes=%d dur=%.0fms",
-			cur.Epoch, next.Epoch, stats.Moved, stats.Transfers, stats.DualWrites, stats.DurationMs)
+		rt.cfg.Log.Printf("rebalance: epoch %d→%d moved=%d transfers=%d dur=%.0fms",
+			cur.Epoch, next.Epoch, stats.Moved, stats.Transfers, stats.DurationMs)
 	}
 	return stats, nil
+}
+
+// endCopy ends the copy stage routing by m: the write lock drains every
+// in-flight batch split under the copy-stage state, and closing copyDone
+// releases the batches parked at the gate, which re-split by m.
+func (rt *Router) endCopy(m *Map, copyDone chan struct{}) {
+	rt.mu.Lock()
+	rt.routeState = routeState{cur: m}
+	rt.mu.Unlock()
+	close(copyDone)
+	rt.probe.setNodes(m.Nodes)
 }
 
 // unionNodes merges two node lists by ID, first list winning.

@@ -8,8 +8,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"disksig/internal/core"
 	"disksig/internal/fleet"
@@ -97,7 +99,7 @@ func TestRebalanceModelSetRule(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, m := startClusterOf(t, 3, storeOf(tc.sources))
-			rt, ts := startRouter(t, m, nil)
+			rt, ts := startRouter(t, m)
 			for h := 0; h < 3; h++ {
 				if code, doc := postIngest(t, ts.URL, wire.ContentType, wire.EncodeBatch(degradingObs(60, h))); code != http.StatusOK {
 					t.Fatalf("hour %d ingest status %d: %v", h, code, doc)
@@ -152,7 +154,7 @@ func TestRebalanceModelSetRule(t *testing.T) {
 // copy and move the drives' newest state, so no acked record is lost.
 func TestRebalanceRetryImportsFreshState(t *testing.T) {
 	_, m := startCluster(t, 3)
-	rt, ts := startRouter(t, m, nil)
+	rt, ts := startRouter(t, m)
 	ingest := func(hours ...int) {
 		t.Helper()
 		for _, h := range hours {
@@ -209,5 +211,84 @@ func TestRebalanceRetryImportsFreshState(t *testing.T) {
 	}
 	if got := len(joiner.Serials()); got != moved {
 		t.Fatalf("joiner holds %d drives, the map assigns it %d", got, moved)
+	}
+}
+
+// TestRebalanceFlipReleasesGatedBatch holds the joiner's import until a
+// batch of only mover records has parked at the copy gate. When the
+// gate opens the epoch has flipped, so the batch lands on the new owner
+// alone: it acks 200, every mover answers at the batch's hour through
+// the router, and the old owners never ingest a record of it.
+func TestRebalanceFlipReleasesGatedBatch(t *testing.T) {
+	nodes, m := startCluster(t, 3)
+	rt, ts := startRouter(t, m)
+	for h := 0; h < 3; h++ {
+		if code, doc := postIngest(t, ts.URL, wire.ContentType, wire.EncodeBatch(clusterObs(80, h))); code != http.StatusOK {
+			t.Fatalf("hour %d ingest status %d: %v", h, code, doc)
+		}
+	}
+
+	node := server.New(testStore(t), server.Config{}).Handler()
+	importing := make(chan struct{})
+	var hold sync.Once
+	jts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/admin/import" {
+			// The first import waits until the mover batch has parked.
+			hold.Do(func() {
+				close(importing)
+				deadline := time.Now().Add(10 * time.Second)
+				for rt.m.gatedRequests.Load() < 1 && time.Now().Before(deadline) {
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
+		node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(jts.Close)
+	next, err := NewMap(2, append(append([]Node{}, m.Nodes...), Node{ID: "node-3", URL: jts.URL}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var movers []fleet.Observation
+	for _, o := range clusterObs(80, 3) {
+		if next.OwnerID(o.Serial) == "node-3" {
+			movers = append(movers, o)
+		}
+	}
+	before := make([]float64, len(nodes))
+	for i, n := range nodes {
+		before[i] = rowCounters(t, n.ts.URL)["rows_ingested"]
+	}
+
+	rebalanced := make(chan error, 1)
+	go func() {
+		_, err := rt.Rebalance(context.Background(), next)
+		rebalanced <- err
+	}()
+	select {
+	case <-importing:
+	case err := <-rebalanced:
+		t.Fatalf("rebalance ended before the joiner's import: %v", err)
+	}
+	code, doc := postIngest(t, ts.URL, wire.ContentType, wire.EncodeBatch(movers))
+	if code != http.StatusOK {
+		t.Fatalf("gated batch status %d: %v", code, doc)
+	}
+	checkAck(t, doc, len(movers), len(movers))
+	if err := <-rebalanced; err != nil {
+		t.Fatalf("rebalance: %v", err)
+	}
+	if rt.m.gatedRequests.Load() < 1 {
+		t.Fatal("the mover batch never parked at the copy gate")
+	}
+	for _, o := range movers {
+		if got := driveDoc(t, ts.URL, o.Serial).LastHour; got != 3 {
+			t.Fatalf("mover %s answers hour %d, want 3", o.Serial, got)
+		}
+	}
+	for i, n := range nodes {
+		if got := rowCounters(t, n.ts.URL)["rows_ingested"]; got != before[i] {
+			t.Errorf("old owner %s rows_ingested %v → %v: it ingested the gated mover batch", n.id, before[i], got)
+		}
 	}
 }

@@ -59,7 +59,7 @@ func checkNothingApplied(t *testing.T, nodes []testNode) {
 // acknowledged and the second dropped.
 func TestRouterRejectsTrailingJSON(t *testing.T) {
 	nodes, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 	body := append(jsonBody(t, clusterObs(4, 0)), jsonBody(t, clusterObs(4, 1))...)
 	code, doc := postIngest(t, ts.URL, "application/json", body)
 	if code != http.StatusBadRequest || doc["quality"] == nil {
@@ -75,7 +75,7 @@ func TestRouterRejectsTrailingJSON(t *testing.T) {
 // is true on every node.
 func TestRouterMalformedRecordAppliesNothing(t *testing.T) {
 	nodes, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 	var a, b string
 	for _, o := range clusterObs(16, 0) {
 		switch {
@@ -109,7 +109,7 @@ func TestRouterMalformedRecordAppliesNothing(t *testing.T) {
 // stays a 400 while no node is reachable instead of turning into a 502.
 func TestRouterRejectsMalformedJSONWithoutNodes(t *testing.T) {
 	nodes, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 	for _, n := range nodes {
 		n.ts.Close()
 	}
@@ -142,7 +142,7 @@ func TestRouterMixedClassBinaryMatchesDirect(t *testing.T) {
 		t.Fatalf("mixed batch framed as version %d, want %d", frame[0], wire.Version2)
 	}
 	_, m := startClusterOf(t, 3, mixedStore)
-	_, routed := startRouter(t, m, nil)
+	_, routed := startRouter(t, m)
 	direct := httptest.NewServer(server.New(mixedStore(t), server.Config{}).Handler())
 	t.Cleanup(direct.Close)
 
@@ -193,7 +193,7 @@ func TestRankAtRiskNullDegradationLast(t *testing.T) {
 // a promotion that has reached only one node.
 func TestRouterAckModelVersion(t *testing.T) {
 	nodes, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 	swap := func(n testNode, version int) {
 		t.Helper()
 		set := n.store.ModelSet()

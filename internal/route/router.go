@@ -22,95 +22,30 @@ import (
 type Config struct {
 	// Map is the initial cluster map. Required.
 	Map *Map
-	// Client issues all node-bound requests. Defaults to a client with a
-	// 30s timeout.
-	Client *http.Client
 	// ProbeEvery is the per-node health poll interval (default 500ms).
 	ProbeEvery time.Duration
-	// ForwardAttempts bounds retries per forwarded sub-request across a
-	// node's candidate URLs (default 12).
-	ForwardAttempts int
-	// MaxRetryWait caps the between-attempt backoff (default 250ms).
-	MaxRetryWait time.Duration
-	// GateWait bounds how long an ingest batch touching moving serials
-	// waits at the copy gate before being told to retry (default 30s).
-	GateWait time.Duration
-	// DualWriteMin is how many dual-written records the cutover dwell
-	// waits for before flipping the map epoch (default 1).
-	DualWriteMin int
-	// DualWriteMax caps the cutover dwell (default 3s).
-	DualWriteMax time.Duration
-	// MaxBodyBytes caps ingest request bodies (default 8 MiB).
-	MaxBodyBytes int64
-	// SummaryTopN is the merged summary's at-risk list length when the
-	// client does not pass ?top= (default 10).
-	SummaryTopN int
-	Log         *log.Logger
+	Log        *log.Logger
 }
-
-func (c Config) withDefaults() Config {
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 30 * time.Second}
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 500 * time.Millisecond
-	}
-	if c.ForwardAttempts <= 0 {
-		c.ForwardAttempts = 12
-	}
-	if c.MaxRetryWait <= 0 {
-		c.MaxRetryWait = 250 * time.Millisecond
-	}
-	if c.GateWait <= 0 {
-		c.GateWait = 30 * time.Second
-	}
-	if c.DualWriteMin <= 0 {
-		c.DualWriteMin = 1
-	}
-	if c.DualWriteMax <= 0 {
-		c.DualWriteMax = 3 * time.Second
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.SummaryTopN <= 0 {
-		c.SummaryTopN = 10
-	}
-	return c
-}
-
-// stage is where the router is in a map migration.
-type stage int
 
 const (
-	// stageIdle routes everything by the current map.
-	stageIdle stage = iota
-	// stageCopy freezes moving serials: ingest batches touching them
-	// wait (bounded) for the bulk copy to finish. Everything else flows.
-	stageCopy
-	// stageDual writes moving records to both the old and new owner;
-	// acks and alerts come from the old owner, which still serves reads.
-	stageDual
+	// forwardAttempts bounds retries per forwarded sub-request across a
+	// node's candidate URLs.
+	forwardAttempts = 12
+	// maxRetryWait caps the between-attempt backoff.
+	maxRetryWait = 250 * time.Millisecond
+	// gateWait bounds how long an ingest batch touching moving serials
+	// waits at the copy gate before it is told to retry.
+	gateWait = 30 * time.Second
+	// maxBodyBytes caps ingest request bodies.
+	maxBodyBytes = 8 << 20
 )
 
-func (s stage) String() string {
-	switch s {
-	case stageCopy:
-		return "copy"
-	case stageDual:
-		return "dual-write"
-	default:
-		return "idle"
-	}
-}
-
 // routeState is the snapshot handlers work against. cur is always set;
-// next is non-nil only mid-migration, and copyDone closes when the bulk
-// copy commits (the copy→dual transition).
+// next is non-nil only during a migration's copy stage, and copyDone
+// closes when that stage ends, at the epoch flip or the rollback.
 type routeState struct {
 	cur      *Map
 	next     *Map
-	stage    stage
 	copyDone chan struct{}
 }
 
@@ -122,10 +57,17 @@ func (s routeState) moving(serial []byte) bool {
 	return s.cur.Nodes[s.cur.OwnerIndex(serial)].ID != s.next.Nodes[s.next.OwnerIndex(serial)].ID
 }
 
+// stage names where the router is in a map migration.
+func (s routeState) stage() string {
+	if s.next != nil {
+		return "copy"
+	}
+	return "idle"
+}
+
 type routerMetrics struct {
 	ingestBatches  atomic.Int64
 	recordsRouted  atomic.Int64
-	dualWrites     atomic.Int64
 	gatedRequests  atomic.Int64
 	forwards       atomic.Int64
 	forwardRetries atomic.Int64
@@ -159,10 +101,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
-	rt := &Router{cfg: cfg, client: cfg.Client}
+	rt := &Router{cfg: cfg, client: &http.Client{Timeout: 30 * time.Second}}
 	rt.cur = cfg.Map
-	rt.probe = newProber(cfg.Client, cfg.ProbeEvery)
+	rt.probe = newProber(rt.client, cfg.ProbeEvery)
 	rt.probe.setNodes(cfg.Map.Nodes)
 	go rt.probe.run()
 	return rt, nil
@@ -212,7 +153,7 @@ func (rt *Router) Handler() http.Handler {
 func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, body []byte) (*http.Response, []byte, error) {
 	var lastErr error
 	wait := 2 * time.Millisecond
-	for attempt := 0; attempt < rt.cfg.ForwardAttempts; attempt++ {
+	for attempt := 0; attempt < forwardAttempts; attempt++ {
 		if attempt > 0 {
 			rt.m.forwardRetries.Add(1)
 			select {
@@ -220,8 +161,8 @@ func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, 
 			case <-ctx.Done():
 				return nil, nil, ctx.Err()
 			}
-			if wait *= 2; wait > rt.cfg.MaxRetryWait {
-				wait = rt.cfg.MaxRetryWait
+			if wait *= 2; wait > maxRetryWait {
+				wait = maxRetryWait
 			}
 		}
 		// Candidates refresh every attempt: the prober may have moved the
@@ -257,24 +198,21 @@ func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, 
 		}
 		return resp, rb, nil
 	}
-	return nil, nil, fmt.Errorf("node %s unreachable after %d attempts: %w", n.ID, rt.cfg.ForwardAttempts, lastErr)
+	return nil, nil, fmt.Errorf("node %s unreachable after %d attempts: %w", n.ID, forwardAttempts, lastErr)
 }
 
-// splitBatch is one ingest batch split per owning node: primary bodies
-// indexed by cur-map node, dual bodies (moving records only) indexed by
-// next-map node, plus the router-level quarantine ledger and whether
+// splitBatch is one ingest batch split per owning node: bodies indexed
+// by cur-map node, plus the router-level quarantine ledger and whether
 // any record in the batch is mid-move.
 type splitBatch struct {
-	primary  [][]byte
-	dual     [][]byte
-	dualN    []int // record count per dual body
+	bodies   [][]byte
 	records  int
 	hasMover bool
 	rep      quality.Report
 }
 
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, rt.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		status := http.StatusBadRequest
@@ -300,7 +238,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	deadline := time.Now().Add(rt.cfg.GateWait)
+	deadline := time.Now().Add(gateWait)
 	for {
 		rt.mu.RLock()
 		st := rt.routeState
@@ -309,23 +247,16 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			rt.mu.RUnlock()
 			return
 		}
-		if st.stage == stageCopy && sb.hasMover {
-			// Copy gate: the batch touches serials whose bulk copy is in
-			// flight. Wait for the copy→dual transition (re-splitting after:
-			// the dual pass needs the new stage), bounded by GateWait — on
-			// timeout the client is told to come back, not to go elsewhere.
+		if sb.hasMover {
+			// Copy gate: the batch touches serials whose copy is in flight.
+			// Wait for the copy stage to end, at the flip or the rollback,
+			// and re-split by the map it leaves behind, bounded by gateWait:
+			// on timeout the client is told to come back, not to go
+			// elsewhere.
 			ch := st.copyDone
 			rt.mu.RUnlock()
 			rt.m.gatedRequests.Add(1)
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				w.Header().Set("Retry-After", "1")
-				wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
-					"error": "shard handoff in progress; retry shortly",
-				})
-				return
-			}
-			t := time.NewTimer(remain)
+			t := time.NewTimer(time.Until(deadline))
 			select {
 			case <-ch:
 				t.Stop()
@@ -341,9 +272,9 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Forward while holding the read lock: a migration's stage flips
-		// take the write lock, so every in-flight forward drains before the
-		// routing epoch changes — no batch is ever split across two maps.
+		// Forward while holding the read lock: the flip takes the write
+		// lock, so every in-flight forward drains before the routing
+		// epoch changes — no batch is ever split across two maps.
 		rt.forwardIngest(w, r, st, ct, sb)
 		rt.mu.RUnlock()
 		return
@@ -376,61 +307,19 @@ func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b
 		wire.WriteJSON(w, http.StatusBadRequest, &rej)
 		return nil, true
 	}
-	sb.primary = bodies
-	if st.stage == stageDual && sb.hasMover {
-		sb.dualN = make([]int, len(st.next.Nodes))
-		dual, err := split(body, len(st.next.Nodes), func(serial []byte) int {
-			if !st.moving(serial) {
-				return -1
-			}
-			j := st.next.OwnerIndex(serial)
-			sb.dualN[j]++
-			return j
-		}, nil)
-		if err != nil {
-			// The first pass accepted this body; the second sees the same
-			// bytes. Defensive only.
-			wire.WriteJSON(w, http.StatusInternalServerError, map[string]any{
-				"error": fmt.Sprintf("splitting dual-write body: %v", err),
-			})
-			return nil, true
-		}
-		sb.dual = dual
-	}
+	sb.bodies = bodies
 	return sb, false
 }
 
-// forwardIngest sends the split batch: dual-write bodies to the new
-// owners first, then primary bodies in node order, merging the primary
-// acks. Both owners must accept a moving record before it is acked, and
-// only the old owner's alerts reach the client — one answer per record.
-// The merged ack carries the model version every part reported, and
-// none when the parts disagree (a promotion that reached only some
-// nodes): no single version scored the batch.
+// forwardIngest sends the split batch's bodies in node order and merges
+// their acks. The merged ack carries the model version every part
+// reported, and none when the parts disagree (a promotion that reached
+// only some nodes): no single version scored the batch.
 func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st routeState, ct string, sb *splitBatch) {
 	ctx := r.Context()
-	for j, body := range sb.dual {
-		if body == nil {
-			continue
-		}
-		n := st.next.Nodes[j]
-		resp, rb, err := rt.forward(ctx, n, "POST", "/v1/ingest", ct, body)
-		if err == nil && resp.StatusCode != http.StatusOK {
-			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(rb)))
-		}
-		if err != nil {
-			rt.m.proxyErrors.Add(1)
-			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
-				"error": fmt.Sprintf("dual-write to node %s failed: %v", n.ID, err),
-			})
-			return
-		}
-		rt.m.dualWrites.Add(int64(sb.dualN[j]))
-	}
-
 	merged := wire.Ack{Alerts: []wire.Alert{}}
 	parts, mixed := 0, false
-	for i, body := range sb.primary {
+	for i, body := range sb.bodies {
 		if body == nil {
 			continue
 		}
@@ -500,9 +389,9 @@ func (rt *Router) handleDrive(w http.ResponseWriter, r *http.Request) {
 	serial := r.PathValue("serial")
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	// Reads go to the current owner in every stage: during copy and
-	// dual-write the old owner still has every record (dual writes land
-	// on both), so no request is ever answered by two nodes at once.
+	// Reads go to the current owner: during the copy stage the old owner
+	// still has every record (the gate holds the movers' new ones), and
+	// after the flip the new owner has imported them all.
 	n := rt.cur.Owner(serial)
 	resp, body, err := rt.forward(r.Context(), n, "GET", "/v1/drives/"+url.PathEscape(serial), "", nil)
 	if err != nil {
@@ -551,7 +440,7 @@ func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*wire.Sum
 // when nodes fail (the first failing node in node order), do not depend
 // on which node answers first.
 func (rt *Router) handleSummary(w http.ResponseWriter, r *http.Request) {
-	topN, err := wire.ParseTop(r.URL.Query().Get("top"), rt.cfg.SummaryTopN)
+	topN, err := wire.ParseTop(r.URL.Query().Get("top"))
 	if err != nil {
 		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
@@ -602,7 +491,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"router": map[string]any{
 			"ingest_batches":  rt.m.ingestBatches.Load(),
 			"records_routed":  rt.m.recordsRouted.Load(),
-			"dual_writes":     rt.m.dualWrites.Load(),
 			"gated_requests":  rt.m.gatedRequests.Load(),
 			"forwards":        rt.m.forwards.Load(),
 			"forward_retries": rt.m.forwardRetries.Load(),
@@ -611,7 +499,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		},
 		"cluster": map[string]any{
 			"epoch": st.cur.Epoch,
-			"stage": st.stage.String(),
+			"stage": st.stage(),
 			"nodes": len(st.cur.Nodes),
 		},
 		"nodes": nodes,
@@ -647,7 +535,7 @@ func (rt *Router) handleReady(w http.ResponseWriter, r *http.Request) {
 		"status": status,
 		"mode":   "router",
 		"epoch":  st.cur.Epoch,
-		"stage":  st.stage.String(),
+		"stage":  st.stage(),
 		"nodes":  healths,
 	})
 }
@@ -656,7 +544,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := rt.snapshot()
 	doc := map[string]any{
 		"epoch": st.cur.Epoch,
-		"stage": st.stage.String(),
+		"stage": st.stage(),
 		"nodes": rt.nodeHealths(st.cur.Nodes),
 	}
 	if st.next != nil {

@@ -95,19 +95,9 @@ func startClusterOf(t *testing.T, n int, newStore func(testing.TB) *fleet.Store)
 	return nodes, m
 }
 
-func startRouter(t *testing.T, m *Map, mut func(*Config)) (*Router, *httptest.Server) {
+func startRouter(t *testing.T, m *Map) (*Router, *httptest.Server) {
 	t.Helper()
-	cfg := Config{
-		Map:          m,
-		ProbeEvery:   50 * time.Millisecond,
-		MaxRetryWait: 10 * time.Millisecond,
-		GateWait:     5 * time.Second,
-		DualWriteMax: 30 * time.Millisecond,
-	}
-	if mut != nil {
-		mut(&cfg)
-	}
-	rt, err := NewRouter(cfg)
+	rt, err := NewRouter(Config{Map: m, ProbeEvery: 50 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +186,7 @@ func TestRouterSplitsIngestAcrossOwners(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nodes, m := startCluster(t, 3)
-			_, ts := startRouter(t, m, nil)
+			_, ts := startRouter(t, m)
 
 			obs := clusterObs(60, 0)
 			code, doc := postIngest(t, ts.URL, tc.ct, tc.body(t, obs))
@@ -243,7 +233,7 @@ func TestRouterSplitsIngestAcrossOwners(t *testing.T) {
 // in the merged ack, and the defect must surface in the merged ledger.
 func TestRouterMergesQuarantineAccounting(t *testing.T) {
 	_, m := startCluster(t, 3)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 
 	obs := clusterObs(12, 0)
 	body := jsonBody(t, obs)
@@ -274,7 +264,7 @@ func TestRouterMergesQuarantineAccounting(t *testing.T) {
 // batch is kept.
 func TestRouterQuarantinesOverlongSerial(t *testing.T) {
 	_, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 
 	obs := []fleet.Observation{testObs(strings.Repeat("L", wire.MaxSerialLen+1), 0, 0.5), testObs("rt-clean", 0, 0.5)}
 	code, doc := postIngest(t, ts.URL, "application/json", jsonBody(t, obs))
@@ -298,8 +288,8 @@ func TestRouterQuarantinesOverlongSerial(t *testing.T) {
 // A body a node would reject is rejected at the router with the node's
 // 400 and ledger shape, and so are unsupported content types.
 func TestRouterIngestErrorContract(t *testing.T) {
-	_, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	nodes, m := startCluster(t, 2)
+	_, ts := startRouter(t, m)
 
 	code, doc := postIngest(t, ts.URL, "application/json", []byte(`{"records": [`))
 	if code != http.StatusBadRequest || doc["quality"] == nil {
@@ -318,11 +308,18 @@ func TestRouterIngestErrorContract(t *testing.T) {
 	if code != http.StatusBadRequest || doc["quality"] == nil {
 		t.Fatalf("torn frame: status %d doc %v", code, doc)
 	}
+
+	// A body one byte past the router's 8 MiB cap is a 413.
+	code, doc = postIngest(t, ts.URL, "application/json", bytes.Repeat([]byte(" "), 8<<20+1))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d doc %v, want 413", code, doc)
+	}
+	checkNothingApplied(t, nodes)
 }
 
 func TestRouterSummaryMerge(t *testing.T) {
 	_, m := startCluster(t, 3)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 
 	obs := clusterObs(30, 0)
 	// Push one drive to an alerting score so at_risk is non-empty.
@@ -358,7 +355,7 @@ func TestRouterSummaryMerge(t *testing.T) {
 
 func TestRouterMetricsAndHealth(t *testing.T) {
 	nodes, m := startCluster(t, 2)
-	rt, ts := startRouter(t, m, nil)
+	rt, ts := startRouter(t, m)
 
 	code, _ := postIngest(t, ts.URL, "application/json", jsonBody(t, clusterObs(8, 0)))
 	if code != http.StatusOK {
@@ -411,7 +408,7 @@ func TestRouterMetricsAndHealth(t *testing.T) {
 // its old one.
 func TestRebalanceJoin(t *testing.T) {
 	nodes, m := startCluster(t, 3)
-	rt, ts := startRouter(t, m, nil)
+	rt, ts := startRouter(t, m)
 
 	obs := clusterObs(80, 0)
 	for hour := 0; hour < 3; hour++ {
@@ -491,7 +488,7 @@ func TestRebalanceJoin(t *testing.T) {
 
 func TestRebalanceRejectsStaleEpoch(t *testing.T) {
 	_, m := startCluster(t, 2)
-	rt, ts := startRouter(t, m, nil)
+	rt, ts := startRouter(t, m)
 
 	stale := &Map{Epoch: 1, Nodes: m.Nodes}
 	if _, err := rt.Rebalance(context.Background(), stale); err == nil {
@@ -511,11 +508,12 @@ func TestRebalanceRejectsStaleEpoch(t *testing.T) {
 }
 
 // TestRebalanceOverHTTPWithLiveTraffic drives the cutover through the
-// HTTP control plane while an ingest stream is running, and checks the
-// cluster status surface on the way.
+// HTTP control plane while an ingest stream is running: every post is
+// acked, no acked record is lost, the nodes partition the fleet, and
+// the cluster status surface reads idle at the new epoch.
 func TestRebalanceOverHTTPWithLiveTraffic(t *testing.T) {
-	_, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	nodes, m := startCluster(t, 2)
+	_, ts := startRouter(t, m)
 
 	// Seed state so the handoff has something to bulk-copy; the goroutine
 	// then keeps the stream alive across the cutover.
@@ -527,6 +525,7 @@ func TestRebalanceOverHTTPWithLiveTraffic(t *testing.T) {
 
 	stop := make(chan struct{})
 	ingestErr := make(chan error, 1)
+	lastHour := 1 // the last hour the stream had acked, read after ingestErr closes
 	go func() {
 		defer close(ingestErr)
 		for hour := 2; ; hour++ {
@@ -540,10 +539,12 @@ func TestRebalanceOverHTTPWithLiveTraffic(t *testing.T) {
 				ingestErr <- fmt.Errorf("live ingest status %d: %v", code, doc)
 				return
 			}
+			lastHour = hour
 		}
 	}()
 
-	joiner := httptest.NewServer(server.New(testStore(t), server.Config{}).Handler())
+	joinerStore := testStore(t)
+	joiner := httptest.NewServer(server.New(joinerStore, server.Config{}).Handler())
 	t.Cleanup(joiner.Close)
 	next, err := NewMap(2, append(append([]Node{}, m.Nodes...), Node{ID: "node-2", URL: joiner.URL}))
 	if err != nil {
@@ -568,6 +569,26 @@ func TestRebalanceOverHTTPWithLiveTraffic(t *testing.T) {
 	}
 	if stats.Moved == 0 {
 		t.Fatalf("stats %+v, want movement", stats)
+	}
+
+	// No acked record was lost across the cutover, and the three nodes
+	// partition the fleet: every drive lives on exactly one of them.
+	for _, o := range clusterObs(40, 0) {
+		if got := driveDoc(t, ts.URL, o.Serial).LastHour; got != lastHour {
+			t.Fatalf("drive %s answers hour %d through the router, the stream acked hour %d", o.Serial, got, lastHour)
+		}
+	}
+	holder := map[string]int{}
+	for i, store := range []*fleet.Store{nodes[0].store, nodes[1].store, joinerStore} {
+		for _, serial := range store.Serials() {
+			if j, ok := holder[serial]; ok {
+				t.Fatalf("drive %s is held by nodes %d and %d", serial, j, i)
+			}
+			holder[serial] = i
+		}
+	}
+	if len(holder) != 40 {
+		t.Fatalf("the nodes hold %d drives between them, want 40", len(holder))
 	}
 
 	resp, err = http.Get(ts.URL + "/v1/cluster/status")

@@ -65,7 +65,7 @@ func atRiskSerials(list any) []string {
 // nodes' own: most degraded first.
 func TestRouterSummaryRanksWorstFirst(t *testing.T) {
 	_, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, nil)
+	_, ts := startRouter(t, m)
 	obs := make([]fleet.Observation, 40)
 	for i := range obs {
 		obs[i] = testObs(fmt.Sprintf("rt-%04d", i), 0, -1+0.05*float64(i))
@@ -94,7 +94,7 @@ func TestRouterSummaryMatchesSingleStore(t *testing.T) {
 		}
 	}
 	_, m := startClusterOf(t, 3, mixedStore)
-	_, routed := startRouter(t, m, nil)
+	_, routed := startRouter(t, m)
 	if code, doc := postIngest(t, routed.URL, "application/json", jsonBody(t, obs)); code != http.StatusOK {
 		t.Fatalf("ingest status %d: %v", code, doc)
 	}
@@ -119,11 +119,11 @@ func TestRouterSummaryMatchesSingleStore(t *testing.T) {
 }
 
 // TestRouterSummaryTopParameter: the router parses ?top= as a node
-// does, a decimal n >= 0 with an empty value meaning its default, and
+// does, a decimal n >= 0 with an empty value meaning wire.DefaultTop, and
 // answers anything else with a 400 of its own.
 func TestRouterSummaryTopParameter(t *testing.T) {
 	_, m := startCluster(t, 2)
-	_, ts := startRouter(t, m, func(c *Config) { c.SummaryTopN = 4 })
+	_, ts := startRouter(t, m)
 	if code, doc := postIngest(t, ts.URL, "application/json", jsonBody(t, clusterObs(12, 0))); code != http.StatusOK {
 		t.Fatalf("ingest status %d: %v", code, doc)
 	}
@@ -135,7 +135,7 @@ func TestRouterSummaryTopParameter(t *testing.T) {
 		{"5abc", http.StatusBadRequest, 0}, {"5.9", http.StatusBadRequest, 0},
 		{"0x10", http.StatusBadRequest, 0}, {"1e3", http.StatusBadRequest, 0},
 		{"-1", http.StatusBadRequest, 0}, {"x", http.StatusBadRequest, 0},
-		{"", http.StatusOK, 4}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
+		{"", http.StatusOK, 10}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
 	} {
 		resp, err := http.Get(ts.URL + "/v1/fleet/summary?top=" + url.QueryEscape(tc.top))
 		if err != nil {
@@ -162,7 +162,7 @@ func TestRouterSummaryTopParameter(t *testing.T) {
 // the concurrent node requests finish.
 func TestRouterSummaryNamesFirstFailingNode(t *testing.T) {
 	nodes, m := startCluster(t, 3)
-	_, ts := startRouter(t, m, func(c *Config) { c.ForwardAttempts = 2 })
+	_, ts := startRouter(t, m)
 	nodes[1].ts.Close()
 	nodes[2].ts.Close()
 	resp, err := http.Get(ts.URL + "/v1/fleet/summary")

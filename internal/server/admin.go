@@ -59,8 +59,20 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 // handleImport merges an exported image's drives into the store. An
 // image that fails its checksum or does not decode is a 400 and imports
 // nothing; a serial the store already holds is a 409, which is also how
-// a retried import that the node already applied answers.
+// a retried import that the node already applied answers. A primary
+// with a follower attached refuses every import with a 409: an import
+// is not a WAL frame, so the follower would never see the drives, and
+// a failover would lose their acknowledged history.
 func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
+	if !s.takesWrites(w) {
+		return
+	}
+	if s.cfg.Persist != nil && s.cfg.Persist.AttachedShipper() != nil {
+		wire.WriteJSON(w, http.StatusConflict, map[string]any{
+			"error": "imports onto a replicated primary are refused: the follower would not see the imported drives",
+		})
+		return
+	}
 	var img bytes.Buffer
 	var err error
 	// An image declared past the cap is refused before any of it is read.
@@ -101,8 +113,13 @@ func (s *Server) handleImport(w http.ResponseWriter, r *http.Request) {
 // handleDrop removes serials from the store — the final step of a
 // handoff, after the new owner has imported them and the map has
 // flipped. Removal releases each drive's quality-ledger contribution
-// too, so a moved drive's accounting lives on exactly one node.
+// too, so a moved drive's accounting lives on exactly one node. A
+// replicated primary drops only its own copy; the follower keeps an
+// inert remnant, which loses no acknowledged record.
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
+	if !s.takesWrites(w) {
+		return
+	}
 	serials, ok := s.readSerials(w, r)
 	if !ok {
 		return

@@ -41,7 +41,7 @@ func TestGoldenResponses(t *testing.T) {
 	defer mgr.Close()
 	srv := testServer(t,
 		fleet.Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}},
-		Config{SummaryTopN: 10, Persist: mgr})
+		Config{Persist: mgr})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -145,14 +145,27 @@ func (s *Server) Term() uint64 {
 	return s.repl.term
 }
 
-// notPrimary answers a write that landed on a non-primary: 503 plus a
-// leader hint the failover-aware client follows.
-func (s *Server) notPrimary(w http.ResponseWriter, role Role, leader string) {
+// takesWrites reports whether this node accepts a write (an ingest, an
+// import or a drop). A follower or candidate does not: it answers 503
+// with a leader hint, which the failover-aware client and the router
+// follow, and reports false.
+func (s *Server) takesWrites(w http.ResponseWriter) bool {
+	rp := s.repl
+	if rp == nil {
+		return true
+	}
+	rp.mu.Lock()
+	role, leader := rp.role, rp.leaderURL
+	rp.mu.Unlock()
+	if role == RolePrimary {
+		return true
+	}
 	s.m.ingestNotPrimary.Add(1)
 	wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 		"error":  fmt.Sprintf("not the primary (role %s); writes go to the leader", role),
 		"leader": leader,
 	})
+	return false
 }
 
 // waitReplicated blocks an acked ingest until the follower confirms the

@@ -448,7 +448,8 @@ func TestReplicatedPairEndToEndFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr1.Close()
-	srv1 := New(persistStore(t, fcfg), Config{Persist: mgr1, Replication: &ReplicationOptions{
+	store1 := persistStore(t, fcfg)
+	srv1 := New(store1, Config{Persist: mgr1, Replication: &ReplicationOptions{
 		Role: RolePrimary, Term: 1,
 	}})
 	ts1 := httptest.NewServer(srv1.Handler())
@@ -504,6 +505,32 @@ func TestReplicatedPairEndToEndFailover(t *testing.T) {
 	}
 	if got := store2.Tracked(); got != 2 {
 		t.Fatalf("follower tracks %d drives after acked write, want 2", got)
+	}
+
+	// Imports and drops are writes. An import is not a WAL frame, so a
+	// primary with a follower attached refuses it rather than leave the
+	// pair out of step, and the follower sends both to the leader.
+	src := httptest.NewServer(New(persistStore(t, fcfg), Config{}).Handler())
+	defer src.Close()
+	if code := ingest(src, [3]any{"SER-9", 0, 0.9}); code != http.StatusOK {
+		t.Fatalf("ingest on the export source = %d, want 200", code)
+	}
+	img := exportImage(t, src.URL, "SER-9")
+	if code, doc := postImport(t, ts1.URL, img); code != http.StatusConflict {
+		t.Fatalf("import on a replicated primary = %d %v, want 409", code, doc)
+	}
+	for what, post := range map[string]func() (int, map[string]any){
+		"import": func() (int, map[string]any) { return postImport(t, ts2.URL, img) },
+		"drop": func() (int, map[string]any) {
+			return postJSON(t, ts2.URL+"/v1/admin/drop", map[string]any{"serials": []string{"SER-1"}})
+		},
+	} {
+		if code, doc := post(); code != http.StatusServiceUnavailable || doc["leader"] != ts1.URL {
+			t.Fatalf("%s on the follower = %d %v, want 503 naming leader %s", what, code, doc, ts1.URL)
+		}
+	}
+	if p, f := store1.Tracked(), store2.Tracked(); p != 2 || f != 2 {
+		t.Fatalf("after the refused admin writes the primary tracks %d drives and the follower %d, want 2 and 2", p, f)
 	}
 	st := replStatus(t, ts1.URL)
 	if st["shipper"] == nil {

@@ -43,9 +43,6 @@ type Config struct {
 	// QueueWait is how long a request may wait for an in-flight slot
 	// before being shed with 429; 0 sheds immediately.
 	QueueWait time.Duration
-	// SummaryTopN caps the at_risk list of /v1/fleet/summary (the "top"
-	// query parameter can lower it per request). <= 0 means 10.
-	SummaryTopN int
 	// Log receives structured access logs and server errors; nil
 	// disables logging.
 	Log *log.Logger
@@ -88,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
-	}
-	if c.SummaryTopN <= 0 {
-		c.SummaryTopN = 10
 	}
 	return c
 }
@@ -262,14 +256,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // format. Either format is read whole into a pooled buffer, so every
 // body past MaxBodyBytes is a 413, and decoded by a pooled wire decoder.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if rp := s.repl; rp != nil {
-		rp.mu.Lock()
-		role, leader := rp.role, rp.leaderURL
-		rp.mu.Unlock()
-		if role != RolePrimary {
-			s.notPrimary(w, role, leader)
-			return
-		}
+	if !s.takesWrites(w) {
+		return
 	}
 	if s.cfg.IngestDelay > 0 {
 		// The sleep happens while holding an in-flight slot, so overload
@@ -428,7 +416,7 @@ func (s *Server) handleDrive(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
-	topN, err := wire.ParseTop(r.URL.Query().Get("top"), s.cfg.SummaryTopN)
+	topN, err := wire.ParseTop(r.URL.Query().Get("top"))
 	if err != nil {
 		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return

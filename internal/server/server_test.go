@@ -426,10 +426,10 @@ func TestSummaryEvictsStaleDrives(t *testing.T) {
 }
 
 // TestSummaryTopParameter: ?top= is a decimal n >= 0 and an empty value
-// means the configured default; anything else is a 400, never a numeric
-// prefix read as the whole value.
+// means wire.DefaultTop; anything else is a 400, never a numeric prefix
+// read as the whole value.
 func TestSummaryTopParameter(t *testing.T) {
-	srv := testServer(t, fleet.Config{Shards: 2}, Config{SummaryTopN: 4})
+	srv := testServer(t, fleet.Config{Shards: 2}, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	var recs [][3]any
@@ -450,7 +450,7 @@ func TestSummaryTopParameter(t *testing.T) {
 		{"5abc", http.StatusBadRequest, 0}, {"5.9", http.StatusBadRequest, 0},
 		{"0x10", http.StatusBadRequest, 0}, {"1e3", http.StatusBadRequest, 0},
 		{"-1", http.StatusBadRequest, 0}, {"x", http.StatusBadRequest, 0},
-		{"", http.StatusOK, 4}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
+		{"", http.StatusOK, 10}, {"0", http.StatusOK, 0}, {"7", http.StatusOK, 7},
 	} {
 		resp, err := http.Get(ts.URL + "/v1/fleet/summary?top=" + url.QueryEscape(tc.top))
 		if err != nil {

@@ -268,11 +268,15 @@ type Ready struct {
 	Status     string  `json:"status"`
 }
 
+// DefaultTop is the at-risk list length of GET /v1/fleet/summary when
+// the request passes no ?top=.
+const DefaultTop = 10
+
 // ParseTop parses the ?top= value of GET /v1/fleet/summary, a decimal
-// n >= 0; an empty value means def.
-func ParseTop(v string, def int) (int, error) {
+// n >= 0; an empty value means DefaultTop.
+func ParseTop(v string) (int, error) {
 	if v == "" {
-		return def, nil
+		return DefaultTop, nil
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 0 {

@@ -108,12 +108,12 @@ func TestReject(t *testing.T) {
 
 func TestParseTop(t *testing.T) {
 	for v, want := range map[string]int{"": 10, "0": 0, "7": 7, "+3": 3} {
-		if got, err := ParseTop(v, 10); err != nil || got != want {
+		if got, err := ParseTop(v); err != nil || got != want {
 			t.Errorf("ParseTop(%q) = %d, %v; want %d", v, got, err, want)
 		}
 	}
 	for _, v := range []string{"5abc", "5.9", "0x10", "1e3", "-1", "x", " 5", "99999999999999999999"} {
-		if got, err := ParseTop(v, 10); err == nil {
+		if got, err := ParseTop(v); err == nil {
 			t.Errorf("ParseTop(%q) = %d, want an error", v, got)
 		}
 	}

@@ -585,10 +585,7 @@ func SplitJSON(body []byte, parts int, assign func(serial []byte) int, rep *qual
 			return nil
 		}
 		idx := assign(s.rec.serial)
-		if idx < 0 {
-			return nil
-		}
-		if idx >= parts {
+		if idx < 0 || idx >= parts {
 			return fmt.Errorf("wire: assign placed serial %q in part %d of %d", s.rec.serial, idx, parts)
 		}
 		if bodies[idx] == nil {

@@ -444,8 +444,10 @@ func TestSplitJSONRejectsLikeDecode(t *testing.T) {
 	if _, err := SplitJSON([]byte(`{}`), 0, func([]byte) int { return 0 }, nil); err == nil {
 		t.Fatal("zero parts accepted")
 	}
-	if _, err := SplitJSON([]byte(jsonBody(jsonRec(`"A"`, vals12))), 1, func([]byte) int { return 5 }, nil); err == nil {
-		t.Fatal("out-of-range assignment accepted")
+	for _, idx := range []int{-1, 5} {
+		if _, err := SplitJSON([]byte(jsonBody(jsonRec(`"A"`, vals12))), 1, func([]byte) int { return idx }, nil); err == nil {
+			t.Fatalf("out-of-range assignment %d accepted", idx)
+		}
 	}
 }
 

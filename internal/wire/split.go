@@ -14,10 +14,8 @@ import (
 // batch across owning nodes at memcpy speed. Parts that receive no
 // records are returned nil.
 //
-// assign returns the destination part index, or a negative value to
-// omit the record from every part (the router's dual-write pass uses
-// this to re-frame only the records that are migrating). An index >=
-// parts is a programming error and fails the split.
+// assign returns the destination part index in [0, parts); any other
+// index is a programming error and fails the split.
 //
 // The frame-level checks (version, CRC, record count, torn records,
 // trailing bytes) are exactly Decode's — a frame that Decode rejects
@@ -28,11 +26,11 @@ import (
 // forwarded alone they would fail the target node's own prechecks and
 // poison the whole sub-batch — so they are judged at the split with the
 // same per-record quarantine notes Decode writes, into rep (which may
-// be nil when assign never selects them). An unknown version-2 class
-// byte, which Decode judges before the triple count, and triple-level
-// defects (bad attribute index, flags, infinities) pass through
-// untouched; the owning node quarantines those, keeping the
-// split-and-forward accounting identical to a direct ingest.
+// be nil). An unknown version-2 class byte, which Decode judges before
+// the triple count, and triple-level defects (bad attribute index,
+// flags, infinities) pass through untouched; the owning node
+// quarantines those, keeping the split-and-forward accounting identical
+// to a direct ingest.
 func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
 	if parts <= 0 {
 		return nil, fmt.Errorf("wire: splitting into %d parts", parts)
@@ -101,10 +99,7 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 		}
 
 		idx := assign(serial)
-		if idx < 0 {
-			continue
-		}
-		if idx >= parts {
+		if idx < 0 || idx >= parts {
 			return nil, fmt.Errorf("wire: assign placed serial %q in part %d of %d", serial, idx, parts)
 		}
 		if bodies[idx] == nil {

@@ -127,40 +127,6 @@ func TestSplitFrameV2PassesUnknownClass(t *testing.T) {
 	}
 }
 
-// A negative assignment omits the record; an empty selection returns all
-// parts nil.
-func TestSplitFrameOmit(t *testing.T) {
-	obs := testObs(10)
-	frame := EncodeBatch(obs)
-	keep := obs[4].Serial
-	bodies, err := SplitFrame(frame, 2, func(serial []byte) int {
-		if string(serial) == keep {
-			return 1
-		}
-		return -1
-	}, nil)
-	if err != nil {
-		t.Fatalf("SplitFrame: %v", err)
-	}
-	if bodies[0] != nil {
-		t.Fatal("part 0 should be empty")
-	}
-	var d Decoder
-	var rep quality.Report
-	decoded, err := d.Decode(bodies[1], &rep)
-	if err != nil || len(decoded) != 1 || decoded[0].Serial != keep {
-		t.Fatalf("part 1: %v, %d records", err, len(decoded))
-	}
-
-	none, err := SplitFrame(frame, 2, func([]byte) int { return -1 }, nil)
-	if err != nil {
-		t.Fatalf("SplitFrame all-omit: %v", err)
-	}
-	if none[0] != nil || none[1] != nil {
-		t.Fatal("all-omit split produced parts")
-	}
-}
-
 // Structurally defective record headers (the ones Decode quarantines
 // before reading triples) must quarantine at the split, and well-formed
 // neighbors must still forward.
@@ -236,8 +202,10 @@ func TestSplitFrameErrorsMatchDecode(t *testing.T) {
 	if _, err := SplitFrame(good, 0, func([]byte) int { return 0 }, nil); err == nil {
 		t.Fatal("zero parts accepted")
 	}
-	if _, err := SplitFrame(good, 1, func([]byte) int { return 5 }, nil); err == nil {
-		t.Fatal("out-of-range assignment accepted")
+	for _, idx := range []int{-1, 5} {
+		if _, err := SplitFrame(good, 1, func([]byte) int { return idx }, nil); err == nil {
+			t.Fatalf("out-of-range assignment %d accepted", idx)
+		}
 	}
 }
 
