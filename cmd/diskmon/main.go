@@ -70,10 +70,12 @@ func main() {
 		fmt.Println(q.Summary())
 	}
 
-	mon, err := monitor.FromCharacterization(ch, monitor.Config{})
+	m, err := monitor.FromCharacterization(ch, monitor.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Drives are keyed by fleet DriveID, good ones offset by 1,000,000.
+	mon := monitor.NewSparse(m)
 
 	// Replay a held-out fleet (different seed: drives the models never saw).
 	replayCfg := synth.DefaultConfig(scale)

@@ -24,10 +24,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	mon, err := monitor.FromCharacterization(ch, monitor.Config{})
+	m, err := monitor.FromCharacterization(ch, monitor.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The drives go in under their fleet IDs, the healthy one offset by
+	// 1,000,000, so the monitor needs an ID map in front of its slots.
+	mon := monitor.NewSparse(m)
 
 	// A held-out fleet the models have never seen.
 	liveFleet, err := disksig.GenerateFleet(disksig.FleetConfig(disksig.ScaleSmall, 99))

@@ -16,10 +16,12 @@ import (
 // numbers drive a Monte Carlo RAID-5 model comparing reactive
 // replace-on-failure against signature-guided proactive replacement.
 func (ctx *Context) AblationProactiveRAID() (*Result, error) {
-	mon, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
+	m, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
 	if err != nil {
 		return nil, err
 	}
+	// Drives are keyed by fleet DriveID, good ones offset by 1,000,000.
+	mon := monitor.NewSparse(m)
 
 	// A held-out fleet the predictors never saw.
 	cfg := synth.DefaultConfig(synth.ScaleSmall)

@@ -27,10 +27,11 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 	}
 
 	// Part 1 — ETA accuracy per severity stage.
-	mon, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
+	m, err := monitor.FromCharacterization(ctx.Char, monitor.Config{})
 	if err != nil {
 		return nil, err
 	}
+	mon := monitor.NewSparse(m) // drives are keyed by fleet DriveID
 	const maxFailed = 40
 	absErr := map[monitor.Severity][]float64{}
 	within2x := map[monitor.Severity]int{}
@@ -75,10 +76,11 @@ func (ctx *Context) AblationRescueTime() (*Result, error) {
 		"Warn below", "Failed drives warned", "Good drives warned")
 	const maxGood = 100
 	for _, warnBelow := range []float64{0.3, 0.1, 1e-9, -0.2, -0.4} {
-		m2, err := monitor.FromCharacterization(ctx.Char, monitor.Config{WarnBelow: warnBelow})
+		swept, err := monitor.FromCharacterization(ctx.Char, monitor.Config{WarnBelow: warnBelow})
 		if err != nil {
 			return nil, err
 		}
+		m2 := monitor.NewSparse(swept) // good drives are offset by 1,000,000
 		warned, nFailed := 0, 0
 		for _, p := range held.Failed {
 			if nFailed >= maxFailed {

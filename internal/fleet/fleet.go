@@ -108,10 +108,12 @@ type BatchResult struct {
 }
 
 // shard is one lock stripe: a monitor plus the serial <-> local-ID
-// mapping. Local IDs are dense per shard: a drive that leaves (Remove,
-// EvictStale, a failed import) frees its ID for the next new drive, so
-// serials stays bounded by the live drives, and a drive that reports
-// again after leaving restarts with fresh state.
+// mapping. A drive's local ID is its slot in the shard's monitor, so the
+// monitor keeps no ID map of its own and one free list serves both.
+// Local IDs are dense per shard: a drive that leaves (Remove, EvictStale)
+// frees its ID for the next new drive, so serials and the monitor's slot
+// table stay bounded by the live drives, and a drive that reports again
+// after leaving restarts with fresh state.
 type shard struct {
 	mu      sync.Mutex
 	mon     *monitor.Monitor
@@ -160,19 +162,19 @@ func (sh *shard) release(id int) {
 // recordHistory appends a kept record to a drive's history ring. A
 // repeated hour replaces the tail (keep-latest, matching the monitor's
 // smoothing-window semantics); a full ring slides in place.
-func (sh *shard) recordHistory(id int, rec smart.Record) {
+func (sh *shard) recordHistory(id int, rec *smart.Record) {
 	if sh.histCap <= 0 {
 		return
 	}
 	h := sh.history[id]
 	switch {
 	case len(h) > 0 && h[len(h)-1].Hour == rec.Hour:
-		h[len(h)-1] = rec
+		h[len(h)-1] = *rec
 	case len(h) < sh.histCap:
-		h = append(h, rec)
+		h = append(h, *rec)
 	default:
 		copy(h, h[1:])
-		h[len(h)-1] = rec
+		h[len(h)-1] = *rec
 	}
 	sh.history[id] = h
 }
@@ -286,14 +288,15 @@ func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
 	sh := s.shards[s.shardIndex(serial)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	a := sh.ingestLocked(serial, smart.HDD, rec)
+	a := sh.ingestLocked(serial, smart.HDD, &rec)
 	if a != nil {
 		a.ModelVersion = s.set.Version
 	}
 	return a
 }
 
-func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.Record) *Alert {
+// ingestLocked scores one record in place; the caller holds sh.mu.
+func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec *smart.Record) *Alert {
 	id, ok := sh.ids[serial]
 	if !ok {
 		id = sh.assign(serial)
@@ -301,7 +304,7 @@ func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec smart.
 	if rec.Hour > sh.maxHour {
 		sh.maxHour = rec.Hour
 	}
-	a, kept := sh.mon.IngestClass(id, class, rec)
+	a, kept := sh.mon.IngestRecord(id, class, rec)
 	if kept {
 		sh.recordHistory(id, rec)
 	}
@@ -340,7 +343,8 @@ func (s *Store) IngestBatch(obs []Observation) BatchResult {
 		defer sh.mu.Unlock()
 		before := snapshotCounters(sh.mon.Quality())
 		for _, i := range idxs {
-			if a := sh.ingestLocked(obs[i].Serial, obs[i].Class, obs[i].Record); a != nil {
+			o := &obs[i]
+			if a := sh.ingestLocked(o.Serial, o.Class, &o.Record); a != nil {
 				sc.alerts[si] = append(sc.alerts[si], indexedAlert{idx: i, alert: *a})
 			}
 		}

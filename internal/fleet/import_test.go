@@ -105,6 +105,39 @@ func TestImportEntriesRejectsCorruptState(t *testing.T) {
 	}
 }
 
+// A drive the import refuses leaves nothing behind: here its history
+// fails the check (hours 0, 0), and the store must neither track, list
+// nor count the drive, so the same serial imports cleanly once its
+// history is mended.
+func TestImportEntriesRefusedDriveLeavesNoTrace(t *testing.T) {
+	src := testStore(t, Config{Shards: 2, HistoryHours: 8})
+	src.Ingest("BAD", record(0, 0.9))
+	src.Ingest("BAD", record(1, 0.9))
+	st := src.ExportState()
+	st.Drives[0].History[1].Hour = 0 // history hours 0, 0
+
+	dst := testStore(t, Config{Shards: 2, HistoryHours: 8})
+	n, err := dst.ImportEntries(st)
+	if err == nil || n != 0 {
+		t.Fatalf("ImportEntries = %d, %v; want 0 and an error", n, err)
+	}
+	q := dst.Quality()
+	if dst.Tracked() != 0 || len(dst.Serials()) != 0 || q.RowsRead != 0 {
+		t.Fatalf("refused drive left behind: %d tracked, serials %v, %d ledger rows",
+			dst.Tracked(), dst.Serials(), q.RowsRead)
+	}
+	if _, ok := dst.Drive("BAD"); ok {
+		t.Fatal("refused drive answers a read")
+	}
+	st.Drives[0].History[1].Hour = 1
+	if n, err := dst.ImportEntries(st); err != nil || n != 1 {
+		t.Fatalf("mended import = %d, %v; want 1 drive", n, err)
+	}
+	if got := dst.ExportState(); !reflect.DeepEqual(canonicalState(got).Drives, canonicalState(src.ExportState()).Drives) {
+		t.Fatal("mended import differs from the source")
+	}
+}
+
 // The exported MaxHour can exceed every drive's LastHour (quarantined
 // records advance telemetry time); the surplus must survive the import
 // so eviction does not rejuvenate moved fleets.

@@ -87,10 +87,12 @@ func (s *Store) ExportState(serials ...string) *State {
 		sh := s.shards[si]
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		drives := sh.mon.ExportDrives()
 		entries := make([]DriveEntry, 0, len(sh.ids))
 		for serial, id := range sh.ids {
-			if ds, ok := drives[id]; ok && (only == nil || only[serial]) {
+			if only != nil && !only[serial] {
+				continue
+			}
+			if ds, ok := sh.mon.ExportDrive(id); ok {
 				e := DriveEntry{Serial: serial, State: ds}
 				if sh.histCap > 0 && len(sh.history[id]) > 0 {
 					e.History = append([]smart.Record(nil), sh.history[id]...)
@@ -139,23 +141,32 @@ func sortDriveEntries(entries []DriveEntry) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Serial < entries[j].Serial })
 }
 
-// importHistory validates one drive's exported retraining history and
-// installs it, truncating to the shard's cap — HistoryHours is a
-// deployment knob, so a restore into a smaller cap keeps the newest
-// records and a cap of 0 keeps none.
-func (sh *shard) importHistory(id int, serial string, hist []smart.Record) error {
+// install gives an exported drive an ID and installs its monitor state
+// and retraining history there, the history truncated to the shard's
+// cap — HistoryHours is a deployment knob, so a restore into a smaller
+// cap keeps the newest records and a cap of 0 keeps none. The history
+// and the state are both checked before anything is installed, so a
+// refused drive leaves the shard as it was.
+func (sh *shard) install(serial string, ds monitor.DriveState, hist []smart.Record) error {
 	for i := 1; i < len(hist); i++ {
 		if hist[i].Hour <= hist[i-1].Hour {
 			return fmt.Errorf("drive %s history hours not strictly increasing at index %d", serial, i)
 		}
 	}
-	if sh.histCap <= 0 || len(hist) == 0 {
-		return nil
+	id := sh.assign(serial)
+	if err := sh.mon.ImportDrive(id, ds); err != nil {
+		sh.release(id)
+		return fmt.Errorf("drive %s: %w", serial, err)
 	}
-	if len(hist) > sh.histCap {
-		hist = hist[len(hist)-sh.histCap:]
+	if sh.histCap > 0 && len(hist) > 0 {
+		if len(hist) > sh.histCap {
+			hist = hist[len(hist)-sh.histCap:]
+		}
+		sh.history[id] = append([]smart.Record(nil), hist...)
 	}
-	sh.history[id] = append([]smart.Record(nil), hist...)
+	if ds.Tracked && ds.LastHour > sh.maxHour {
+		sh.maxHour = ds.LastHour
+	}
 	return nil
 }
 
@@ -193,15 +204,8 @@ func Restore(st *State, cfg Config) (*Store, error) {
 	err = parallel.ForEachErr(cfg.Workers, len(store.shards), func(si int) error {
 		sh := store.shards[si]
 		for _, e := range perShard[si] {
-			id := sh.assign(e.Serial)
-			if err := sh.mon.ImportDrive(id, e.State); err != nil {
-				return fmt.Errorf("fleet: restoring drive %s: %w", e.Serial, err)
-			}
-			if err := sh.importHistory(id, e.Serial, e.History); err != nil {
+			if err := sh.install(e.Serial, e.State, e.History); err != nil {
 				return fmt.Errorf("fleet: restoring: %w", err)
-			}
-			if e.State.Tracked && e.State.LastHour > sh.maxHour {
-				sh.maxHour = e.State.LastHour
 			}
 		}
 		return nil
@@ -280,22 +284,13 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing: serial %q already tracked", e.Serial)
 			}
-			id := sh.assign(e.Serial)
 			ds := e.State
 			if ds.Tracked && !sameSet {
 				ds.Recent = make([][]float64, len(s.set.Models))
 			}
-			if err := sh.mon.ImportDrive(id, ds); err != nil {
-				sh.release(id)
-				sh.mu.Unlock()
-				return imported, fmt.Errorf("fleet: importing drive %s: %w", e.Serial, err)
-			}
-			if err := sh.importHistory(id, e.Serial, e.History); err != nil {
+			if err := sh.install(e.Serial, ds, e.History); err != nil {
 				sh.mu.Unlock()
 				return imported, fmt.Errorf("fleet: importing: %w", err)
-			}
-			if e.State.Tracked && e.State.LastHour > sh.maxHour {
-				sh.maxHour = e.State.LastHour
 			}
 			imported++
 		}

@@ -174,24 +174,24 @@ type Verdict struct {
 // scoring state (class, last hour, severity, verdict) and its quality
 // ledger's row counts, inline so a fleet-wide walk reads one contiguous
 // array. Its smoothing windows live in the monitor's score arena at the
-// same slot. A free slot is all zero.
+// same slot, and its issue counts in the monitor's issue arena. A slot
+// holds no pointer, so the garbage collector never scans the table, and
+// a free slot is all zero.
 type driveSlot struct {
-	// id is the caller's drive ID, the key of the monitor's index.
-	id       int
 	lastHour int
 	// rowsRead and rowsQuarantined are the drive's share of the quality
 	// report's row counters.
 	rowsRead        int
 	rowsQuarantined int
-	// issues is the drive's issue breakdown, allocated on its first
-	// issue: a clean drive carries none.
-	issues *issueLedger
 	// deg and worst are a tracked drive's verdict: the lowest smoothed
 	// score over its windows and the index of the model that scored it.
 	// They change only with the windows, so refresh recomputes them
-	// where the windows change (IngestClass, ImportDrive) and reads take
-	// them as they are.
-	deg      float64
+	// where the windows change (IngestRecord, ImportDrive) and reads
+	// take them as they are.
+	deg float64
+	// issues is the first of the drive's issue counts in the issue
+	// arena, as an index plus one: a clean drive has none and keeps 0.
+	issues   int32
 	worst    uint16
 	severity int8
 	class    smart.DeviceClass
@@ -201,39 +201,26 @@ type driveSlot struct {
 	live, tracked, seen bool
 }
 
-// issueLedger is one drive's share of the quality report's per-kind and
-// per-field issue counts. It holds no zero counts.
-type issueLedger struct {
-	byKind  [len(quality.Report{}.ByKind)]int
-	byField []fieldCount
+// issueCount is one non-zero entry of a drive's share of the quality
+// report's per-kind and per-field issue counts. A drive's entries are a
+// list linked through the monitor's issue arena, and so are the free
+// entries Forget releases.
+type issueCount struct {
+	n int
+	// key is a quality.Kind below numKinds, or numKinds plus the index
+	// of a field name in the monitor's interned fields.
+	key int32
+	// next is the index of the list's next entry plus one; 0 ends it.
+	next int32
 }
 
-type fieldCount struct {
-	field string
-	n     int
-}
+// numKinds is the number of issue kinds, the first field key.
+const numKinds = int32(len(quality.Report{}.ByKind))
 
-// breakdown returns the slot's issue breakdown, allocating it on the
-// drive's first issue.
-func (s *driveSlot) breakdown() *issueLedger {
-	if s.issues == nil {
-		s.issues = &issueLedger{}
-	}
-	return s.issues
-}
-
-// addField adds n issues to one field's count.
-func (l *issueLedger) addField(field string, n int) {
-	for i := range l.byField {
-		if l.byField[i].field == field {
-			l.byField[i].n += n
-			return
-		}
-	}
-	l.byField = append(l.byField, fieldCount{field, n})
-}
-
-// Monitor scores streaming SMART records.
+// Monitor scores streaming SMART records. A drive's ID is its slot in
+// the monitor's table: the caller chooses IDs and keeps them dense, as a
+// fleet shard does by handing out freed IDs first, since the table grows
+// to the largest ID. Sparse puts a map from arbitrary IDs in front.
 type Monitor struct {
 	cfg    Config
 	models []GroupModel
@@ -241,15 +228,13 @@ type Monitor struct {
 	// classModels counts models per device class; records of a class
 	// with no models are quarantined rather than silently scored healthy.
 	classModels [smart.NumClasses]int
-	// index maps the caller's drive ID to the drive's slot. A drive has
-	// a slot from its first record on, tracked or not: a drive whose
-	// every record was quarantined still has a ledger to release on
-	// Forget.
-	index map[int]int32
+	// slots is the drive table, indexed by drive ID. A drive has a slot
+	// from its first record on, tracked or not: a drive whose every
+	// record was quarantined still has a ledger to release on Forget.
 	slots []driveSlot
-	// free holds the slots Forget released, reused before the table
-	// grows.
-	free []int32
+	// ids holds each slot's caller ID when a Sparse map addresses the
+	// monitor; it is nil when a drive's ID is its slot.
+	ids []int
 	// scores is the window arena: slot s keeps len(models) windows of
 	// Smoothing scores each, model gi's at window s*len(models)+gi, and
 	// lens holds each window's length. A window of a model whose class
@@ -257,6 +242,14 @@ type Monitor struct {
 	// to +Inf, so other-class models never lower a drive's verdict.
 	scores []float64
 	lens   []int32
+	// issues is the arena of every drive's issue counts, and freeIssue
+	// the first of its free entries as an index plus one. fields interns
+	// the field names the counts are keyed by, once per monitor, and
+	// fieldKeys maps each name to its index in fields.
+	issues    []issueCount
+	freeIssue int32
+	fields    []string
+	fieldKeys map[string]int32
 	// tracked counts the slots whose drive is tracked.
 	tracked int
 	quality quality.Report
@@ -312,7 +305,6 @@ func FromSet(set ModelSet, cfg Config) (*Monitor, error) {
 		models:      set.Models,
 		norms:       set.Norms,
 		classModels: classModels,
-		index:       map[int]int32{},
 		normBuf:     make([]float64, smart.NumAttrs),
 	}, nil
 }
@@ -337,7 +329,7 @@ func FromCharacterization(ch *core.Characterization, cfg Config) (*Monitor, erro
 	return FromSet(set, cfg)
 }
 
-// Ingest scores one raw (vendor health-value) record of a drive. It
+// Ingest scores one raw (vendor health-value) record of drive id. It
 // returns a non-nil alert when the drive's severity escalates.
 //
 // Dirty telemetry never corrupts the smoothed-median window: a record
@@ -345,8 +337,8 @@ func FromCharacterization(ch *core.Characterization, cfg Config) (*Monitor, erro
 // than the drive's latest hour is dropped (keep-latest), and a repeated
 // hour replaces the previous sample instead of widening the window.
 // Every such event is counted in Quality.
-func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
-	a, _ := m.IngestClass(driveID, smart.HDD, rec)
+func (m *Monitor) Ingest(id int, rec smart.Record) *Alert {
+	a, _ := m.IngestRecord(id, smart.HDD, &rec)
 	return a
 }
 
@@ -360,23 +352,25 @@ func (m *Monitor) Ingest(driveID int, rec smart.Record) *Alert {
 // smoothing window — as opposed to being quarantined or dropped, so a
 // caller that retains raw telemetry for retraining mirrors exactly the
 // records that shaped monitor state.
-func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
-	si := m.slotOf(driveID)
+func (m *Monitor) IngestClass(id int, class smart.DeviceClass, rec smart.Record) (*Alert, bool) {
+	return m.IngestRecord(id, class, &rec)
+}
+
+// IngestRecord is IngestClass with the record passed by pointer, the
+// fleet's path: a record is read in place and never retained.
+func (m *Monitor) IngestRecord(id int, class smart.DeviceClass, rec *smart.Record) (*Alert, bool) {
+	si := m.at(id)
 	s := &m.slots[si]
 	if !class.Valid() || m.classModels[class] == 0 {
-		m.note(s, quality.Issue{
-			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
-			Field:  "device_class",
-			Detail: fmt.Sprintf("no models for class %v", class),
+		m.note(si, quality.BadField, "device_class", func() string {
+			return fmt.Sprintf("no models for class %v", class)
 		})
 		m.addRows(s, 1, 1)
 		return nil, false
 	}
 	if s.tracked && s.class != class {
-		m.note(s, quality.Issue{
-			Kind: quality.BadField, Drive: strconv.Itoa(driveID),
-			Field:  "device_class",
-			Detail: fmt.Sprintf("drive is %v, record claims %v", s.class, class),
+		m.note(si, quality.BadField, "device_class", func() string {
+			return fmt.Sprintf("drive is %v, record claims %v", s.class, class)
 		})
 		m.addRows(s, 1, 1)
 		return nil, false
@@ -389,10 +383,8 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	for a := 0; a < int(smart.NumAttrs); a++ {
 		if x := rec.Values[a]; math.IsNaN(x) || math.IsInf(x, 0) {
 			bad = true
-			m.note(s, quality.Issue{
-				Kind: quality.NonFinite, Drive: strconv.Itoa(driveID),
-				Field:  smart.Attr(a).String(),
-				Detail: fmt.Sprintf("value %v", x),
+			m.note(si, quality.NonFinite, smart.Attr(a).String(), func() string {
+				return fmt.Sprintf("value %v", x)
 			})
 		}
 	}
@@ -410,9 +402,8 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 		switch {
 		case rec.Hour < s.lastHour:
 			// Stale sample: the drive already reported a later state.
-			m.note(s, quality.Issue{
-				Kind: quality.OutOfOrderTimestamp, Drive: strconv.Itoa(driveID),
-				Detail: fmt.Sprintf("hour %d after hour %d", rec.Hour, s.lastHour),
+			m.note(si, quality.OutOfOrderTimestamp, "", func() string {
+				return fmt.Sprintf("hour %d after hour %d", rec.Hour, s.lastHour)
 			})
 			m.addRows(s, 1, 1)
 			return nil, false
@@ -423,9 +414,8 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 			// so counting it quarantined would hide a state change from
 			// the kept count and break read = kept + quarantined as an
 			// accounting of records that reached the scoring path.
-			m.note(s, quality.Issue{
-				Kind: quality.DuplicateTimestamp, Drive: strconv.Itoa(driveID),
-				Detail: fmt.Sprintf("hour %d repeated", rec.Hour),
+			m.note(si, quality.DuplicateTimestamp, "", func() string {
+				return fmt.Sprintf("hour %d repeated", rec.Hour)
 			})
 			m.addRows(s, 1, 0)
 			replace = true
@@ -471,7 +461,7 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 		s.severity = int8(severity)
 		gm := &m.models[s.worst]
 		return &Alert{
-			DriveID:        driveID,
+			DriveID:        m.idOf(si),
 			Class:          class,
 			Hour:           rec.Hour,
 			Severity:       severity,
@@ -486,25 +476,33 @@ func (m *Monitor) IngestClass(driveID int, class smart.DeviceClass, rec smart.Re
 	return nil, true
 }
 
-// slotOf returns a drive's slot, giving a new drive a free slot or, when
-// none is free, a new one at the end of the table and the arena.
-func (m *Monitor) slotOf(driveID int) int32 {
-	if si, ok := m.index[driveID]; ok {
-		return si
+// at returns drive id's slot and marks it live, growing the table and
+// the score arena to hold it when id is past their end.
+func (m *Monitor) at(id int) int32 {
+	if n := id + 1 - len(m.slots); n > 0 {
+		m.slots = append(m.slots, make([]driveSlot, n)...)
+		m.lens = append(m.lens, make([]int32, n*len(m.models))...)
+		m.scores = append(m.scores, make([]float64, n*len(m.models)*m.cfg.Smoothing)...)
 	}
-	var si int32
-	if n := len(m.free); n > 0 {
-		si = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		si = int32(len(m.slots))
-		m.slots = append(m.slots, driveSlot{})
-		m.lens = append(m.lens, make([]int32, len(m.models))...)
-		m.scores = append(m.scores, make([]float64, len(m.models)*m.cfg.Smoothing)...)
+	m.slots[id].live = true
+	return int32(id)
+}
+
+// slot returns drive id's slot, or false when the monitor does not know
+// the drive.
+func (m *Monitor) slot(id int) (int32, bool) {
+	if id < 0 || id >= len(m.slots) || !m.slots[id].live {
+		return 0, false
 	}
-	m.slots[si] = driveSlot{id: driveID, live: true}
-	m.index[driveID] = si
-	return si
+	return int32(id), true
+}
+
+// idOf returns the caller's ID of slot si.
+func (m *Monitor) idOf(si int32) int {
+	if m.ids != nil {
+		return m.ids[si]
+	}
+	return int(si)
 }
 
 // window returns slot si's score window for model gi.
@@ -514,15 +512,60 @@ func (m *Monitor) window(si int32, gi int) []float64 {
 	return m.scores[start : start+int(m.lens[wi])]
 }
 
-// note records an issue in both the monitor-wide report and the drive's
-// ledger, so the contribution can later be released by Forget.
-func (m *Monitor) note(s *driveSlot, iss quality.Issue) {
-	m.quality.Note(iss, quality.Config{})
-	b := s.breakdown()
-	b.byKind[iss.Kind]++
-	if iss.Field != "" {
-		b.addField(iss.Field, 1)
+// maxExamples is how many issues a monitor's report keeps verbatim.
+var maxExamples = quality.Config{}.WithDefaults().MaxExamples
+
+// note records an issue of slot si in both the monitor-wide report and
+// the drive's ledger, so the contribution can later be released by
+// Forget. The report keeps only its first maxExamples issues verbatim,
+// so the drive label and detail are formatted only while it still takes
+// them; its counters count every issue either way.
+func (m *Monitor) note(si int32, kind quality.Kind, field string, detail func() string) {
+	iss := quality.Issue{Kind: kind, Field: field}
+	if len(m.quality.Examples) < maxExamples {
+		iss.Drive, iss.Detail = strconv.Itoa(m.idOf(si)), detail()
 	}
+	m.quality.Note(iss, quality.Config{})
+	m.count(si, int32(kind), 1)
+	if field != "" {
+		m.count(si, m.fieldKey(field), 1)
+	}
+}
+
+// count adds n to slot si's issue count under key, adding an entry on
+// the drive's first issue under that key.
+func (m *Monitor) count(si int32, key int32, n int) {
+	s := &m.slots[si]
+	for e := s.issues; e != 0; e = m.issues[e-1].next {
+		if c := &m.issues[e-1]; c.key == key {
+			c.n += n
+			return
+		}
+	}
+	e := m.freeIssue
+	if e != 0 {
+		m.freeIssue = m.issues[e-1].next
+	} else {
+		m.issues = append(m.issues, issueCount{})
+		e = int32(len(m.issues))
+	}
+	m.issues[e-1] = issueCount{n: n, key: key, next: s.issues}
+	s.issues = e
+}
+
+// fieldKey returns the count key of a field name, interning the name on
+// its first use.
+func (m *Monitor) fieldKey(field string) int32 {
+	f, ok := m.fieldKeys[field]
+	if !ok {
+		if m.fieldKeys == nil {
+			m.fieldKeys = map[string]int32{}
+		}
+		f = int32(len(m.fields))
+		m.fields = append(m.fields, field)
+		m.fieldKeys[field] = f
+	}
+	return numKinds + f
 }
 
 // addRows accounts rows in both the monitor-wide report and the drive's
@@ -608,9 +651,9 @@ func hoursToFailure(gm GroupModel, deg float64) float64 {
 	return gm.WindowD * math.Pow(deg+1, 1/k)
 }
 
-// Status returns the monitor's current view of a drive.
-func (m *Monitor) Status(driveID int) (DriveStatus, bool) {
-	si, ok := m.index[driveID]
+// Status returns the monitor's current view of drive id.
+func (m *Monitor) Status(id int) (DriveStatus, bool) {
+	si, ok := m.slot(id)
 	if !ok || !m.slots[si].tracked {
 		return DriveStatus{}, false
 	}
@@ -627,7 +670,7 @@ func (m *Monitor) Each(fn func(Verdict)) {
 		s := &m.slots[si]
 		if s.tracked {
 			fn(Verdict{
-				DriveID:     s.id,
+				DriveID:     m.idOf(int32(si)),
 				Class:       s.class,
 				LastHour:    s.lastHour,
 				Severity:    Severity(s.severity),
@@ -642,7 +685,7 @@ func (m *Monitor) status(si int32) DriveStatus {
 	s := &m.slots[si]
 	gm := &m.models[s.worst]
 	return DriveStatus{
-		DriveID:        s.id,
+		DriveID:        m.idOf(si),
 		Class:          s.class,
 		LastHour:       s.lastHour,
 		Severity:       Severity(s.severity),
@@ -663,23 +706,29 @@ func (m *Monitor) Tracked() int { return m.tracked }
 // along with it, so Quality() only accounts for drives the monitor
 // still knows — a fleet that forgets a drive and re-summarizes must not
 // leak the forgotten drive's counts. The drive's slot is cleared and
-// reused by the next new drive.
-func (m *Monitor) Forget(driveID int) bool {
-	si, ok := m.index[driveID]
+// free for the caller to reuse, and its issue counts go back to the
+// issue arena.
+func (m *Monitor) Forget(id int) bool {
+	si, ok := m.slot(id)
 	if !ok {
 		return false
 	}
 	s := &m.slots[si]
 	m.quality.RowsRead -= s.rowsRead
 	m.quality.RowsQuarantined -= s.rowsQuarantined
-	if s.issues != nil {
-		for k, n := range s.issues.byKind {
-			m.quality.ByKind[k] -= n
-		}
-		for _, fc := range s.issues.byField {
-			if m.quality.ByField[fc.field] -= fc.n; m.quality.ByField[fc.field] == 0 {
-				delete(m.quality.ByField, fc.field)
+	for e := s.issues; e != 0; {
+		c := &m.issues[e-1]
+		if c.key < numKinds {
+			m.quality.ByKind[c.key] -= c.n
+		} else {
+			f := m.fields[c.key-numKinds]
+			if m.quality.ByField[f] -= c.n; m.quality.ByField[f] == 0 {
+				delete(m.quality.ByField, f)
 			}
+		}
+		if e = c.next; e == 0 {
+			// Splice the drive's whole list onto the free entries.
+			c.next, m.freeIssue = m.freeIssue, s.issues
 		}
 	}
 	tracked := s.tracked
@@ -688,8 +737,6 @@ func (m *Monitor) Forget(driveID int) bool {
 	}
 	*s = driveSlot{}
 	clear(m.lens[int(si)*len(m.models) : int(si+1)*len(m.models)])
-	delete(m.index, driveID)
-	m.free = append(m.free, si)
 	return tracked
 }
 
@@ -702,10 +749,11 @@ func (m *Monitor) Quality() *quality.Report { return &m.quality }
 // fleet dashboard view of the middleware.
 func (m *Monitor) Snapshot() []DriveStatus {
 	out := make([]DriveStatus, 0, m.tracked)
-	m.Each(func(v Verdict) {
-		st, _ := m.Status(v.DriveID)
-		out = append(out, st)
-	})
+	for si := range m.slots {
+		if m.slots[si].tracked {
+			out = append(out, m.status(int32(si)))
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Degradation != out[j].Degradation {
 			return out[i].Degradation < out[j].Degradation

@@ -3,6 +3,7 @@ package monitor
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -338,6 +339,32 @@ func TestSnapshotAndJSON(t *testing.T) {
 	// Critical drive has a finite ETA.
 	if parsed[0]["hours_to_failure"] == nil {
 		t.Error("critical drive should have a finite ETA")
+	}
+
+	// Behind Sparse the same drives keep the caller's IDs, and ties in
+	// the at-risk order still break by those IDs.
+	sm, err := New(testModels(), testNormalizer(), Config{Smoothing: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := NewSparse(sm)
+	sp.Ingest(1_000_001, record(0, 0.9))
+	sp.Ingest(-2, record(0, -0.8))
+	sp.Ingest(3_000_003, record(0, -0.1))
+	sp.Ingest(-4, record(0, -0.8))
+	buf.Reset()
+	if err := sp.WriteSnapshotJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var ids []int
+	if err := json.Unmarshal([]byte(buf.String()), &parsed); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range parsed {
+		ids = append(ids, int(e["drive_id"].(float64)))
+	}
+	if want := []int{-4, -2, 3_000_003, 1_000_001}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("sparse snapshot IDs = %v, want %v", ids, want)
 	}
 }
 

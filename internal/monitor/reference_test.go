@@ -353,7 +353,8 @@ func differentialModels(mixed bool) ModelSet {
 // map-based reference through the same seeded random streams — mixed
 // classes, NaN/Inf, stale, duplicate and unserved-class records, Forget
 // (also from inside Each) with new drives landing on the recycled slots,
-// moves of exported states onto other IDs, and sparse IDs — and requires
+// moves of exported states onto other IDs, and dense IDs on the slot
+// path as well as sparse and negative ones through Sparse — and requires
 // the same alerts, statuses, Each multiset, quality report and export
 // after every step. The reference recomputes every verdict from the
 // windows, so a record that leaves the windows alone (quarantined, stale
@@ -368,28 +369,54 @@ func TestSlotTableMatchesReference(t *testing.T) {
 	}{
 		{true, 3, 1}, {true, 1, 2}, {false, 3, 3}, {true, 5, 4},
 	} {
-		t.Run(fmt.Sprintf("mixed=%v/smoothing=%d/seed=%d", tc.mixed, tc.smoothing, tc.seed), func(t *testing.T) {
-			set := differentialModels(tc.mixed)
-			cfg := Config{Smoothing: tc.smoothing}
+		set := differentialModels(tc.mixed)
+		cfg := Config{Smoothing: tc.smoothing}
+		name := fmt.Sprintf("mixed=%v/smoothing=%d/seed=%d", tc.mixed, tc.smoothing, tc.seed)
+		t.Run(name, func(t *testing.T) {
 			m, err := FromSet(set, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			differential(t, m, newReference(set, cfg), tc.seed, 1500)
+			// Dense, sparse (the 1_000_000+DriveID of cmd/diskmon) and
+			// negative IDs share one pool.
+			var ids []int
+			for i := 0; i < 24; i++ {
+				ids = append(ids, i, 1_000_000+i)
+			}
+			ids = append(ids, -7, math.MaxInt32+5)
+			differential(t, NewSparse(m), newReference(set, cfg), ids, tc.seed, 1500)
+		})
+		t.Run("slots/"+name, func(t *testing.T) {
+			m, err := FromSet(set, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The fleet's path: drive IDs are the monitor's slots.
+			ids := make([]int, 48)
+			for i := range ids {
+				ids[i] = i
+			}
+			differential(t, m, newReference(set, cfg), ids, tc.seed, 1500)
 		})
 	}
 }
 
-func differential(t *testing.T, m *Monitor, ref *referenceMonitor, seed int64, steps int) {
+// addressed is the drive-ID API that Monitor, addressed by slot, and
+// Sparse, addressed by arbitrary ID, share.
+type addressed interface {
+	IngestClass(id int, class smart.DeviceClass, rec smart.Record) (*Alert, bool)
+	Status(id int) (DriveStatus, bool)
+	Forget(id int) bool
+	ImportDrive(id int, st DriveState) error
+	Each(fn func(Verdict))
+	ExportDrives() map[int]DriveState
+	Quality() *quality.Report
+	Tracked() int
+}
+
+func differential(t *testing.T, m addressed, ref *referenceMonitor, ids []int, seed int64, steps int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	// Dense, sparse (the 1_000_000+DriveID of cmd/diskmon) and negative
-	// IDs share one pool.
-	var ids []int
-	for i := 0; i < 24; i++ {
-		ids = append(ids, i, 1_000_000+i)
-	}
-	ids = append(ids, -7, math.MaxInt32+5)
 	hour := map[int]int{}
 	for step := 0; step < steps; step++ {
 		id := ids[rng.Intn(len(ids))]
@@ -480,7 +507,7 @@ func differential(t *testing.T, m *Monitor, ref *referenceMonitor, seed int64, s
 	}
 }
 
-func compareToReference(t *testing.T, m *Monitor, ref *referenceMonitor, ids []int, at string) {
+func compareToReference(t *testing.T, m addressed, ref *referenceMonitor, ids []int, at string) {
 	t.Helper()
 	if m.Tracked() != ref.Tracked() {
 		t.Fatalf("%s: Tracked = %d, reference %d", at, m.Tracked(), ref.Tracked())

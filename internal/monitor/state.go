@@ -30,74 +30,103 @@ type DriveState struct {
 }
 
 // ExportDrives deep-copies the per-drive state of every drive the
-// monitor knows — tracked or quarantine-only. The result is
-// serialization-ready: the caller owns it, and re-importing it into a
-// fresh monitor reproduces the original state exactly.
+// monitor knows — tracked or quarantine-only — keyed by drive ID. The
+// result is serialization-ready: the caller owns it, and re-importing it
+// into a fresh monitor reproduces the original state exactly.
 func (m *Monitor) ExportDrives() map[int]DriveState {
-	out := make(map[int]DriveState, len(m.index))
+	out := make(map[int]DriveState, m.tracked)
 	for si := range m.slots {
-		s := &m.slots[si]
-		if !s.live {
-			continue
+		if m.slots[si].live {
+			out[m.idOf(int32(si))] = m.export(int32(si))
 		}
-		ds := DriveState{Ledger: s.ledger()}
-		if s.tracked {
-			ds.Tracked = true
-			ds.Class = s.class
-			ds.LastHour = s.lastHour
-			ds.Seen = s.seen
-			ds.Severity = Severity(s.severity)
-			ds.Recent = make([][]float64, len(m.models))
-			for gi := range ds.Recent {
-				if w := m.window(int32(si), gi); len(w) > 0 {
-					ds.Recent[gi] = append([]float64(nil), w...)
-				}
-			}
-		}
-		out[s.id] = ds
 	}
 	return out
 }
 
-// ledger exports the slot's quality ledger, leaving a map nil when it
-// would be empty so exported and re-imported states compare equal.
-func (s *driveSlot) ledger() DriveLedger {
-	led := DriveLedger{RowsRead: s.rowsRead, RowsQuarantined: s.rowsQuarantined}
-	if s.issues == nil {
-		return led
+// ExportDrive deep-copies drive id's state as ExportDrives does, or
+// reports false when the monitor does not know the drive.
+func (m *Monitor) ExportDrive(id int) (DriveState, bool) {
+	si, ok := m.slot(id)
+	if !ok {
+		return DriveState{}, false
 	}
-	for k, n := range s.issues.byKind {
-		if n != 0 {
+	return m.export(si), true
+}
+
+func (m *Monitor) export(si int32) DriveState {
+	s := &m.slots[si]
+	ds := DriveState{Ledger: m.ledger(si)}
+	if s.tracked {
+		ds.Tracked = true
+		ds.Class = s.class
+		ds.LastHour = s.lastHour
+		ds.Seen = s.seen
+		ds.Severity = Severity(s.severity)
+		ds.Recent = make([][]float64, len(m.models))
+		for gi := range ds.Recent {
+			if w := m.window(si, gi); len(w) > 0 {
+				ds.Recent[gi] = append([]float64(nil), w...)
+			}
+		}
+	}
+	return ds
+}
+
+// ledger exports slot si's quality ledger, leaving a map nil when it
+// would be empty so exported and re-imported states compare equal.
+func (m *Monitor) ledger(si int32) DriveLedger {
+	s := &m.slots[si]
+	led := DriveLedger{RowsRead: s.rowsRead, RowsQuarantined: s.rowsQuarantined}
+	for e := s.issues; e != 0; e = m.issues[e-1].next {
+		c := &m.issues[e-1]
+		if c.key < numKinds {
 			if led.ByKind == nil {
 				led.ByKind = map[quality.Kind]int{}
 			}
-			led.ByKind[quality.Kind(k)] = n
-		}
-	}
-	if len(s.issues.byField) > 0 {
-		led.ByField = make(map[string]int, len(s.issues.byField))
-		for _, fc := range s.issues.byField {
-			led.ByField[fc.field] = fc.n
+			led.ByKind[quality.Kind(c.key)] = c.n
+		} else {
+			if led.ByField == nil {
+				led.ByField = map[string]int{}
+			}
+			led.ByField[m.fields[c.key-numKinds]] = c.n
 		}
 	}
 	return led
 }
 
-// ImportDrive installs one exported drive state into a monitor built
-// with the same models and config. The state is validated first — a
-// corrupted snapshot yields an error, never an out-of-range index or a
-// smoothing window wider than the configuration allows. The drive's
-// ledger is re-added to the monitor-wide quality report, so restored
-// accounting sums back up and a later Forget releases it cleanly. A
-// ledger entry with a zero count carries nothing and is dropped, so
-// export → import → export is a fixpoint.
-func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
-	if si, ok := m.index[driveID]; ok {
-		if m.slots[si].tracked {
-			return fmt.Errorf("monitor: drive %d already tracked", driveID)
-		}
-		return fmt.Errorf("monitor: drive %d already has a ledger", driveID)
+// ImportDrive installs one exported drive state at drive id in a monitor
+// built with the same models and config. The state is validated first —
+// a corrupted snapshot yields an error and installs nothing, never an
+// out-of-range index or a smoothing window wider than the configuration
+// allows. The drive's ledger is re-added to the monitor-wide quality
+// report, so restored accounting sums back up and a later Forget
+// releases it cleanly. A ledger entry with a zero count carries nothing
+// and is dropped, so export → import → export is a fixpoint.
+func (m *Monitor) ImportDrive(id int, st DriveState) error {
+	if id < 0 {
+		return fmt.Errorf("monitor: negative drive ID %d", id)
 	}
+	if si, ok := m.slot(id); ok {
+		return m.taken(si)
+	}
+	if err := m.checkImport(id, st); err != nil {
+		return err
+	}
+	m.install(id, st)
+	return nil
+}
+
+// taken is ImportDrive's refusal of a slot that already holds a drive.
+func (m *Monitor) taken(si int32) error {
+	if m.slots[si].tracked {
+		return fmt.Errorf("monitor: drive %d already tracked", m.idOf(si))
+	}
+	return fmt.Errorf("monitor: drive %d already has a ledger", m.idOf(si))
+}
+
+// checkImport validates an exported state of drive id against the
+// monitor's models and config.
+func (m *Monitor) checkImport(driveID int, st DriveState) error {
 	if st.Ledger.RowsRead < 0 || st.Ledger.RowsQuarantined < 0 || st.Ledger.RowsQuarantined > st.Ledger.RowsRead {
 		return fmt.Errorf("monitor: drive %d ledger rows invalid (%d read, %d quarantined)",
 			driveID, st.Ledger.RowsRead, st.Ledger.RowsQuarantined)
@@ -130,19 +159,23 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 			}
 		}
 	}
+	return nil
+}
 
-	si := m.slotOf(driveID)
+// install puts a checked state at drive id, whose slot holds no drive.
+func (m *Monitor) install(id int, st DriveState) {
+	si := m.at(id)
 	s := &m.slots[si]
 	m.addRows(s, st.Ledger.RowsRead, st.Ledger.RowsQuarantined)
 	for k, n := range st.Ledger.ByKind {
 		if n > 0 {
-			s.breakdown().byKind[k] += n
+			m.count(si, int32(k), n)
 			m.quality.ByKind[k] += n
 		}
 	}
 	for f, n := range st.Ledger.ByField {
 		if n > 0 {
-			s.breakdown().addField(f, n)
+			m.count(si, m.fieldKey(f), n)
 			if m.quality.ByField == nil {
 				m.quality.ByField = map[string]int{}
 			}
@@ -160,5 +193,4 @@ func (m *Monitor) ImportDrive(driveID int, st DriveState) error {
 		}
 		m.refresh(si)
 	}
-	return nil
 }

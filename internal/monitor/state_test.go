@@ -153,6 +153,12 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if exported[3].Tracked {
 		t.Fatal("quarantine-only drive exported as tracked")
 	}
+	for id := -1; id <= 4; id++ {
+		st, ok := src.ExportDrive(id)
+		if want, known := exported[id]; ok != known || !reflect.DeepEqual(st, want) {
+			t.Fatalf("ExportDrive(%d) = %+v, %v; ExportDrives holds %+v, %v", id, st, ok, want, known)
+		}
+	}
 
 	dst, err := New(testModels(), testNormalizer(), Config{Smoothing: 3})
 	if err != nil {
@@ -230,5 +236,61 @@ func TestImportDriveRejectsCorruptState(t *testing.T) {
 				t.Fatal("corrupt state accepted")
 			}
 		})
+	}
+}
+
+// TestSlotStateHoldsNoPointer pins the layout the garbage collector
+// never scans: a drive's slot and its issue counts hold no pointer, and
+// a monitor addressed by slot, as a fleet shard's is, keeps no per-slot
+// ID even after drives collect issues, leave and arrive. A Forget
+// returns the drive's issue counts to the arena for the next drive's
+// issues. TestShardMonitorKeepsNoIDMap in internal/fleet pins that the
+// monitor keeps no ID map.
+func TestSlotStateHoldsNoPointer(t *testing.T) {
+	for _, v := range []any{driveSlot{}, issueCount{}} {
+		if typ := reflect.TypeOf(v); holdsPointer(typ) {
+			t.Fatalf("%v holds a pointer", typ)
+		}
+	}
+	m, err := New(testModels(), testNormalizer(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 4; id++ {
+		m.Ingest(id, record(0, 0.9))
+		m.Ingest(id, record(0, 0.8))
+		m.Ingest(id, nonFiniteRecord(1))
+	}
+	arena := len(m.issues)
+	m.Forget(1)
+	m.Ingest(1, nonFiniteRecord(2))
+	m.Ingest(4, record(0, 0.9))
+	m.Ingest(4, record(0, 0.9))
+	if len(m.issues) != arena {
+		t.Fatalf("issue arena grew from %d to %d entries with %d released", arena, len(m.issues), 3)
+	}
+	if m.ids != nil {
+		t.Fatal("a monitor addressed by slot keeps per-slot IDs")
+	}
+}
+
+// holdsPointer reports whether a value of typ holds a pointer the
+// garbage collector would scan.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.Map, reflect.Slice, reflect.String, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return true
+	default:
+		return false
 	}
 }
