@@ -1,14 +1,27 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"disksig/internal/synth"
 )
+
+var update = flag.Bool("update", false, "rewrite "+metricsGoldenPath+" with the observed small-scale metrics")
+
+// metricsGoldenPath pins every headline metric of the small-scale, seed-1
+// suite as WriteMetricsCSV writes them.
+const metricsGoldenPath = "testdata/metrics_small.golden.csv"
 
 var (
 	ctxOnce sync.Once
@@ -374,6 +387,83 @@ func TestAllRunsEverything(t *testing.T) {
 		}
 		seen[r.ID] = true
 	}
+	t.Run("golden", func(t *testing.T) { checkMetricsGolden(t, results) })
+}
+
+// checkMetricsGolden compares the suite's metrics with the committed
+// golden file exactly, naming every artifact and metric that differs.
+// With -update it rewrites the file instead. The values are pinned on
+// amd64 only: arm64 may fuse a multiply and an add, which can move the
+// last bits of a fitted coefficient and every metric derived from it.
+func checkMetricsGolden(t *testing.T, results []*Result) {
+	var buf bytes.Buffer
+	if err := WriteMetricsCSV(&buf, results); err != nil {
+		t.Fatal(err)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(metricsGoldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(metricsGoldenPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", metricsGoldenPath)
+		return
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("metrics are pinned on amd64; on %s fused multiply-adds may move their last bits", runtime.GOARCH)
+	}
+	want, err := os.ReadFile(metricsGoldenPath)
+	if err != nil {
+		t.Fatalf("%v (run 'go test ./internal/experiments -run TestAllRunsEverything -update' to create it)", err)
+	}
+	got, wantRows := metricRows(t, buf.Bytes()), metricRows(t, want)
+	for _, k := range sortedKeys(wantRows) {
+		if g, ok := got[k]; !ok {
+			t.Errorf("%s %s: missing, want %s", k.artifact, k.metric, wantRows[k])
+		} else if g != wantRows[k] {
+			t.Errorf("%s %s = %s, want %s", k.artifact, k.metric, g, wantRows[k])
+		}
+	}
+	for _, k := range sortedKeys(got) {
+		if _, ok := wantRows[k]; !ok {
+			t.Errorf("%s %s = %s, not in %s", k.artifact, k.metric, got[k], metricsGoldenPath)
+		}
+	}
+	if t.Failed() {
+		t.Logf("%s differs (run with -update if the change is intentional)", metricsGoldenPath)
+	}
+}
+
+type metricKey struct{ artifact, metric string }
+
+// metricRows parses WriteMetricsCSV output into value strings by artifact
+// and metric.
+func metricRows(t *testing.T, data []byte) map[metricKey]string {
+	t.Helper()
+	recs, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[metricKey]string, len(recs))
+	for _, r := range recs[1:] {
+		rows[metricKey{r[0], r[1]}] = r[2]
+	}
+	return rows
+}
+
+func sortedKeys(rows map[metricKey]string) []metricKey {
+	keys := make([]metricKey, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].artifact != keys[j].artifact {
+			return keys[i].artifact < keys[j].artifact
+		}
+		return keys[i].metric < keys[j].metric
+	})
+	return keys
 }
 
 func TestAblationG(t *testing.T) {
