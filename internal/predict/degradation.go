@@ -82,7 +82,7 @@ func TrainDegradation(failed []*smart.Profile, goodPool []smart.Values, cfg Degr
 	if err != nil {
 		return nil, err
 	}
-	tr, err := tree.Train(trainX, trainY, cfg.Tree)
+	tr, imp, err := tree.TrainWithImportance(trainX, trainY, cfg.Tree)
 	if err != nil {
 		return nil, fmt.Errorf("predict: training tree: %w", err)
 	}
@@ -94,7 +94,7 @@ func TrainDegradation(failed []*smart.Profile, goodPool []smart.Values, cfg Degr
 		ErrorRate:    rmse / 2, // targets span [-1, 1]
 		TrainSamples: len(trainX),
 		TestSamples:  len(testX),
-		Importance:   tr.FeatureImportance(trainX, trainY),
+		Importance:   imp,
 	}, nil
 }
 

@@ -127,11 +127,10 @@ func TestMultiFeatureSelectsInformative(t *testing.T) {
 			y = append(y, 1)
 		}
 	}
-	tr, err := Train(x, y, Config{MinLeaf: 5})
+	_, imp, err := TrainWithImportance(x, y, Config{MinLeaf: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := tr.FeatureImportance(x, y)
 	if !(imp[0] > 0.9) {
 		t.Errorf("importance = %v, want feature 0 dominant", imp)
 	}
@@ -141,11 +140,10 @@ func TestMultiFeatureSelectsInformative(t *testing.T) {
 }
 
 func TestFeatureImportanceStump(t *testing.T) {
-	tr, err := Train([][]float64{{1}, {2}}, []float64{3, 3}, Config{})
+	_, imp, err := TrainWithImportance([][]float64{{1}, {2}}, []float64{3, 3}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := tr.FeatureImportance([][]float64{{1}, {2}}, []float64{3, 3})
 	if imp[0] != 0 {
 		t.Errorf("stump importance = %v", imp)
 	}
@@ -264,12 +262,12 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 		x[i] = row
 		y[i] = 3*row[0] - 2*row[2] + rng.NormFloat64()*0.1
 	}
-	base, err := Train(x, y, Config{MaxDepth: 8, Workers: 1})
+	base, baseImp, err := TrainWithImportance(x, y, Config{MaxDepth: 8, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		tr, err := Train(x, y, Config{MaxDepth: 8, Workers: workers})
+		tr, imp, err := TrainWithImportance(x, y, Config{MaxDepth: 8, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,6 +278,11 @@ func TestTrainWorkerEquivalence(t *testing.T) {
 		for i := range x {
 			if tr.Predict(x[i]) != base.Predict(x[i]) {
 				t.Fatalf("workers=%d: prediction differs at sample %d", workers, i)
+			}
+		}
+		for f := range imp {
+			if math.Float64bits(imp[f]) != math.Float64bits(baseImp[f]) {
+				t.Fatalf("workers=%d: importance %v, want %v", workers, imp, baseImp)
 			}
 		}
 	}
@@ -294,7 +297,7 @@ func referenceTrain(x [][]float64, y []float64, cfg Config) *Tree {
 	for i := range idx {
 		idx[i] = i
 	}
-	mean, sse := meanSSE(idx, y)
+	mean, sse := referenceMeanSSE(idx, y)
 	cfg = cfg.withDefaults(sse)
 	return &Tree{features: len(x[0]), root: referenceGrow(x, y, idx, mean, sse, 0, cfg)}
 }
@@ -318,8 +321,8 @@ func referenceGrow(x [][]float64, y []float64, idx []int, mean, sse float64, dep
 	}
 	n.feature = feat
 	n.threshold = thr
-	lm, ls := meanSSE(leftIdx, y)
-	rm, rs := meanSSE(rightIdx, y)
+	lm, ls := referenceMeanSSE(leftIdx, y)
+	rm, rs := referenceMeanSSE(rightIdx, y)
 	n.left = referenceGrow(x, y, leftIdx, lm, ls, depth+1, cfg)
 	n.right = referenceGrow(x, y, rightIdx, rm, rs, depth+1, cfg)
 	return n
@@ -341,6 +344,72 @@ func referenceBestSplit(x [][]float64, y []float64, idx []int, parentSSE float64
 		return 0, 0, 0, false
 	}
 	return feature, threshold, parentSSE - bestSSE, true
+}
+
+// referenceMeanSSE computes the mean target and SSE of the samples idx,
+// summing in the order idx lists them.
+func referenceMeanSSE(idx []int, y []float64) (mean, sse float64) {
+	for _, i := range idx {
+		mean += y[i]
+	}
+	mean /= float64(len(idx))
+	for _, i := range idx {
+		d := y[i] - mean
+		sse += d * d
+	}
+	return mean, sse
+}
+
+// referenceImportance recomputes a tree's feature importance by routing
+// the training samples down it again: each split's reduction is its
+// node's SSE less its children's, summed in preorder and normalized to
+// sum to 1. TrainWithImportance must return it bit for bit.
+func referenceImportance(t *Tree, x [][]float64, y []float64) []float64 {
+	imp := make([]float64, t.features)
+	idx := make([]int, len(x))
+	for i := range idx {
+		idx[i] = i
+	}
+	accumulateImportance(t.root, x, y, idx, imp)
+	var total float64
+	for _, v := range imp {
+		total += v
+	}
+	if total > 0 {
+		for i := range imp {
+			imp[i] /= total
+		}
+	}
+	return imp
+}
+
+func accumulateImportance(n *node, x [][]float64, y []float64, idx []int, imp []float64) {
+	if n.feature < 0 || len(idx) == 0 {
+		return
+	}
+	_, parentSSE := referenceMeanSSE(idx, y)
+	var left, right []int
+	for _, i := range idx {
+		if x[i][n.feature] < n.threshold {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	var childSSE float64
+	if len(left) > 0 {
+		_, s := referenceMeanSSE(left, y)
+		childSSE += s
+	}
+	if len(right) > 0 {
+		_, s := referenceMeanSSE(right, y)
+		childSSE += s
+	}
+	if gain := parentSSE - childSSE; gain > 0 {
+		imp[n.feature] += gain
+	}
+	accumulateImportance(n.left, x, y, left, imp)
+	accumulateImportance(n.right, x, y, right, imp)
 }
 
 func referenceScan(x [][]float64, y []float64, idx []int, f, minLeaf int, order []int) featureSplit {
@@ -433,17 +502,23 @@ func TestPresortedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	check := func(name string, x [][]float64, y []float64, cfg Config) *Tree {
 		t.Helper()
-		want := gobBytes(t, referenceTrain(x, y, cfg))
+		ref := referenceTrain(x, y, cfg)
+		want, wantImp := gobBytes(t, ref), referenceImportance(ref, x, y)
 		var got *Tree
 		for _, workers := range []int{1, 4} {
 			cfg.Workers = workers
-			tr, err := Train(x, y, cfg)
+			tr, imp, err := TrainWithImportance(x, y, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(gobBytes(t, tr), want) {
 				t.Fatalf("%s, workers=%d: presorted tree differs from the reference\npresorted:\n%sreference:\n%s",
-					name, workers, tr.Render(nil), referenceTrain(x, y, cfg).Render(nil))
+					name, workers, tr.Render(nil), ref.Render(nil))
+			}
+			for f := range imp {
+				if math.Float64bits(imp[f]) != math.Float64bits(wantImp[f]) {
+					t.Fatalf("%s, workers=%d: importance %v, want %v from re-routing the samples", name, workers, imp, wantImp)
+				}
 			}
 			got = tr
 		}
@@ -458,9 +533,43 @@ func TestPresortedMatchesReference(t *testing.T) {
 		check(fmt.Sprintf("trial %d (n=%d d=%d %+v)", trial, n, d, cfg), x, y, cfg)
 	}
 
+	// Features around maxLevels distinct values take either presort
+	// path, the counting sort or the radix sort.
+	for trial := 0; trial < 20; trial++ {
+		n := 2*maxLevels + rng.Intn(6*maxLevels)
+		levels := maxLevels - 8 + rng.Intn(4*maxLevels)
+		x, y := tiedData(rng, n, 1+rng.Intn(4), levels, trial%4 == 0, trial%2 == 0, trial%3 == 0)
+		cfg := Config{MaxDepth: 1 + rng.Intn(10), MinLeaf: 1 + rng.Intn(8)}
+		check(fmt.Sprintf("levels trial %d (n=%d levels=%d %+v)", trial, n, levels, cfg), x, y, cfg)
+	}
+	x, y := tiedData(rng, 8*maxLevels, 3, 8*maxLevels, false, false, false)
+	for i, row := range x {
+		row[0] = float64(i % maxLevels)       // exactly maxLevels levels
+		row[1] = float64(i % (maxLevels + 1)) // one level too many
+		y[i] += row[0] / maxLevels
+	}
+	if distinct(x, 0) != maxLevels || distinct(x, 1) != maxLevels+1 {
+		t.Fatalf("boundary case has %d and %d levels, want %d and %d", distinct(x, 0), distinct(x, 1), maxLevels, maxLevels+1)
+	}
+	check("levels boundary", x, y, Config{MaxDepth: 6, MinLeaf: 2})
+
+	// Features 1 and 2 turn constant inside nodes: feature 1 on either
+	// side of feature 0's first split, feature 2 wherever feature 1 is 0,
+	// so deeper nodes skip them when they scan and partition.
+	x, y = tiedData(rng, 3000, 4, 40, false, false, true)
+	for i, row := range x {
+		row[1], row[2] = 0, 0.5
+		if row[0] >= 0 {
+			row[1] = 1
+			row[2] = float64(i % 7)
+		}
+		y[i] += 2*row[1] + row[2]/4
+	}
+	check("constant in node", x, y, Config{MaxDepth: 8, MinLeaf: 3})
+
 	// Both children of the root exceed subtreeParallelMin, so at
 	// Workers 4 the subtrees grow concurrently and their scans fan out.
-	x, y := tiedData(rng, 6*subtreeParallelMin, 4, 40, false, true, false)
+	x, y = tiedData(rng, 6*subtreeParallelMin, 4, 40, false, true, false)
 	for i, row := range x {
 		if row[1] < 0 {
 			y[i] += 3
@@ -497,6 +606,15 @@ func TestPresortedMatchesReference(t *testing.T) {
 	if !duplicated || featureSets[0] == nil {
 		t.Fatal("forest case lacks bootstrap duplicates or feature bagging")
 	}
+}
+
+// distinct counts feature f's distinct values, −0 and +0 as one.
+func distinct(x [][]float64, f int) int {
+	seen := map[float64]bool{}
+	for _, row := range x {
+		seen[row[f]] = true
+	}
+	return len(seen)
 }
 
 func countNodes(n *node) int {
