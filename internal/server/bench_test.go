@@ -286,7 +286,7 @@ func TestReadAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	pins := map[string]float64{"drive": 13, "summary": 103}
+	pins := map[string]float64{"drive": 12, "summary": 64}
 	first := map[string]float64{}
 	for _, drives := range []int{3000, 23395} {
 		h := readFleet(t, drives)

@@ -392,12 +392,11 @@ func (s *Server) finishIngest(w http.ResponseWriter, r *http.Request, obs []flee
 		Kept:         rep.RowsKept(),
 		Quarantined:  rep.RowsQuarantined,
 		ModelVersion: res.ModelVersion,
-		Alerts:       make([]wire.Alert, len(res.Alerts)),
+		Alerts:       wire.AlertsOf(res.Alerts),
 		Quality:      wire.LedgerOf(rep),
 	}
-	for i, a := range res.Alerts {
+	for _, a := range res.Alerts {
 		s.m.alertsBySeverity[int(a.Severity)].Add(1)
-		ack.Alerts[i] = wire.AlertOf(a)
 	}
 	wire.WriteJSON(w, http.StatusOK, &ack)
 }

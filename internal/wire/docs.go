@@ -68,12 +68,18 @@ type Alert struct {
 	ModelVersion   int      `json:"model_version"`
 }
 
-// AlertOf renders a fleet alert.
-func AlertOf(a fleet.Alert) Alert {
-	return Alert{Serial: a.Serial, Class: a.Class.String(), Hour: a.Hour,
-		Severity: a.Severity.String(), Group: a.Group, Type: a.Type.String(),
-		Degradation: a.Degradation, HoursToFailure: finite(a.HoursToFailure),
-		ModelVersion: a.ModelVersion}
+// AlertsOf renders an ack's fleet alerts; their times to failure share
+// one slab.
+func AlertsOf(alerts []fleet.Alert) []Alert {
+	out := make([]Alert, len(alerts))
+	vals := make(slab, 0, len(alerts))
+	for i, a := range alerts {
+		out[i] = Alert{Serial: a.Serial, Class: a.Class.String(), Hour: a.Hour,
+			Severity: a.Severity.String(), Group: a.Group, Type: a.Type.String(),
+			Degradation: a.Degradation, HoursToFailure: vals.finite(a.HoursToFailure),
+			ModelVersion: a.ModelVersion}
+	}
+	return out
 }
 
 // Ack is the POST /v1/ingest response: Ingested = Kept + Quarantined is
@@ -110,8 +116,15 @@ type Drive struct {
 
 // DriveOf renders a drive health snapshot.
 func DriveOf(dh fleet.DriveHealth) Drive {
-	return Drive{Class: dh.Class.String(), Degradation: finite(dh.Degradation), Group: dh.Group,
-		HoursToFailure: finite(dh.HoursToFailure), LastHour: dh.LastHour, Serial: dh.Serial,
+	vals := make(slab, 0, 2)
+	return driveOf(dh, &vals)
+}
+
+// driveOf renders a drive health snapshot, taking its finite values'
+// storage from vals.
+func driveOf(dh fleet.DriveHealth, vals *slab) Drive {
+	return Drive{Class: dh.Class.String(), Degradation: vals.finite(dh.Degradation), Group: dh.Group,
+		HoursToFailure: vals.finite(dh.HoursToFailure), LastHour: dh.LastHour, Serial: dh.Serial,
 		Severity: dh.Severity.String(), Type: dh.Type.String()}
 }
 
@@ -152,14 +165,20 @@ type Summary struct {
 }
 
 // SummaryOf renders a fleet roll-up with the number of drives this read
-// evicted and the store's quarantine ledger.
+// evicted and the store's quarantine ledger. The finite values of every
+// at-risk list share one slab.
 func SummaryOf(sum fleet.Summary, evictedNow int, q *quality.Report) Summary {
-	doc := Summary{AlertingByType: sum.ByType, AtRisk: drivesOf(sum.AtRisk),
+	listed := len(sum.AtRisk)
+	for _, cs := range sum.ByClass {
+		listed += len(cs.AtRisk)
+	}
+	vals := make(slab, 0, 2*listed)
+	doc := Summary{AlertingByType: sum.ByType, AtRisk: drivesOf(sum.AtRisk, &vals),
 		ByClass: make(map[string]*ClassSummary, len(sum.ByClass)), BySeverity: sum.BySeverity,
 		Drives: sum.Drives, EvictedNow: evictedNow, MaxHour: sum.MaxHour, Quality: LedgerOf(q),
 		Shards: make([]ShardCount, len(sum.Shards))}
 	for name, cs := range sum.ByClass {
-		doc.ByClass[name] = &ClassSummary{AtRisk: drivesOf(cs.AtRisk), BySeverity: cs.BySeverity, Drives: cs.Drives}
+		doc.ByClass[name] = &ClassSummary{AtRisk: drivesOf(cs.AtRisk, &vals), BySeverity: cs.BySeverity, Drives: cs.Drives}
 	}
 	for i, ss := range sum.Shards {
 		doc.Shards[i] = ShardCount{Drives: ss.Drives, Shard: ss.Shard}
@@ -168,10 +187,10 @@ func SummaryOf(sum fleet.Summary, evictedNow int, q *quality.Report) Summary {
 }
 
 // drivesOf renders an at-risk list; an empty one renders as [].
-func drivesOf(dhs []fleet.DriveHealth) []Drive {
+func drivesOf(dhs []fleet.DriveHealth, vals *slab) []Drive {
 	out := make([]Drive, len(dhs))
 	for i, dh := range dhs {
-		out[i] = DriveOf(dh)
+		out[i] = driveOf(dh, vals)
 	}
 	return out
 }
@@ -285,12 +304,19 @@ func ParseTop(v string) (int, error) {
 	return n, nil
 }
 
-// finite returns v's address, or nil (rendered null) for a non-finite v.
-func finite(v float64) *float64 {
+// slab backs the *float64 fields of one rendered document, so the
+// document allocates one array for them rather than one box per value.
+// It is made with room for every value the document can hold.
+type slab []float64
+
+// finite stores v in the slab and returns its address, or nil (rendered
+// null) for a non-finite v.
+func (s *slab) finite(v float64) *float64 {
 	if math.IsInf(v, 0) || math.IsNaN(v) {
 		return nil
 	}
-	return &v
+	*s = append(*s, v)
+	return &(*s)[len(*s)-1]
 }
 
 // jsonScratch is a pooled response-encoding buffer with its encoder
