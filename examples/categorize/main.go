@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"disksig"
 	"disksig/internal/cluster"
@@ -18,15 +20,21 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run writes the report to w.
+func run(w io.Writer) error {
 	fleet, err := disksig.GenerateFleet(disksig.FleetConfig(disksig.ScaleSmall, 7))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	// Categorization only — skip the expensive prediction stage.
 	ch, err := disksig.Characterize(fleet, disksig.Config{Seed: 7, SkipPrediction: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	cat := ch.Categorization
 
@@ -37,19 +45,19 @@ func main() {
 		labels[i] = fmt.Sprintf("k=%d", p.K)
 		values[i] = p.AvgWithinDistance
 	}
-	fmt.Println(report.BarChart("Average within-group distance by cluster count", labels, values, 48))
-	fmt.Printf("elbow criterion picks k = %d\n\n", cat.K)
+	fmt.Fprintln(w, report.BarChart("Average within-group distance by cluster count", labels, values, 48))
+	fmt.Fprintf(w, "elbow criterion picks k = %d\n\n", cat.K)
 
 	// 2. The groups and their semantic types.
 	for _, g := range cat.Groups {
-		fmt.Printf("Group %d: %3d drives — %s failures\n", g.Number, len(g.Members), g.Type)
+		fmt.Fprintf(w, "Group %d: %3d drives — %s failures\n", g.Number, len(g.Members), g.Type)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
 	// 3. PCA projection of the 30-feature failure records.
 	proj, model, err := pca.Project(cat.Features, 2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	groups := map[string][][2]float64{}
 	for _, g := range cat.Groups {
@@ -58,9 +66,9 @@ func main() {
 			groups[name] = append(groups[name], [2]float64{proj[m][0], proj[m][1]})
 		}
 	}
-	fmt.Println(report.ScatterPlot("Failure records in PCA space", groups, 72, 18))
+	fmt.Fprintln(w, report.ScatterPlot("Failure records in PCA space", groups, 72, 18))
 	ratios := model.ExplainedVarianceRatio()
-	fmt.Printf("PC1 explains %.1f%% of variance, PC2 %.1f%%\n\n", 100*ratios[0], 100*ratios[1])
+	fmt.Fprintf(w, "PC1 explains %.1f%% of variance, PC2 %.1f%%\n\n", 100*ratios[0], 100*ratios[1])
 
 	// 4. Decile comparison against good drives for the most telling
 	// attributes.
@@ -84,14 +92,15 @@ func main() {
 		for d := 0; d < 9; d++ {
 			tb.AddRowf(fmt.Sprintf("%d0%%", d+1), series[0][d], series[1][d], series[2][d], series[3][d])
 		}
-		fmt.Println(tb.String())
+		fmt.Fprintln(w, tb.String())
 	}
 
 	// 5. Cross-check K-means against Support Vector Clustering.
 	svcRes, err := cluster.SVC(cat.Features, cluster.SVCConfig{Seed: 7})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("SVC finds %d clusters; agreement with K-means (Rand index): %.4f\n",
+	fmt.Fprintf(w, "SVC finds %d clusters; agreement with K-means (Rand index): %.4f\n",
 		svcRes.K, cluster.Agreement(cat.Clusters.Assign, svcRes.Assign))
+	return nil
 }

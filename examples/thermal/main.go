@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"disksig"
 	"disksig/internal/report"
@@ -15,14 +17,20 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run writes the report to w.
+func run(w io.Writer) error {
 	fleet, err := disksig.GenerateFleet(disksig.FleetConfig(disksig.ScaleSmall, 11))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	ch, err := disksig.Characterize(fleet, disksig.Config{Seed: 11, SkipPrediction: true})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Temperature z-scores per group over the 20 days before failure.
@@ -37,7 +45,7 @@ func main() {
 			}
 		}
 	}
-	fmt.Println(report.LineChart("Temperature z-scores (x = hours before failure; lower = hotter than good drives)",
+	fmt.Fprintln(w, report.LineChart("Temperature z-scores (x = hours before failure; lower = hotter than good drives)",
 		xs, lines, 72, 14))
 
 	hottest, hottestZ := 0, 0.0
@@ -47,11 +55,11 @@ func main() {
 		}
 	}
 	gr := ch.GroupByNumber(hottest)
-	fmt.Printf("hottest failure group: Group %d (%s failures), mean z = %.1f\n",
+	fmt.Fprintf(w, "hottest failure group: Group %d (%s failures), mean z = %.1f\n",
 		hottest, gr.Group.Type, hottestZ)
-	fmt.Printf("=> temperature is the leading environmental factor for %s failures;\n", gr.Group.Type)
-	fmt.Println("   thermal-aware placement and drive cooling target the largest failure category.")
-	fmt.Println()
+	fmt.Fprintf(w, "=> temperature is the leading environmental factor for %s failures;\n", gr.Group.Type)
+	fmt.Fprintln(w, "   thermal-aware placement and drive cooling target the largest failure category.")
+	fmt.Fprintln(w)
 
 	// Power-on-hours z-scores: which groups skew old?
 	oldest, oldestZ := 0, 0.0
@@ -63,9 +71,10 @@ func main() {
 			oldest, oldestZ = s.GroupNumber, z
 		}
 	}
-	fmt.Println(tb.String())
+	fmt.Fprintln(w, tb.String())
 	og := ch.GroupByNumber(oldest)
-	fmt.Printf("oldest failure group: Group %d (%s failures), mean z = %.1f\n",
+	fmt.Fprintf(w, "oldest failure group: Group %d (%s failures), mean z = %.1f\n",
 		oldest, og.Group.Type, oldestZ)
-	fmt.Println("=> prioritize backups for aged drives to blunt head-failure data loss.")
+	fmt.Fprintln(w, "=> prioritize backups for aged drives to blunt head-failure data loss.")
+	return nil
 }
