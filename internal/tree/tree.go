@@ -654,31 +654,23 @@ func leavesOf(n *node) int {
 func (t *Tree) Render(featNames []string) string {
 	var b strings.Builder
 	total := t.root.n
-	var walk func(n *node, prefix string, isLast bool)
-	walk = func(n *node, prefix string, isLast bool) {
-		connector := "├── "
-		childPrefix := prefix + "│   "
-		if isLast {
-			connector = "└── "
-			childPrefix = prefix + "    "
-		}
-		if prefix == "" {
-			connector = ""
-			childPrefix = ""
-		}
+	// lead is the node's own line prefix, prefix its children's: the root
+	// has neither, and each child draws its connector under its parent.
+	var walk func(n *node, lead, prefix string)
+	walk = func(n *node, lead, prefix string) {
 		share := 100 * float64(n.n) / float64(total)
 		if n.feature < 0 {
-			fmt.Fprintf(&b, "%s%svalue=%.2f (%.0f%%)\n", prefix, connector, n.value, share)
+			fmt.Fprintf(&b, "%svalue=%.2f (%.0f%%)\n", lead, n.value, share)
 			return
 		}
 		name := fmt.Sprintf("x%d", n.feature)
 		if featNames != nil && n.feature < len(featNames) {
 			name = featNames[n.feature]
 		}
-		fmt.Fprintf(&b, "%s%s%s < %.2f? value=%.2f (%.0f%%)\n", prefix, connector, name, n.threshold, n.value, share)
-		walk(n.left, childPrefix, false)
-		walk(n.right, childPrefix, true)
+		fmt.Fprintf(&b, "%s%s < %.2f? value=%.2f (%.0f%%)\n", lead, name, n.threshold, n.value, share)
+		walk(n.left, prefix+"├── ", prefix+"│   ")
+		walk(n.right, prefix+"└── ", prefix+"    ")
 	}
-	walk(t.root, "", true)
+	walk(t.root, "", "")
 	return b.String()
 }

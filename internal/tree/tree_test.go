@@ -223,6 +223,31 @@ func TestRender(t *testing.T) {
 	}
 }
 
+// TestRenderDrawsStructure pins the exact drawing of a two-level tree:
+// the root flush left, each child under a connector, and a grandchild
+// indented under a "│" while its parent has a later sibling.
+func TestRenderDrawsStructure(t *testing.T) {
+	leaf := func(v float64, n int) *node { return &node{feature: -1, value: v, n: n} }
+	tr := &Tree{features: 2, root: &node{
+		feature: 0, threshold: 0.5, value: 0.4, n: 8,
+		left: &node{
+			feature: 1, threshold: -1.25, value: 0.1, n: 6,
+			left:  leaf(0, 2),
+			right: leaf(0.15, 4),
+		},
+		right: leaf(1.3, 2),
+	}}
+	want := `TC < 0.50? value=0.40 (100%)
+├── POH < -1.25? value=0.10 (75%)
+│   ├── value=0.00 (25%)
+│   └── value=0.15 (50%)
+└── value=1.30 (25%)
+`
+	if got := tr.Render([]string{"TC", "POH"}); got != want {
+		t.Fatalf("render:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestDeepFitImprovesOverStump(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var x [][]float64
