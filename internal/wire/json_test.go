@@ -103,9 +103,11 @@ func referenceDecodeJSON(body []byte, rep *quality.Report) ([]fleet.Observation,
 // trailingOrRepeated walks body's first JSON value with json.Decoder's
 // Token and reports whether anything but whitespace follows it, or a
 // field repeats (after case folding) in one of its objects: the two
-// things DecodeJSON rejects that encoding/json lets through.
+// things DecodeJSON rejects that encoding/json lets through. Numbers
+// stay text, so a value past float64's range does not end the walk.
 func trailingOrRepeated(body []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.UseNumber()
 	repeated, err := walkValue(dec)
 	if err != nil || repeated {
 		return repeated
@@ -185,7 +187,7 @@ const vals12 = `[0.5,1,2,3,4,5,6,7,8,9,10,11]`
 
 // jsonSeeds are the bodies FuzzDecodeJSON starts from; go test runs
 // each as a regular test case.
-var jsonSeeds = []string{
+var jsonSeeds = append([]string{
 	// The plain schema, with and without a class, and its empty forms.
 	jsonBody(jsonRec(`"A"`, vals12), `{"serial":"B","hour":8,"class":"ssd","values":`+vals12+`}`),
 	`{"records":[]}`, `{}`, `{"records":null}`, `null`,
@@ -257,6 +259,19 @@ var jsonSeeds = []string{
 	jsonBody(jsonRec(`"A"`, vals12)) + jsonBody(jsonRec(`"B"`, vals12)),
 	`null x`, `nullx`, `[]`, `[{"records":[]}]`, `"records"`, `42`, ``, `   `,
 	`{"records": [`, `{not json`, `{"records":[],}`, "\ufeff{}",
+}, numberSeeds()...)
+
+// numberSeeds puts each of numberBoundaries in a body twice: as a value,
+// bare in one record and quoted in the next, and as an hour.
+func numberSeeds() []string {
+	var seeds []string
+	for _, n := range numberBoundaries {
+		vals := `,1,2,3,4,5,6,7,8,9,10,11]`
+		seeds = append(seeds,
+			jsonBody(jsonRec(`"A"`, `[`+n+vals), jsonRec(`"B"`, `["`+n+`"`+vals)),
+			jsonBody(`{"serial":"A","hour":`+n+`,"values":`+vals12+`}`))
+	}
+	return seeds
 }
 
 // FuzzDecodeJSON holds DecodeJSON to the encoding/json reference: the
