@@ -237,27 +237,42 @@ func (m *Manager) LogBatch(obs []fleet.Observation, apply func() fleet.BatchResu
 	m.gate.RLock()
 	defer m.gate.RUnlock()
 
-	frame, err := encodeWALRecord(obs)
+	pos, size, err := m.appendFrame(obs)
 	if err != nil {
 		return fleet.BatchResult{}, Position{}, err
 	}
-	m.walMu.Lock()
-	_, werr := m.wal.Write(frame)
-	if werr != nil {
-		m.walMu.Unlock()
-		return fleet.BatchResult{}, Position{}, fmt.Errorf("persist: appending to WAL: %w", werr)
-	}
-	m.walEnd += int64(len(frame))
-	pos := Position{Epoch: m.epoch, Offset: m.walEnd}
-	m.walMu.Unlock()
 	m.walBatches.Add(1)
 	m.walRows.Add(uint64(len(obs)))
-	m.walBytes.Add(uint64(len(frame)))
+	m.walBytes.Add(uint64(size))
 	if sh := m.AttachedShipper(); sh != nil {
 		sh.nudge()
 	}
 	return apply(), pos, nil
 }
+
+// appendFrame encodes a batch into a pooled buffer and appends it to the
+// WAL as one frame, returning the stream position past it and its size.
+func (m *Manager) appendFrame(obs []fleet.Observation) (Position, int, error) {
+	buf := frameBufs.Get().(*[]byte)
+	defer frameBufs.Put(buf)
+	frame, err := appendWALRecord((*buf)[:0], obs)
+	*buf = frame[:0]
+	if err != nil {
+		return Position{}, 0, err
+	}
+	m.walMu.Lock()
+	defer m.walMu.Unlock()
+	if _, err := m.wal.Write(frame); err != nil {
+		return Position{}, 0, fmt.Errorf("persist: appending to WAL: %w", err)
+	}
+	m.walEnd += int64(len(frame))
+	return Position{Epoch: m.epoch, Offset: m.walEnd}, len(frame), nil
+}
+
+// frameBufs recycles appendFrame's buffers. The garbage collector
+// drains the pool, so a buffer an outsized batch grew does not outlive
+// the traffic that needed it.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Snapshot captures the store's full state and commits it atomically,
 // then resets the WAL to the next epoch. Ingestion (LogBatch) is held

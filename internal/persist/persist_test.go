@@ -353,7 +353,7 @@ func TestRestoreDiscardsStaleWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := encodeWALRecord(obs)
+	frame, err := appendWALRecord(nil, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,11 +476,11 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	}
 	obs[1].Record.Values[0] = math.Inf(1)
 	obs[2].Record.Values[3] = math.NaN()
-	frame, err := encodeWALRecord(obs)
+	frame, err := appendWALRecord(nil, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWALRecord(frame[8:])
+	got, err := new(walDecoder).decode(frame[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,7 +509,7 @@ func TestWALRecordClassTail(t *testing.T) {
 		{Serial: "SN-1", Record: record(1, 0.5)},
 		{Serial: "SN-2", Record: record(2, -0.5)},
 	}
-	frame, err := encodeWALRecord(hdd)
+	frame, err := appendWALRecord(nil, hdd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,11 +524,11 @@ func TestWALRecordClassTail(t *testing.T) {
 		{Serial: "SSD-1", Class: smart.SSD, Record: record(2, -0.5)},
 		{Serial: "SN-3", Record: record(3, 0)},
 	}
-	frame, err = encodeWALRecord(mixed)
+	frame, err = appendWALRecord(nil, mixed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeWALRecord(frame[8:])
+	got, err := new(walDecoder).decode(frame[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,12 +545,12 @@ func TestWALRecordClassTail(t *testing.T) {
 	// An unknown class in the tail is corruption, not a new device type.
 	bad := append([]byte(nil), frame[8:]...)
 	bad[len(bad)-2] = 0x7f
-	if _, err := decodeWALRecord(bad); err == nil {
+	if _, err := new(walDecoder).decode(bad); err == nil {
 		t.Fatal("decode accepted an unknown device class in the tail")
 	}
 
 	// An invalid class never encodes in the first place.
-	if _, err := encodeWALRecord([]fleet.Observation{{Serial: "x", Class: smart.DeviceClass(9)}}); err == nil {
+	if _, err := appendWALRecord(nil, []fleet.Observation{{Serial: "x", Class: smart.DeviceClass(9)}}); err == nil {
 		t.Fatal("encode accepted an invalid device class")
 	}
 }

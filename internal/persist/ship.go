@@ -193,11 +193,13 @@ func (s *Shipper) shipPending(heartbeat bool) {
 		s.mu.Unlock()
 
 		durable := s.mgr.Position()
-		var frames []byte
+		bp := shipBufs.Get().(*[]byte)
+		body := appendShipHeader((*bp)[:0], s.cfg.Term, next)
 		if next.Epoch == durable.Epoch && next.Offset < durable.Offset {
 			var err error
-			frames, _, err = s.mgr.ReadWALFrames(next.Epoch, next.Offset, s.cfg.MaxChunk)
+			body, _, err = s.mgr.appendWALFrames(body, next.Epoch, next.Offset, s.cfg.MaxChunk)
 			if err != nil {
+				shipBufs.Put(bp)
 				// An epoch superseded mid-read means a snapshot is resetting
 				// the WAL; Snapshot advances this shipper right after.
 				if !errors.Is(err, errEpochGone) {
@@ -206,10 +208,13 @@ func (s *Shipper) shipPending(heartbeat bool) {
 				return
 			}
 		} else if !heartbeat {
+			shipBufs.Put(bp)
 			return
 		}
+		*bp = body
+		frames := len(body) - shipHeaderSize
 
-		again, err := s.shipOnce(next, frames)
+		again, err := s.shipOnce(bp, frames)
 		if err != nil {
 			s.noteError(err)
 			select {
@@ -218,10 +223,10 @@ func (s *Shipper) shipPending(heartbeat bool) {
 			}
 			return
 		}
-		if len(frames) > 0 {
+		if frames > 0 {
 			s.mu.Lock()
 			s.framesShipped++
-			s.bytesShipped += uint64(len(frames))
+			s.bytesShipped += uint64(frames)
 			s.mu.Unlock()
 		} else if heartbeat {
 			s.mu.Lock()
@@ -229,29 +234,68 @@ func (s *Shipper) shipPending(heartbeat bool) {
 			s.mu.Unlock()
 			heartbeat = false
 		}
-		if !again && len(frames) == 0 {
+		if !again && frames == 0 {
 			return
 		}
 	}
 }
 
-// shipAck is the follower's ship response body: its post-apply
-// high-water mark (and, on a 403 fence, its term).
-type shipAck struct {
-	Term   uint64 `json:"term"`
+// ShipAck is the follower's answer to a ship request: its post-apply
+// high-water mark and its term (on a 403 fence, the term that deposed
+// the sender). The fields are in the order encoding/json writes a map's
+// sorted keys, the order the ack had as one.
+type ShipAck struct {
 	Epoch  uint64 `json:"epoch"`
 	Offset int64  `json:"offset"`
+	Term   uint64 `json:"term"`
 }
 
-// shipOnce sends one ship request. again=true means the caller should
-// continue the loop immediately (progress was made or a conflict
-// resynced the cursor).
-func (s *Shipper) shipOnce(from Position, frames []byte) (again bool, err error) {
-	body := EncodeShipRequest(s.cfg.Term, from, frames)
-	req, err := http.NewRequest(http.MethodPost, s.cfg.FollowerURL+"/v1/replication/ship", bytes.NewReader(body))
+// shipBufs recycles ship request bodies: a header with the frames read
+// straight behind it.
+var shipBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// shipBody is a ship request body backed by a pooled buffer. The
+// transport may close a request body after RoundTrip returns, so the
+// buffer goes back to its pool only when the body is closed, and a read
+// after that sees EOF rather than a buffer someone else now fills.
+type shipBody struct {
+	mu  sync.Mutex
+	buf *[]byte // nil once closed
+	r   bytes.Reader
+}
+
+func (b *shipBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.buf == nil {
+		return 0, io.EOF
+	}
+	return b.r.Read(p)
+}
+
+func (b *shipBody) Close() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.buf != nil {
+		shipBufs.Put(b.buf)
+		b.buf = nil
+	}
+	return nil
+}
+
+// shipOnce sends one ship request whose body is the pooled buffer bp,
+// holding frames bytes of frames; the request's transport returns bp to
+// its pool. again=true means the caller should continue the loop
+// immediately (progress was made or a conflict resynced the cursor).
+func (s *Shipper) shipOnce(bp *[]byte, frames int) (again bool, err error) {
+	body := &shipBody{buf: bp}
+	body.r.Reset(*bp)
+	req, err := http.NewRequest(http.MethodPost, s.cfg.FollowerURL+"/v1/replication/ship", body)
 	if err != nil {
+		body.Close()
 		return false, err
 	}
+	req.ContentLength = int64(len(*bp))
 	req.Header.Set("Content-Type", ShipContentType)
 	resp, err := s.cfg.Client.Do(req)
 	if err != nil {
@@ -262,7 +306,7 @@ func (s *Shipper) shipOnce(from Position, frames []byte) (again bool, err error)
 		resp.Body.Close()
 	}()
 
-	var ack shipAck
+	var ack ShipAck
 	derr := json.NewDecoder(resp.Body).Decode(&ack)
 	switch resp.StatusCode {
 	case http.StatusOK:
@@ -281,7 +325,7 @@ func (s *Shipper) shipOnce(from Position, frames []byte) (again bool, err error)
 		s.lastErr = nil
 		s.broadcastLocked()
 		s.mu.Unlock()
-		return len(frames) > 0, nil
+		return frames > 0, nil
 	case http.StatusConflict:
 		// Position mismatch (or a frame torn in transit): the follower
 		// answered with its actual high-water mark; resume from there.
@@ -300,15 +344,19 @@ func (s *Shipper) shipOnce(from Position, frames []byte) (again bool, err error)
 		return true, nil
 	case http.StatusForbidden:
 		// Fenced: a higher term deposed us. Terminal for this shipper.
+		// OnFenced runs before the waiters wake, so a caller that sees
+		// ErrFenced finds the callback's work done.
 		s.mu.Lock()
 		alreadyFenced := s.fenced
 		s.fenced = true
 		s.peerTerm = ack.Term
-		s.broadcastLocked()
 		s.mu.Unlock()
 		if !alreadyFenced && s.cfg.OnFenced != nil {
 			s.cfg.OnFenced(ack.Term)
 		}
+		s.mu.Lock()
+		s.broadcastLocked()
+		s.mu.Unlock()
 		return false, nil
 	default:
 		return false, fmt.Errorf("persist: ship request: status %d", resp.StatusCode)

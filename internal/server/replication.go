@@ -424,12 +424,14 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request) {
 // shipAckJSON writes the follower's high-water mark (its term rides
 // along so a fenced sender learns what deposed it).
 func shipAckJSON(w http.ResponseWriter, status int, term uint64, pos persist.Position) {
-	wire.WriteJSON(w, status, map[string]any{
-		"term":   term,
-		"epoch":  pos.Epoch,
-		"offset": pos.Offset,
-	})
+	wire.WriteJSON(w, status, &persist.ShipAck{Epoch: pos.Epoch, Offset: pos.Offset, Term: term})
 }
+
+// frameIters recycles the follower's frame iterators. A warm iterator
+// carries its observation buffer and interned serials, so applying a
+// ship body of drives the follower has seen allocates nothing per
+// record.
+var frameIters = sync.Pool{New: func() any { return new(persist.FrameIter) }}
 
 // handleShip applies one chunk of shipped WAL frames. The protocol in
 // one breath: 403 = your term lost (fence, terminal), 409 = position
@@ -439,14 +441,16 @@ func shipAckJSON(w http.ResponseWriter, status int, term uint64, pos persist.Pos
 // offset) are skipped, never re-applied: WAL replay is not idempotent.
 func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 	rp := s.repl
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, persist.MaxShipBody))
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer bodyPool.Put(buf)
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, persist.MaxShipBody)); err != nil {
 		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{
 			"error": fmt.Sprintf("reading ship request: %v", err),
 		})
 		return
 	}
-	term, from, frames, err := persist.DecodeShipRequest(body)
+	term, from, frames, err := persist.DecodeShipRequest(buf.Bytes())
 	if err != nil {
 		wire.WriteJSON(w, http.StatusBadRequest, map[string]any{"error": err.Error()})
 		return
@@ -500,7 +504,12 @@ func (s *Server) handleShip(w http.ResponseWriter, r *http.Request) {
 	}
 
 	pos := from.Offset
-	it := persist.NewFrameIter(frames)
+	it := frameIters.Get().(*persist.FrameIter)
+	it.Reset(frames)
+	defer func() {
+		it.Reset(nil)
+		frameIters.Put(it)
+	}()
 	for {
 		obs, size, err := it.Next()
 		if err == io.EOF {

@@ -14,6 +14,7 @@ import (
 	"disksig/internal/monitor"
 	"disksig/internal/persist"
 	"disksig/internal/smart"
+	"disksig/internal/wire"
 )
 
 // shipObs builds a one-observation batch scored by RRER, the attribute
@@ -601,5 +602,18 @@ func TestReplicatedPairEndToEndFailover(t *testing.T) {
 	}
 	if doc := replStatus(t, ts2.URL); doc["role"] != "primary" {
 		t.Fatalf("survivor role = %v, want primary", doc["role"])
+	}
+}
+
+// TestShipAckMatchesMapEncoding pins the typed ship ack to the bytes
+// the ack had when it was rendered from a map: the same fields in the
+// same (sorted) order.
+func TestShipAckMatchesMapEncoding(t *testing.T) {
+	got := httptest.NewRecorder()
+	shipAckJSON(got, http.StatusConflict, 7, persist.Position{Epoch: 3, Offset: 1234})
+	want := httptest.NewRecorder()
+	wire.WriteJSON(want, http.StatusConflict, map[string]any{"term": uint64(7), "epoch": uint64(3), "offset": int64(1234)})
+	if got.Code != want.Code || got.Body.String() != want.Body.String() {
+		t.Fatalf("ship ack %d %q, want %d %q", got.Code, got.Body, want.Code, want.Body)
 	}
 }
