@@ -72,6 +72,32 @@ type Observation struct {
 	Record smart.Record
 }
 
+// Interner hands out one string per distinct byte sequence, so a
+// decoder that meets the same serials batch after batch allocates each
+// only once (a map lookup keyed by a byte-slice conversion does not
+// allocate). Past maxInterned strings the table starts over, so a
+// stream of unique serials costs a bounded table, not a leak. The zero
+// value is ready to use; an Interner is not safe for concurrent use.
+type Interner struct {
+	m map[string]string
+}
+
+const maxInterned = 1 << 16
+
+// Intern returns the table's string for b, adding a copy of b the first
+// time it is seen.
+func (in *Interner) Intern(b []byte) string {
+	if s, ok := in.m[string(b)]; ok {
+		return s
+	}
+	if in.m == nil || len(in.m) >= maxInterned {
+		in.m = make(map[string]string, 1024)
+	}
+	s := string(b)
+	in.m[s] = s
+	return s
+}
+
 // Alert is a monitor alert tagged with the drive's serial number (the
 // embedded Alert.DriveID is the store's internal per-shard ID and is not
 // meaningful to callers).

@@ -98,10 +98,6 @@ const (
 	trailerSize = 4
 	// minFrameSize is an empty batch: header + trailer.
 	minFrameSize = headerSize + trailerSize
-	// maxInternedSerials bounds the decoder's interning table so an
-	// adversarial stream of unique serials cannot grow it without bound;
-	// past the cap the table is reset and interning starts over.
-	maxInternedSerials = 1 << 16
 )
 
 // castagnoli is the CRC-32C table shared by encoder and decoder.
@@ -232,7 +228,7 @@ func EncodedSize(obs []fleet.Observation) int {
 // concurrent use; pool one per in-flight request.
 type Decoder struct {
 	obs     []fleet.Observation
-	interns map[string]string
+	interns fleet.Interner
 	// js and held are DecodeJSON's scanner and the issues it holds back
 	// until the whole body has scanned.
 	js   jsonScanner
@@ -368,7 +364,7 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 			continue
 		}
 		d.obs = append(d.obs, fleet.Observation{
-			Serial: d.intern(serial),
+			Serial: d.interns.Intern(serial),
 			Class:  class,
 			Record: smart.Record{Hour: hour, Values: v},
 		})
@@ -383,26 +379,9 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 // via interning (the frame buffer is the caller's to reuse).
 func (d *Decoder) noteBadRecord(rep *quality.Report, serial []byte, kind quality.Kind, format string, args ...any) {
 	rep.Note(quality.Issue{
-		Kind: kind, Drive: d.intern(serial),
+		Kind: kind, Drive: d.interns.Intern(serial),
 		Detail: fmt.Sprintf(format, args...),
 	}, quality.Config{})
-}
-
-// intern returns a stable string for a serial's (or a class name's)
-// bytes, allocating only the first time they are seen (map lookups
-// keyed by a byte slice conversion do not allocate). The table resets
-// past its cap so a flood of unique serials bounds at a table, not a
-// leak.
-func (d *Decoder) intern(b []byte) string {
-	if s, ok := d.interns[string(b)]; ok {
-		return s
-	}
-	if d.interns == nil || len(d.interns) >= maxInternedSerials {
-		d.interns = make(map[string]string, 1024)
-	}
-	s := string(b)
-	d.interns[s] = s
-	return s
 }
 
 // IsFrameError reports whether err is a frame-level decode failure and
