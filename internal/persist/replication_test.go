@@ -162,7 +162,8 @@ func TestReadWALFramesChunksOnFrameBoundaries(t *testing.T) {
 	}
 
 	// Every frame decodes and the decoded rows cover the whole workload.
-	it := NewFrameIter(full)
+	var it FrameIter
+	it.Reset(full)
 	decoded := 0
 	for {
 		obs, _, err := it.Next()
@@ -238,7 +239,8 @@ func (f *fakeFollower) serve(w http.ResponseWriter, r *http.Request) {
 		f.hb++
 	}
 	pos := from.Offset
-	it := NewFrameIter(frames)
+	var it FrameIter
+	it.Reset(frames)
 	for {
 		obs, size, err := it.Next()
 		if err == io.EOF {
