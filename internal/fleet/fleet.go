@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 
 	"disksig/internal/monitor"
@@ -72,30 +73,35 @@ type Observation struct {
 	Record smart.Record
 }
 
-// Interner hands out one string per distinct byte sequence, so a
-// decoder that meets the same serials batch after batch allocates each
-// only once (a map lookup keyed by a byte-slice conversion does not
-// allocate). Past maxInterned strings the table starts over, so a
-// stream of unique serials costs a bounded table, not a leak. The zero
-// value is ready to use; an Interner is not safe for concurrent use.
-type Interner struct {
-	m map[string]string
+// Serials gives a decoded batch's observations their serials as slices
+// of one string, so a batch costs one allocation however many records
+// it holds. A decoder adds each kept observation's serial in order and
+// then calls Assign. The store copies a serial only when it starts
+// tracking the drive, so the string dies with the batch. The zero value
+// is ready to use; a Serials is not safe for concurrent use.
+type Serials struct {
+	buf  []byte
+	ends []int
 }
 
-const maxInterned = 1 << 16
+// Reset empties s for the next batch, keeping its storage.
+func (s *Serials) Reset() { s.buf, s.ends = s.buf[:0], s.ends[:0] }
 
-// Intern returns the table's string for b, adding a copy of b the first
-// time it is seen.
-func (in *Interner) Intern(b []byte) string {
-	if s, ok := in.m[string(b)]; ok {
-		return s
+// Add appends the serial of the next kept observation.
+func (s *Serials) Add(serial []byte) {
+	s.buf = append(s.buf, serial...)
+	s.ends = append(s.ends, len(s.buf))
+}
+
+// Assign copies the serials added since Reset into one string and gives
+// obs[i] the i-th of them.
+func (s *Serials) Assign(obs []Observation) {
+	all := string(s.buf)
+	start := 0
+	for i, end := range s.ends {
+		obs[i].Serial = all[start:end]
+		start = end
 	}
-	if in.m == nil || len(in.m) >= maxInterned {
-		in.m = make(map[string]string, 1024)
-	}
-	s := string(b)
-	in.m[s] = s
-	return s
 }
 
 // Alert is a monitor alert tagged with the drive's serial number (the
@@ -325,7 +331,9 @@ func (s *Store) Ingest(serial string, rec smart.Record) *Alert {
 func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec *smart.Record) *Alert {
 	id, ok := sh.ids[serial]
 	if !ok {
-		id = sh.assign(serial)
+		// The caller's serial may slice a whole decoded batch; a copy
+		// lets that batch go.
+		id = sh.assign(strings.Clone(serial))
 	}
 	if rec.Hour > sh.maxHour {
 		sh.maxHour = rec.Hour
@@ -335,7 +343,7 @@ func (sh *shard) ingestLocked(serial string, class smart.DeviceClass, rec *smart
 		sh.recordHistory(id, rec)
 	}
 	if a != nil {
-		return &Alert{Serial: serial, Alert: *a}
+		return &Alert{Serial: sh.serials[id], Alert: *a}
 	}
 	return nil
 }

@@ -7,6 +7,9 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
+
+	"disksig/internal/monitor"
 )
 
 // paperDrives is the paper's population, the fleet routed serving holds.
@@ -85,7 +88,10 @@ func (rb *randomBatches) nextBatch() []Observation {
 // bytes per drive in the first case. The slot table with a monitor ID
 // map and a heap-allocated issue ledger per drive retained 261 and 297;
 // slots addressed by shard ID with issue counts in one pointer-free
-// arena retain 179 and 186. The bounds sit just above the last pair.
+// arena retained 179 and 186. The store now keeps its own copy of each
+// serial, 16 bytes for these nine-byte serials, instead of the caller's
+// string, which may slice a whole decoded batch: 195 and 202. The
+// bounds sit just above the last pair.
 func TestRetainedBytesPerDrive(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates heap objects")
@@ -95,8 +101,8 @@ func TestRetainedBytesPerDrive(t *testing.T) {
 		every bool
 		bound float64
 	}{
-		{"two thirds with issues", false, 190},
-		{"every drive with issues", true, 195},
+		{"two thirds with issues", false, 206},
+		{"every drive with issues", true, 211},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			perDrive := retainedPerDrive(t, tc.every)
@@ -223,5 +229,99 @@ func TestDriveAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("Drive allocates %v per call", n/float64(len(serials)))
+	}
+}
+
+// checkNoSlack requires every shard monitor's slot, window-length and
+// score tables to end at the highest drive ID the shard holds, with no
+// spare capacity past it.
+func checkNoSlack(t *testing.T, s *Store, when string) {
+	t.Helper()
+	for si, sh := range s.shards {
+		ids := 0
+		for _, id := range sh.ids {
+			ids = max(ids, id+1)
+		}
+		mon := reflect.ValueOf(sh.mon).Elem()
+		models := mon.FieldByName("models").Len()
+		smoothing := int(mon.FieldByName("cfg").FieldByName("Smoothing").Int())
+		for _, table := range []struct {
+			name string
+			per  int
+		}{{"slots", 1}, {"lens", models}, {"scores", models * smoothing}} {
+			if got := mon.FieldByName(table.name).Cap(); got != ids*table.per {
+				t.Errorf("%s: shard %d holds IDs below %d, its %s table has room for %d entries, want %d",
+					when, si, ids, table.name, got, ids*table.per)
+			}
+		}
+	}
+}
+
+// TestTablesSizedExactly: a restore, an import and a model swap each
+// know how many drives they install, so every shard monitor's tables
+// end at the highest drive ID, where growing them by append leaves
+// slack.
+func TestTablesSizedExactly(t *testing.T) {
+	src := testStore(t, Config{Shards: 4})
+	src.IngestBatch(dirtyFleetStream(300, 4))
+	st := src.ExportState()
+	restored, err := Restore(st, Config{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkNoSlack(t, restored, "after a restore")
+	imported := testStore(t, Config{Shards: 4})
+	if _, err := imported.ImportEntries(st); err != nil {
+		t.Fatal(err)
+	}
+	checkNoSlack(t, imported, "after an import")
+	if err := src.SwapModels(swappedSet(0.5, 2)); err != nil {
+		t.Fatal(err)
+	}
+	checkNoSlack(t, src, "after a swap")
+}
+
+// TestStoreKeepsOwnSerials: a decoded batch's serials slice one string
+// per batch, so the store copies a serial when it starts tracking the
+// drive, and an alert carries that copy; otherwise a drive would keep
+// its first batch alive for as long as it is tracked.
+func TestStoreKeepsOwnSerials(t *testing.T) {
+	s := testStore(t, Config{Shards: 4, Monitor: monitor.Config{Smoothing: 1}})
+	var batches []string
+	var alerts []Alert
+	for h, score := range []float64{0.9, -0.9} {
+		var ser Serials
+		obs := make([]Observation, 64)
+		for d := range obs {
+			ser.Add([]byte(fmt.Sprintf("SER-%04d", d)))
+			obs[d].Record = record(h, score)
+		}
+		ser.Assign(obs)
+		batches = append(batches, unsafe.String(unsafe.StringData(obs[0].Serial), 64*8))
+		alerts = append(alerts, s.IngestBatch(obs).Alerts...)
+	}
+	inBatch := func(serial string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(serial)))
+		for _, b := range batches {
+			if lo := uintptr(unsafe.Pointer(unsafe.StringData(b))); p >= lo && p < lo+uintptr(len(b)) {
+				return true
+			}
+		}
+		return false
+	}
+	if len(alerts) != 64 {
+		t.Fatalf("%d alerts, want one per drive", len(alerts))
+	}
+	for _, a := range alerts {
+		if inBatch(a.Serial) {
+			t.Fatalf("alert for %s carries the batch's serial", a.Serial)
+		}
+	}
+	for _, sh := range s.shards {
+		for serial, id := range sh.ids {
+			if inBatch(serial) || inBatch(sh.serials[id]) {
+				t.Fatalf("the store keeps %s in a batch's string", serial)
+			}
+		}
 	}
 }

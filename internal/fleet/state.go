@@ -203,6 +203,7 @@ func Restore(st *State, cfg Config) (*Store, error) {
 	}
 	err = parallel.ForEachErr(cfg.Workers, len(store.shards), func(si int) error {
 		sh := store.shards[si]
+		sh.mon.Reserve(len(perShard[si]))
 		for _, e := range perShard[si] {
 			if err := sh.install(e.Serial, e.State, e.History); err != nil {
 				return fmt.Errorf("fleet: restoring: %w", err)
@@ -279,6 +280,8 @@ func (s *Store) ImportEntries(st *State) (int, error) {
 		}
 		sh := s.shards[si]
 		sh.mu.Lock()
+		// New drives take the freed IDs first, then IDs past the last.
+		sh.mon.Reserve(len(sh.serials) + max(0, len(entries)-len(sh.free)))
 		for _, e := range entries {
 			if _, exists := sh.ids[e.Serial]; exists {
 				sh.mu.Unlock()

@@ -69,6 +69,11 @@ func (s *Store) SwapModels(next monitor.ModelSet) error {
 		sh.mu.Lock()
 		drives := sh.mon.ExportDrives()
 		sh.mu.Unlock()
+		top := -1
+		for id := range drives {
+			top = max(top, id)
+		}
+		mon.Reserve(top + 1)
 		for id, ds := range drives {
 			if ds.Tracked {
 				// Reset the smoothing windows to one empty window per

@@ -488,6 +488,20 @@ func (m *Monitor) at(id int) int32 {
 	return int32(id)
 }
 
+// Reserve sizes the drive table and the score arena to hold drive IDs
+// below n without growing again, with no spare capacity past them: a
+// caller about to install a known number of drives (a restore, an
+// import, a model swap) reserves first, where growing by append would
+// leave up to half the tables as slack.
+func (m *Monitor) Reserve(n int) {
+	if n <= cap(m.slots) {
+		return
+	}
+	m.slots = append(make([]driveSlot, 0, n), m.slots...)
+	m.lens = append(make([]int32, 0, n*len(m.models)), m.lens...)
+	m.scores = append(make([]float64, 0, n*len(m.models)*m.cfg.Smoothing), m.scores...)
+}
+
 // slot returns drive id's slot, or false when the monitor does not know
 // the drive.
 func (m *Monitor) slot(id int) (int32, bool) {

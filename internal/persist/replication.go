@@ -110,9 +110,9 @@ func DecodeShipRequest(body []byte) (term uint64, from Position, frames []byte, 
 
 // FrameIter walks raw WAL frame bytes (a ship request payload) frame by
 // frame, validating each frame's checksum and decoding its batch. Reset
-// points it at the frames to walk. It decodes into a reused observation
-// buffer with interned serials, so a FrameIter kept across requests
-// decodes frames of drives it has seen without allocating.
+// points it at the frames to walk. It decodes into reused observation
+// and serial buffers, so a FrameIter kept across requests costs one
+// allocation per frame, the string the frame's serials slice.
 type FrameIter struct {
 	data []byte
 	dec  walDecoder

@@ -198,65 +198,50 @@ func TestLogBatchSteadyStateAllocs(t *testing.T) {
 }
 
 // TestFrameIterSteadyStateAllocs pins the follower's decode of a ship
-// body to its iterator's buffers: once the drives are known, decoding
-// every frame allocates nothing. Skipped under the race detector.
+// body to one allocation per WAL frame, the string the frame's serials
+// slice, whether a frame holds 10 records or 2,000. Skipped under the
+// race detector.
 func TestFrameIterSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	var frames []byte
-	rows := 0
-	for _, b := range dirtyBatches(64, 4, 100) {
-		var err error
-		if frames, err = appendWALRecord(frames, b); err != nil {
-			t.Fatal(err)
-		}
-		rows += len(b)
-	}
-	body := EncodeShipRequest(1, StartPosition(0), frames)
-	var it FrameIter
-	decode := func() {
-		_, _, payload, err := DecodeShipRequest(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		it.Reset(payload)
-		n := 0
-		for {
-			obs, _, err := it.Next()
-			if err == io.EOF {
-				break
+	for _, size := range []int{10, 2000} {
+		var frames []byte
+		rows, nframes := 0, 0
+		for _, b := range dirtyBatches(size, 4, size) {
+			var err error
+			if frames, err = appendWALRecord(frames, b); err != nil {
+				t.Fatal(err)
 			}
+			rows += len(b)
+			nframes++
+		}
+		body := EncodeShipRequest(1, StartPosition(0), frames)
+		var it FrameIter
+		decode := func() {
+			_, _, payload, err := DecodeShipRequest(body)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n += len(obs)
+			it.Reset(payload)
+			n := 0
+			for {
+				obs, _, err := it.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				n += len(obs)
+			}
+			if n != rows {
+				t.Fatalf("decoded %d observations, want %d", n, rows)
+			}
 		}
-		if n != rows {
-			t.Fatalf("decoded %d observations, want %d", n, rows)
+		decode()
+		if allocs := testing.AllocsPerRun(50, decode); allocs != float64(nframes) {
+			t.Fatalf("%d-record frames: decoding a ship body of %d frames allocates %.2f times, want one per frame", size, nframes, allocs)
 		}
-	}
-	decode()
-	if allocs := testing.AllocsPerRun(100, decode); allocs > 0 {
-		t.Fatalf("decoding a ship body of %d known-drive records allocates %.2f times, want 0", rows, allocs)
-	}
-}
-
-// TestShipBodyReadAfterClose: once the transport closes a ship body its
-// buffer belongs to the pool again, so a late read must not see it and
-// a second close must not return it twice.
-func TestShipBodyReadAfterClose(t *testing.T) {
-	bp := &[]byte{}
-	*bp = appendShipHeader(*bp, 1, StartPosition(0))
-	body := &shipBody{buf: bp}
-	body.r.Reset(*bp)
-	p := make([]byte, 8)
-	if n, err := body.Read(p); n != 8 || err != nil || !bytes.Equal(p, shipMagic[:]) {
-		t.Fatalf("read before close: %d bytes %x, err %v", n, p[:n], err)
-	}
-	body.Close()
-	body.Close()
-	if n, err := body.Read(p); n != 0 || err != io.EOF {
-		t.Fatalf("read after close: %d bytes, err %v; want 0, EOF", n, err)
 	}
 }

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,6 +9,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"disksig/internal/wire"
 )
 
 // Shipper errors surfaced through WaitAcked.
@@ -193,13 +194,13 @@ func (s *Shipper) shipPending(heartbeat bool) {
 		s.mu.Unlock()
 
 		durable := s.mgr.Position()
-		bp := shipBufs.Get().(*[]byte)
+		bp := shipBufs.Get().(*shipBuf)
 		body := appendShipHeader((*bp)[:0], s.cfg.Term, next)
 		if next.Epoch == durable.Epoch && next.Offset < durable.Offset {
 			var err error
 			body, _, err = s.mgr.appendWALFrames(body, next.Epoch, next.Offset, s.cfg.MaxChunk)
 			if err != nil {
-				shipBufs.Put(bp)
+				bp.Release()
 				// An epoch superseded mid-read means a snapshot is resetting
 				// the WAL; Snapshot advances this shipper right after.
 				if !errors.Is(err, errEpochGone) {
@@ -208,7 +209,7 @@ func (s *Shipper) shipPending(heartbeat bool) {
 				return
 			}
 		} else if !heartbeat {
-			shipBufs.Put(bp)
+			bp.Release()
 			return
 		}
 		*bp = body
@@ -252,44 +253,21 @@ type ShipAck struct {
 
 // shipBufs recycles ship request bodies: a header with the frames read
 // straight behind it.
-var shipBufs = sync.Pool{New: func() any { return new([]byte) }}
+var shipBufs = sync.Pool{New: func() any { return new(shipBuf) }}
 
-// shipBody is a ship request body backed by a pooled buffer. The
-// transport may close a request body after RoundTrip returns, so the
-// buffer goes back to its pool only when the body is closed, and a read
-// after that sees EOF rather than a buffer someone else now fills.
-type shipBody struct {
-	mu  sync.Mutex
-	buf *[]byte // nil once closed
-	r   bytes.Reader
-}
+// shipBuf is one pooled ship request body. Its request's transport
+// gives it back by closing the wire.Body that reads it.
+type shipBuf []byte
 
-func (b *shipBody) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.buf == nil {
-		return 0, io.EOF
-	}
-	return b.r.Read(p)
-}
-
-func (b *shipBody) Close() error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.buf != nil {
-		shipBufs.Put(b.buf)
-		b.buf = nil
-	}
-	return nil
-}
+// Release returns the buffer to its pool.
+func (b *shipBuf) Release() { shipBufs.Put(b) }
 
 // shipOnce sends one ship request whose body is the pooled buffer bp,
 // holding frames bytes of frames; the request's transport returns bp to
 // its pool. again=true means the caller should continue the loop
 // immediately (progress was made or a conflict resynced the cursor).
-func (s *Shipper) shipOnce(bp *[]byte, frames int) (again bool, err error) {
-	body := &shipBody{buf: bp}
-	body.r.Reset(*bp)
+func (s *Shipper) shipOnce(bp *shipBuf, frames int) (again bool, err error) {
+	body := wire.NewBody(*bp, bp)
 	req, err := http.NewRequest(http.MethodPost, s.cfg.FollowerURL+"/v1/replication/ship", body)
 	if err != nil {
 		body.Close()

@@ -168,13 +168,12 @@ func appendWALRecord(dst []byte, obs []fleet.Observation) ([]byte, error) {
 }
 
 // walDecoder parses WAL record payloads into a reused observation
-// buffer with interned serials, so decoding a batch of drives it has
-// seen allocates nothing. The observations it returns are valid until
-// its next decode; their serials are its own copies, never the
-// payload's bytes.
+// buffer, so decoding a record costs one allocation: the string its
+// serials slice. The observations it returns are valid until its next
+// decode; their serials never alias the payload's bytes.
 type walDecoder struct {
 	obs     []fleet.Observation
-	interns fleet.Interner
+	serials fleet.Serials
 }
 
 // decode parses one record payload back into observations.
@@ -191,6 +190,7 @@ func (d *walDecoder) decode(payload []byte) ([]fleet.Observation, error) {
 		return nil, fmt.Errorf("persist: WAL record: count %d exceeds payload size", count)
 	}
 	obs := slices.Grow(d.obs[:0], int(count))
+	d.serials.Reset()
 	for i := uint64(0); i < count; i++ {
 		slen, n := binary.Uvarint(payload)
 		if n <= 0 || slen > maxSerialLen || uint64(len(payload)-n) < slen {
@@ -207,7 +207,8 @@ func (d *walDecoder) decode(payload []byte) ([]fleet.Observation, error) {
 		if len(payload) < 8*int(smart.NumAttrs) {
 			return nil, fmt.Errorf("persist: WAL record: truncated values in observation %d", i)
 		}
-		o := fleet.Observation{Serial: d.interns.Intern(serial)}
+		d.serials.Add(serial)
+		var o fleet.Observation
 		o.Record.Hour = int(hour)
 		for a := 0; a < int(smart.NumAttrs); a++ {
 			o.Record.Values[a] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*a:]))
@@ -230,6 +231,7 @@ func (d *walDecoder) decode(payload []byte) ([]fleet.Observation, error) {
 	default:
 		return nil, fmt.Errorf("persist: WAL record: %d trailing bytes", len(payload))
 	}
+	d.serials.Assign(obs)
 	return obs, nil
 }
 

@@ -167,7 +167,7 @@ func unionNodes(a, b []Node) []Node {
 // admin sends one admin request to node n and returns the body and
 // Content-Type of its 200 answer; any other status is an error.
 func (rt *Router) admin(ctx context.Context, n Node, method, path, ct string, body []byte) ([]byte, string, error) {
-	resp, rb, err := rt.forward(ctx, n, method, path, ct, body)
+	resp, rb, err := rt.forward(ctx, n, method, path, ct, body, nil)
 	if err != nil {
 		return nil, "", err
 	}

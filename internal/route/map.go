@@ -144,10 +144,20 @@ func WriteMap(path string, m *Map) error {
 // OwnerIndex returns the index into m.Nodes of the serial's owner. The
 // serial is passed as bytes so the router's binary split path can route
 // without allocating a string per record.
-func (m *Map) OwnerIndex(serial []byte) int {
+func (m *Map) OwnerIndex(serial []byte) int { return m.owner(serialHash(serial)) }
+
+// Owner returns the node that owns a serial.
+func (m *Map) Owner(serial string) Node { return m.Nodes[m.owner(serialHash(serial))] }
+
+// OwnerID returns the owning node's ID.
+func (m *Map) OwnerID(serial string) string { return m.Owner(serial).ID }
+
+// owner returns the index of the node with the highest rendezvous score
+// for a serial of hash hs (serialHash).
+func (m *Map) owner(hs uint64) int {
 	best, bestScore := 0, math.Inf(-1)
 	for i, n := range m.Nodes {
-		s := rendezvousScore(n.ID, serial, n.weight())
+		s := rendezvousScore(mix64(mix64(fnv1a(n.ID))^hs), n.weight())
 		// Ties break by node ID so placement is total even if two nodes'
 		// scores collide exactly.
 		if s > bestScore || (s == bestScore && n.ID < m.Nodes[best].ID) {
@@ -157,50 +167,43 @@ func (m *Map) OwnerIndex(serial []byte) int {
 	return best
 }
 
-// Owner returns the node that owns a serial.
-func (m *Map) Owner(serial string) Node {
-	return m.Nodes[m.OwnerIndex([]byte(serial))]
-}
-
-// OwnerID returns the owning node's ID.
-func (m *Map) OwnerID(serial string) string { return m.Owner(serial).ID }
-
 // rendezvousScore is the weighted highest-random-weight score of a
-// (node, serial) pair: the pair hashes to u uniform in (0, 1), and the
-// score is -weight/ln(u) — the standard weighted-rendezvous transform,
-// under which node i wins a serial with probability w_i / sum(w). With
-// equal weights it reduces to plain HRW (the transform is monotone in
-// the hash).
-func rendezvousScore(nodeID string, serial []byte, weight float64) float64 {
-	h := pairHash(nodeID, serial)
+// (node, serial) pair hashed to h: h maps to u uniform in (0, 1), and
+// the score is -weight/ln(u) — the standard weighted-rendezvous
+// transform, under which node i wins a serial with probability
+// w_i / sum(w). With equal weights it reduces to plain HRW (the
+// transform is monotone in the hash).
+func rendezvousScore(h uint64, weight float64) float64 {
 	// 53 high bits → u in (0, 1), never exactly 0 or 1.
 	u := (float64(h>>11) + 0.5) / (1 << 53)
 	return -weight / math.Log(u)
 }
 
-// pairHash hashes a (node, serial) pair to 64 well-mixed bits: node ID
-// and serial are FNV-1a hashed and SplitMix64-finalized separately,
-// then combined with a golden-ratio multiply and finalized again. FNV
-// alone is too regular for rendezvous scoring (nearby serials produce
-// nearby hashes, which skews per-node balance), and the two-sided
-// finalize keeps the combination symmetric-collision-free — ("ab","c")
-// and ("a","bc") hash differently by construction.
-func pairHash(nodeID string, serial []byte) uint64 {
+// serialHash is the serial's half of a (node, serial) pair hash, taken
+// once per placement: the pair hashes to mix64(mix64(fnv1a(node ID)) ^
+// serialHash(serial)). Node ID and serial are FNV-1a hashed and
+// SplitMix64-finalized separately, then combined with a golden-ratio
+// multiply and finalized again. FNV alone is too regular for rendezvous
+// scoring (nearby serials produce nearby hashes, which skews per-node
+// balance), and the two-sided finalize keeps the combination
+// symmetric-collision-free — ("ab","c") and ("a","bc") hash differently
+// by construction.
+func serialHash[S string | []byte](serial S) uint64 {
+	return mix64(fnv1a(serial)) * 0x9e3779b97f4a7c15
+}
+
+// fnv1a is the 64-bit FNV-1a hash of b.
+func fnv1a[S string | []byte](b S) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
-	hn := uint64(offset64)
-	for i := 0; i < len(nodeID); i++ {
-		hn ^= uint64(nodeID[i])
-		hn *= prime64
+	h := uint64(offset64)
+	for i := 0; i < len(b); i++ {
+		h ^= uint64(b[i])
+		h *= prime64
 	}
-	hs := uint64(offset64)
-	for i := 0; i < len(serial); i++ {
-		hs ^= uint64(serial[i])
-		hs *= prime64
-	}
-	return mix64(mix64(hn) ^ (mix64(hs) * 0x9e3779b97f4a7c15))
+	return h
 }
 
 // mix64 is the SplitMix64 finalizer (Stafford mix 13).
@@ -228,9 +231,9 @@ type Move struct {
 func Diff(old, new *Map, serials []string) []Move {
 	var moves []Move
 	for _, s := range serials {
-		b := []byte(s)
-		from := old.Nodes[old.OwnerIndex(b)].ID
-		to := new.Nodes[new.OwnerIndex(b)].ID
+		hs := serialHash(s)
+		from := old.Nodes[old.owner(hs)].ID
+		to := new.Nodes[new.owner(hs)].ID
 		if from != to {
 			moves = append(moves, Move{Serial: s, From: from, To: to})
 		}

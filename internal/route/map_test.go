@@ -2,6 +2,8 @@ package route
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"path/filepath"
 	"testing"
 )
@@ -205,5 +207,76 @@ func TestNodeURLs(t *testing.T) {
 	urls := n.URLs()
 	if len(urls) != 3 || urls[0] != "http://p" || urls[2] != "http://f2" {
 		t.Fatalf("URLs: %v", urls)
+	}
+}
+
+// referencePairHash is the pair hash placement used when every node's
+// score hashed the serial again, kept as the reference the one-hash
+// placement is held to.
+func referencePairHash(nodeID string, serial []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	hn := uint64(offset64)
+	for i := 0; i < len(nodeID); i++ {
+		hn ^= uint64(nodeID[i])
+		hn *= prime64
+	}
+	hs := uint64(offset64)
+	for i := 0; i < len(serial); i++ {
+		hs ^= uint64(serial[i])
+		hs *= prime64
+	}
+	return mix64(mix64(hn) ^ (mix64(hs) * 0x9e3779b97f4a7c15))
+}
+
+// referenceOwner is OwnerIndex over referencePairHash.
+func referenceOwner(m *Map, serial []byte) (int, []float64) {
+	best, bestScore := 0, math.Inf(-1)
+	scores := make([]float64, len(m.Nodes))
+	for i, n := range m.Nodes {
+		h := referencePairHash(n.ID, serial)
+		u := (float64(h>>11) + 0.5) / (1 << 53)
+		s := -n.weight() / math.Log(u)
+		scores[i] = s
+		if s > bestScore || (s == bestScore && n.ID < m.Nodes[best].ID) {
+			best, bestScore = i, s
+		}
+	}
+	return best, scores
+}
+
+// TestOwnerMatchesReference holds placement to the reference pair hash
+// bit for bit: every node's score and the owner, over random serials
+// (empty and non-ASCII ones among them) and random weighted node sets.
+func TestOwnerMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		nodes := make([]Node, 1+rng.Intn(6))
+		for i := range nodes {
+			nodes[i] = Node{ID: fmt.Sprintf("n%d-%x", i, rng.Uint32()), URL: "http://x"}
+			if rng.Intn(2) == 0 {
+				nodes[i].Weight = rng.Float64() * 4
+			}
+		}
+		m := &Map{Epoch: 1, Nodes: nodes}
+		for k := 0; k < 200; k++ {
+			serial := make([]byte, rng.Intn(24))
+			rng.Read(serial)
+			want, scores := referenceOwner(m, serial)
+			hs := serialHash(serial)
+			for i, n := range m.Nodes {
+				if got := rendezvousScore(mix64(mix64(fnv1a(n.ID))^hs), n.weight()); math.Float64bits(got) != math.Float64bits(scores[i]) {
+					t.Fatalf("serial %x node %s: score %v, reference %v", serial, n.ID, got, scores[i])
+				}
+			}
+			if got := m.OwnerIndex(serial); got != want {
+				t.Fatalf("serial %x: OwnerIndex %d, reference %d", serial, got, want)
+			}
+			if got := m.Owner(string(serial)).ID; got != m.Nodes[want].ID {
+				t.Fatalf("serial %x: Owner %s, reference %s", serial, got, m.Nodes[want].ID)
+			}
+		}
 	}
 }

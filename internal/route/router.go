@@ -49,14 +49,6 @@ type routeState struct {
 	copyDone chan struct{}
 }
 
-// moving reports whether a serial changes owner between cur and next.
-func (s routeState) moving(serial []byte) bool {
-	if s.next == nil {
-		return false
-	}
-	return s.cur.Nodes[s.cur.OwnerIndex(serial)].ID != s.next.Nodes[s.next.OwnerIndex(serial)].ID
-}
-
 // stage names where the router is in a map migration.
 func (s routeState) stage() string {
 	if s.next != nil {
@@ -149,8 +141,10 @@ func (rt *Router) Handler() http.Handler {
 // forward sends one sub-request to a node, retrying across its
 // candidate URLs on connection errors and 503s (a node mid-failover
 // answers 503 from the not-yet-promoted follower). Terminal responses —
-// any other status — are returned with their body read.
-func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, body []byte) (*http.Response, []byte, error) {
+// any other status — are returned with their body read. When owner is
+// set, body is one of its pooled parts, and every request body made
+// from it holds owner until the transport closes it.
+func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, body []byte, owner *ingestBufs) (*http.Response, []byte, error) {
 	var lastErr error
 	wait := 2 * time.Millisecond
 	for attempt := 0; attempt < forwardAttempts; attempt++ {
@@ -170,12 +164,16 @@ func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, 
 		urls := rt.probe.candidates(n)
 		u := urls[attempt%len(urls)]
 		var rd io.Reader
-		if body != nil {
+		if body != nil && owner == nil {
 			rd = bytes.NewReader(body)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u+path, rd)
 		if err != nil {
 			return nil, nil, err
+		}
+		if owner != nil {
+			req.Body, req.ContentLength = owner.partBody(body), int64(len(body))
+			req.GetBody = func() (io.ReadCloser, error) { return owner.partBody(body), nil }
 		}
 		if ct != "" {
 			req.Header.Set("Content-Type", ct)
@@ -201,20 +199,45 @@ func (rt *Router) forward(ctx context.Context, n Node, method, path, ct string, 
 	return nil, nil, fmt.Errorf("node %s unreachable after %d attempts: %w", n.ID, forwardAttempts, lastErr)
 }
 
-// splitBatch is one ingest batch split per owning node: bodies indexed
-// by cur-map node, plus the router-level quarantine ledger and whether
-// any record in the batch is mid-move.
-type splitBatch struct {
-	bodies   [][]byte
+// ingestBufs is one routed batch's pooled buffers: the client body, its
+// per-owner parts (indexed by cur-map node) and the split's tallies,
+// the router-level quarantine ledger among them. The handler holds one
+// reference and every request body made from a part holds another, and
+// the last release returns the buffers to the pool: the transport may
+// read or close a body after RoundTrip returns (a node that answers
+// before reading its part), and a retry resends the same part.
+type ingestBufs struct {
+	body     bytes.Buffer
+	parts    [][]byte
 	records  int
 	hasMover bool
 	rep      quality.Report
+	refs     atomic.Int32
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestBufs) }}
+
+// Release drops one reference to the buffers.
+func (b *ingestBufs) Release() {
+	if b.refs.Add(-1) == 0 {
+		ingestPool.Put(b)
+	}
+}
+
+// partBody returns a request body reading part, one of b's parts, that
+// holds a reference to b until it is closed.
+func (b *ingestBufs) partBody(part []byte) *wire.Body {
+	b.refs.Add(1)
+	return wire.NewBody(part, b)
 }
 
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
+	b := ingestPool.Get().(*ingestBufs)
+	b.refs.Store(1)
+	defer b.Release()
+	b.body.Reset()
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	if _, err := b.body.ReadFrom(r.Body); err != nil {
 		status := http.StatusBadRequest
 		if _, ok := err.(*http.MaxBytesError); ok {
 			status = http.StatusRequestEntityTooLarge
@@ -242,12 +265,11 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	for {
 		rt.mu.RLock()
 		st := rt.routeState
-		sb, handled := rt.splitIngest(w, st, ct, body)
-		if handled {
+		if rt.splitIngest(w, st, ct, b) {
 			rt.mu.RUnlock()
 			return
 		}
-		if sb.hasMover {
+		if b.hasMover {
 			// Copy gate: the batch touches serials whose copy is in flight.
 			// Wait for the copy stage to end, at the flip or the rollback,
 			// and re-split by the map it leaves behind, bounded by gateWait:
@@ -275,56 +297,63 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// Forward while holding the read lock: the flip takes the write
 		// lock, so every in-flight forward drains before the routing
 		// epoch changes — no batch is ever split across two maps.
-		rt.forwardIngest(w, r, st, ct, sb)
+		rt.forwardIngest(w, r, st, ct, b)
 		rt.mu.RUnlock()
 		return
 	}
 }
 
-// splitIngest splits the raw batch body per owning node under the given
-// route state, copying each record's bytes verbatim: binary frames with
-// wire.SplitFrame, JSON bodies with wire.SplitJSON, which runs the
-// nodes' own scanner. If it wrote a terminal response (malformed
-// body), it reports handled=true.
-func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, body []byte) (*splitBatch, bool) {
-	split := wire.SplitJSON
-	if ct == wire.ContentType {
-		split = wire.SplitFrame
-	}
-	sb := &splitBatch{}
-	bodies, err := split(body, len(st.cur.Nodes), func(serial []byte) int {
-		if st.moving(serial) {
-			sb.hasMover = true
+// splitIngest splits the client body in b per owning node under the
+// given route state into b's parts, copying each record's bytes
+// verbatim: binary frames with wire.SplitFrameInto, JSON bodies with
+// wire.SplitJSONInto, which runs the nodes' own scanner. A batch with a
+// serial that changes owner between cur and next sets b.hasMover. If it
+// wrote a terminal response (malformed body), it reports true.
+func (rt *Router) splitIngest(w http.ResponseWriter, st routeState, ct string, b *ingestBufs) bool {
+	b.records, b.hasMover, b.rep = 0, false, quality.Report{}
+	assign := func(serial []byte) int {
+		hs := serialHash(serial)
+		owner := st.cur.owner(hs)
+		if st.next != nil && st.cur.Nodes[owner].ID != st.next.Nodes[st.next.owner(hs)].ID {
+			b.hasMover = true
 		}
-		sb.records++
-		return st.cur.OwnerIndex(serial)
-	}, &sb.rep)
+		b.records++
+		return owner
+	}
+	// Direct calls, so that assign stays on the stack.
+	var parts [][]byte
+	var err error
+	if ct == wire.ContentType {
+		parts, err = wire.SplitFrameInto(b.parts, b.body.Bytes(), len(st.cur.Nodes), assign, &b.rep)
+	} else {
+		parts, err = wire.SplitJSONInto(b.parts, b.body.Bytes(), len(st.cur.Nodes), assign, &b.rep)
+	}
 	if err != nil {
 		// A body a node would reject: both splitters return the node's
 		// own error, so this is the node's 400 and ledger, and no node
 		// sees any part of the batch.
 		rej := wire.Reject(err)
 		wire.WriteJSON(w, http.StatusBadRequest, &rej)
-		return nil, true
+		return true
 	}
-	sb.bodies = bodies
-	return sb, false
+	b.parts = parts
+	return false
 }
 
 // forwardIngest sends the split batch's bodies in node order and merges
 // their acks. The merged ack carries the model version every part
 // reported, and none when the parts disagree (a promotion that reached
 // only some nodes): no single version scored the batch.
-func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st routeState, ct string, sb *splitBatch) {
+func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st routeState, ct string, b *ingestBufs) {
 	ctx := r.Context()
 	merged := wire.Ack{Alerts: []wire.Alert{}}
 	parts, mixed := 0, false
-	for i, body := range sb.bodies {
-		if body == nil {
+	for i, part := range b.parts {
+		if len(part) == 0 {
 			continue
 		}
 		n := st.cur.Nodes[i]
-		resp, rb, err := rt.forward(ctx, n, "POST", "/v1/ingest", ct, body)
+		resp, rb, err := rt.forward(ctx, n, "POST", "/v1/ingest", ct, part, b)
 		if err != nil {
 			rt.m.proxyErrors.Add(1)
 			wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
@@ -366,10 +395,10 @@ func (rt *Router) forwardIngest(w http.ResponseWriter, r *http.Request, st route
 	// header was too defective to route) so the batch accounting the
 	// client checks — ingested == kept + quarantined == records sent —
 	// still balances end to end.
-	merged.Ingested += sb.rep.RowsQuarantined
-	merged.Quarantined += sb.rep.RowsQuarantined
-	merged.Quality.Add(wire.LedgerOf(&sb.rep))
-	rt.m.recordsRouted.Add(int64(sb.records))
+	merged.Ingested += b.rep.RowsQuarantined
+	merged.Quarantined += b.rep.RowsQuarantined
+	merged.Quality.Add(wire.LedgerOf(&b.rep))
+	rt.m.recordsRouted.Add(int64(b.records))
 	wire.WriteJSON(w, http.StatusOK, &merged)
 }
 
@@ -393,7 +422,7 @@ func (rt *Router) handleDrive(w http.ResponseWriter, r *http.Request) {
 	// still has every record (the gate holds the movers' new ones), and
 	// after the flip the new owner has imported them all.
 	n := rt.cur.Owner(serial)
-	resp, body, err := rt.forward(r.Context(), n, "GET", "/v1/drives/"+url.PathEscape(serial), "", nil)
+	resp, body, err := rt.forward(r.Context(), n, "GET", "/v1/drives/"+url.PathEscape(serial), "", nil, nil)
 	if err != nil {
 		rt.m.proxyErrors.Add(1)
 		wire.WriteJSON(w, http.StatusBadGateway, map[string]any{
@@ -421,7 +450,7 @@ type nodeSummary struct {
 
 // fetchSummary asks one node for its summary.
 func (rt *Router) fetchSummary(ctx context.Context, n Node, topN int) (*wire.Summary, error) {
-	resp, body, err := rt.forward(ctx, n, "GET", "/v1/fleet/summary?top="+fmt.Sprint(topN), "", nil)
+	resp, body, err := rt.forward(ctx, n, "GET", "/v1/fleet/summary?top="+fmt.Sprint(topN), "", nil, nil)
 	if err == nil && resp.StatusCode != http.StatusOK {
 		err = fmt.Errorf("status %d", resp.StatusCode)
 	}
@@ -477,7 +506,7 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := rt.snapshot()
 	nodes := map[string]any{}
 	for _, n := range st.cur.Nodes {
-		resp, body, err := rt.forward(r.Context(), n, "GET", "/metrics", "", nil)
+		resp, body, err := rt.forward(r.Context(), n, "GET", "/metrics", "", nil, nil)
 		if err != nil || resp.StatusCode != http.StatusOK {
 			nodes[n.ID] = map[string]any{"error": fmt.Sprint(err)}
 			continue

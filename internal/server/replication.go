@@ -428,9 +428,8 @@ func shipAckJSON(w http.ResponseWriter, status int, term uint64, pos persist.Pos
 }
 
 // frameIters recycles the follower's frame iterators. A warm iterator
-// carries its observation buffer and interned serials, so applying a
-// ship body of drives the follower has seen allocates nothing per
-// record.
+// carries its observation and serial buffers, so applying a ship body
+// costs one allocation per WAL frame, not per record.
 var frameIters = sync.Pool{New: func() any { return new(persist.FrameIter) }}
 
 // handleShip applies one chunk of shipped WAL frames. The protocol in

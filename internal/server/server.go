@@ -320,8 +320,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // decoderPool recycles wire decoders across requests. A warm decoder
-// carries its interned serial table and observation buffer, which is
-// what makes the steady-state ingest path allocation-free.
+// carries its observation and serial buffers, so a batch costs it one
+// allocation, the string its serials slice, however many records it
+// holds.
 var decoderPool = sync.Pool{New: func() any { return new(wire.Decoder) }}
 
 // finishIngest applies decoded observations to the store (through the

@@ -1,6 +1,9 @@
 package smart
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // DeviceClass distinguishes the device populations of a heterogeneous
 // fleet. The paper's analysis is HDD-only; SSDs reuse the same 12
@@ -47,7 +50,9 @@ func ParseClass(s string) (DeviceClass, error) {
 	case "ssd", "SSD":
 		return SSD, nil
 	}
-	return 0, fmt.Errorf("smart: unknown device class %q", s)
+	// The error holds a copy, so s does not escape and a caller may pass
+	// a conversion of borrowed bytes without allocating.
+	return 0, fmt.Errorf("smart: unknown device class %q", strings.Clone(s))
 }
 
 // Classes returns every device class in enum order.

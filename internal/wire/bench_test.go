@@ -7,8 +7,8 @@ import (
 )
 
 // BenchmarkIngestDecode measures the steady-state frame decode that
-// sits on the binary ingest hot path: a warm decoder (serials interned,
-// buffers sized) re-reading batches from the same drives.
+// sits on the binary ingest hot path: a warm decoder (buffers sized)
+// re-reading batches from the same drives.
 func BenchmarkIngestDecode(b *testing.B) {
 	obs := testObs(512)
 	frame := EncodeBatch(obs)

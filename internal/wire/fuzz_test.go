@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"disksig/internal/quality"
@@ -62,6 +64,65 @@ func FuzzDecodeBatch(f *testing.F) {
 		for i := range obs {
 			if obs[i].Serial == "" {
 				t.Fatalf("record %d kept with an empty serial", i)
+			}
+		}
+	})
+}
+
+// FuzzSplitReuse holds the splits that reuse their buffers to the fresh
+// ones. Two arbitrary bodies, split in turn into the same buffers (the
+// first into three parts, the second into two, then the first again),
+// must each give exactly what a fresh SplitFrame or SplitJSON of that
+// body gives, in both formats: the same parts byte for byte, so the
+// same record counts and CRCs, the same number of records assigned and
+// the same ledger, or the same error.
+func FuzzSplitReuse(f *testing.F) {
+	frames := [][]byte{EncodeBatch(testObs(9)), EncodeBatch(testMixedObs(40)), EncodeBatch(nil)}
+	bodies := [][]byte{jsonFixture(testObs(9)), jsonFixture(testMixedObs(40)), []byte(jsonBody(`{"hour":1}`, jsonRec(`"Aé"`, vals12)))}
+	f.Add(frames[0], frames[1])
+	f.Add(frames[1], frames[2])
+	f.Add(bodies[0], bodies[1])
+	f.Add(bodies[1], bodies[2])
+	f.Add(frames[1], bodies[1])
+	f.Add(corrupt(frames[1], func(b []byte) { b[len(b)-2] ^= 1 }), frames[0])
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		for _, format := range []struct {
+			name  string
+			fresh func([]byte, int, func([]byte) int, *quality.Report) ([][]byte, error)
+			into  splitFunc
+		}{
+			{"frame", SplitFrame, SplitFrameInto},
+			{"json", SplitJSON, SplitJSONInto},
+		} {
+			var dst [][]byte
+			for i, step := range []struct {
+				body  []byte
+				parts int
+			}{{a, 3}, {b, 2}, {a, 3}} {
+				var wantRep, gotRep quality.Report
+				wantN, gotN := 0, 0
+				owner := lastByteOwner(step.parts)
+				want, wantErr := format.fresh(step.body, step.parts, func(s []byte) int { wantN++; return owner(s) }, &wantRep)
+				got, gotErr := format.into(dst, step.body, step.parts, func(s []byte) int { gotN++; return owner(s) }, &gotRep)
+				if gotErr == nil {
+					dst = got
+				}
+				if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+					t.Fatalf("%s split %d: fresh error %v, reused %v", format.name, i, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				if len(got) != len(want) || wantN != gotN || !reflect.DeepEqual(wantRep, gotRep) {
+					t.Fatalf("%s split %d: %d parts from %d records, ledger %+v; fresh %d parts from %d, ledger %+v",
+						format.name, i, len(got), gotN, gotRep, len(want), wantN, wantRep)
+				}
+				for p := range want {
+					if !bytes.Equal(got[p], want[p]) {
+						t.Fatalf("%s split %d: part %d is %x, fresh %x", format.name, i, p, got[p], want[p])
+					}
+				}
 			}
 		}
 	})

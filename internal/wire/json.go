@@ -487,8 +487,8 @@ func (s *jsonScanner) expected(want string) error {
 }
 
 // DecodeJSON parses one JSON ingest body into observations, sharing the
-// observation buffer and serial interning with Decode (the slice is
-// valid until the next call). Each record gets the JSON format's
+// observation and serial buffers with Decode (the slice is valid until
+// the next call). Each record gets the JSON format's
 // record checks, in this order: a serial longer than MaxSerialLen, an
 // empty serial, an unknown class, a value count other than
 // smart.NumAttrs, and values that are not finite float64s (every one
@@ -500,6 +500,7 @@ func (s *jsonScanner) expected(want string) error {
 func (d *Decoder) DecodeJSON(body []byte, rep *quality.Report) ([]fleet.Observation, error) {
 	d.obs = d.obs[:0]
 	d.held = d.held[:0]
+	d.serials.Reset()
 	records, quarantined := 0, 0
 	err := d.js.scan(body, true, func([]byte) error {
 		if !d.keepJSON(records, &d.js.rec) {
@@ -515,6 +516,7 @@ func (d *Decoder) DecodeJSON(body []byte, rep *quality.Report) ([]fleet.Observat
 		rep.Note(iss, quality.Config{})
 	}
 	rep.AddRows(quarantined, quarantined, 0)
+	d.serials.Assign(d.obs)
 	return d.obs, nil
 }
 
@@ -531,14 +533,24 @@ func (d *Decoder) keepJSON(i int, r *jsonRecord) bool {
 		})
 		return false
 	}
-	serial := d.interns.Intern(r.serial)
-	class, classErr := smart.ParseClass(d.interns.Intern(r.class))
-	switch {
-	case serial == "":
+	if len(r.serial) == 0 {
 		d.held = append(d.held, quality.Issue{
 			Kind: quality.BadField, Field: "serial",
 			Detail: fmt.Sprintf("record %d has no serial", i),
 		})
+		return false
+	}
+	class, classErr := smart.ParseClass(string(r.class))
+	if classErr == nil && r.nvals == int(smart.NumAttrs) && len(r.bad) == 0 {
+		d.serials.Add(r.serial)
+		d.obs = append(d.obs, fleet.Observation{
+			Class:  class,
+			Record: smart.Record{Hour: r.hour, Values: r.values},
+		})
+		return true
+	}
+	serial := string(r.serial)
+	switch {
 	case classErr != nil:
 		d.held = append(d.held, quality.Issue{
 			Kind: quality.BadField, Field: "device_class", Drive: serial,
@@ -549,20 +561,13 @@ func (d *Decoder) keepJSON(i int, r *jsonRecord) bool {
 			Kind: quality.ShortRow, Drive: serial,
 			Detail: fmt.Sprintf("record %d has %d values, want %d", i, r.nvals, smart.NumAttrs),
 		})
-	case len(r.bad) != 0:
+	default:
 		for _, v := range r.bad {
 			d.held = append(d.held, quality.Issue{
 				Kind: quality.NonFinite, Drive: serial, Field: smart.Attr(v.attr).String(),
 				Detail: fmt.Sprintf("record %d value %q is not a finite float64", i, v.text),
 			})
 		}
-	default:
-		d.obs = append(d.obs, fleet.Observation{
-			Serial: serial,
-			Class:  class,
-			Record: smart.Record{Hour: r.hour, Values: r.values},
-		})
-		return true
 	}
 	return false
 }
@@ -576,14 +581,20 @@ func (d *Decoder) keepJSON(i int, r *jsonRecord) bool {
 // writes for it, and rep is untouched when the body is rejected. Value
 // and class defects pass through to the owner.
 func SplitJSON(body []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("wire: splitting into %d parts", parts)
+	return SplitJSONInto(nil, body, parts, assign, rep)
+}
+
+// SplitJSONInto is SplitJSON refilling the parts of dst, as
+// SplitFrameInto does for frames.
+func SplitJSONInto(dst [][]byte, body []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
+	dst, err := resetParts(dst, parts)
+	if err != nil {
+		return nil, err
 	}
 	var s jsonScanner
-	bodies := make([][]byte, parts)
 	var unrouted []int
 	records := 0
-	err := s.scan(body, false, func(raw []byte) error {
+	err = s.scan(body, false, func(raw []byte) error {
 		records++
 		if len(s.rec.serial) == 0 {
 			unrouted = append(unrouted, records-1)
@@ -593,22 +604,22 @@ func SplitJSON(body []byte, parts int, assign func(serial []byte) int, rep *qual
 		if idx < 0 || idx >= parts {
 			return fmt.Errorf("wire: assign placed serial %q in part %d of %d", s.rec.serial, idx, parts)
 		}
-		if bodies[idx] == nil {
+		if b := dst[idx]; len(b) == 0 {
 			// Size for the remaining body: every unassigned record could
 			// still land here.
-			bodies[idx] = append(make([]byte, 0, len(bodyHead)+len(raw)+len(body)-s.i+len(bodyTail)), bodyHead...)
+			dst[idx] = append(grow(b, len(bodyHead)+len(raw)+len(body)-s.i+len(bodyTail)), bodyHead...)
 		} else {
-			bodies[idx] = append(bodies[idx], ',')
+			dst[idx] = append(b, ',')
 		}
-		bodies[idx] = append(bodies[idx], raw...)
+		dst[idx] = append(dst[idx], raw...)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	for idx, b := range bodies {
-		if b != nil {
-			bodies[idx] = append(b, bodyTail...)
+	for idx, b := range dst {
+		if len(b) != 0 {
+			dst[idx] = append(b, bodyTail...)
 		}
 	}
 	if rep != nil {
@@ -620,5 +631,5 @@ func SplitJSON(body []byte, parts int, assign func(serial []byte) int, rep *qual
 		}
 		rep.AddRows(len(unrouted), len(unrouted), 0)
 	}
-	return bodies, nil
+	return dst, nil
 }

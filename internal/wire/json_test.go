@@ -467,26 +467,29 @@ func TestSplitJSONRejectsLikeDecode(t *testing.T) {
 }
 
 // TestDecodeJSONSteadyStateAllocs pins the JSON decoder to the binary
-// one's contract: a warm decoder re-reading batches from known drives
-// allocates nothing. Skipped under the race detector.
+// one's contract: a warm decoder allocates once per body, the string its
+// observations' serials slice, at 10 records as at 2,000, with a class
+// named on every third record. Skipped under the race detector.
 func TestDecodeJSONSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	body := jsonFixture(testObs(64))
-	var d Decoder
-	var rep quality.Report
-	if _, err := d.DecodeJSON(body, &rep); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		got, err := d.DecodeJSON(body, &rep)
-		if err != nil || len(got) != 64 {
-			t.Fatalf("decode: %d records, err %v", len(got), err)
+	for _, n := range []int{10, 2000} {
+		body := jsonFixture(testMixedObs(n))
+		var d Decoder
+		var rep quality.Report
+		if _, err := d.DecodeJSON(body, &rep); err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state JSON decode allocates %.2f times per call, want 0", allocs)
+		allocs := testing.AllocsPerRun(100, func() {
+			got, err := d.DecodeJSON(body, &rep)
+			if err != nil || len(got) != n {
+				t.Fatalf("decode: %d records, err %v", len(got), err)
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("%d records: steady-state JSON decode allocates %.2f times per call, want 1", n, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 
@@ -32,8 +33,18 @@ import (
 // quarantines those, keeping the split-and-forward accounting identical
 // to a direct ingest.
 func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
-	if parts <= 0 {
-		return nil, fmt.Errorf("wire: splitting into %d parts", parts)
+	return SplitFrameInto(nil, frame, parts, assign, rep)
+}
+
+// SplitFrameInto is SplitFrame refilling the parts of dst, whose storage
+// it reuses, so a caller that pools dst splits a batch without
+// allocating once its buffers have grown to the batches it splits. The
+// result has parts entries, and a part that receives no records is
+// empty: nil unless dst held storage for it.
+func SplitFrameInto(dst [][]byte, frame []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error) {
+	dst, err := resetParts(dst, parts)
+	if err != nil {
+		return nil, err
 	}
 	if len(frame) < minFrameSize {
 		return nil, truncated("frame of %d bytes is shorter than the %d-byte minimum", len(frame), minFrameSize)
@@ -56,8 +67,6 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 		return nil, malformed("record count %d exceeds the %d-byte frame body", count, len(p))
 	}
 
-	bodies := make([][]byte, parts)
-	counts := make([]uint32, parts)
 	for i := uint32(0); i < count; i++ {
 		if len(p) < recHeader {
 			return nil, truncated("record %d torn: %d bytes left, need a %d-byte record header", i, len(p), recHeader)
@@ -102,28 +111,48 @@ func SplitFrame(frame []byte, parts int, assign func(serial []byte) int, rep *qu
 		if idx < 0 || idx >= parts {
 			return nil, fmt.Errorf("wire: assign placed serial %q in part %d of %d", serial, idx, parts)
 		}
-		if bodies[idx] == nil {
+		b := dst[idx]
+		if len(b) == 0 {
 			// Size for the remaining body: every unassigned record could
-			// still land here.
-			bodies[idx] = make([]byte, 0, headerSize+len(rec)+len(p)+trailerSize)
-			bodies[idx] = append(bodies[idx], version, 0, 0, 0, 0)
+			// still land here. The header's count is kept running.
+			b = grow(b, headerSize+len(rec)+len(p)+trailerSize)
+			b = append(b, version, 0, 0, 0, 0)
 		}
-		bodies[idx] = append(bodies[idx], rec...)
-		counts[idx]++
+		binary.LittleEndian.PutUint32(b[1:], u32(b[1:])+1)
+		dst[idx] = append(b, rec...)
 	}
 	if len(p) != 0 {
 		return nil, malformed("%d trailing bytes after %d records", len(p), count)
 	}
 
-	for idx, b := range bodies {
-		if b == nil {
-			continue
+	for idx, b := range dst {
+		if len(b) != 0 {
+			dst[idx] = appendU32(b, crc32.Checksum(b, castagnoli))
 		}
-		b[1] = byte(counts[idx])
-		b[2] = byte(counts[idx] >> 8)
-		b[3] = byte(counts[idx] >> 16)
-		b[4] = byte(counts[idx] >> 24)
-		bodies[idx] = appendU32(b, crc32.Checksum(b, castagnoli))
 	}
-	return bodies, nil
+	return dst, nil
+}
+
+// resetParts empties dst's first parts entries for a split, keeping
+// their storage and that of any beyond them.
+func resetParts(dst [][]byte, parts int) ([][]byte, error) {
+	if parts <= 0 {
+		return nil, fmt.Errorf("wire: splitting into %d parts", parts)
+	}
+	if cap(dst) < parts {
+		dst = append(dst[:cap(dst)], make([][]byte, parts-cap(dst))...)
+	}
+	dst = dst[:parts]
+	for i := range dst {
+		dst[i] = dst[i][:0]
+	}
+	return dst, nil
+}
+
+// grow returns the empty part b with room for n bytes.
+func grow(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, 0, n)
+	}
+	return b
 }

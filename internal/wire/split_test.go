@@ -230,3 +230,43 @@ func trailingBytes(frame []byte) []byte {
 	f = append(f, 0xde, 0xad)
 	return appendU32(f, crc32.Checksum(f, castagnoli))
 }
+
+// splitFunc is the shape of SplitFrameInto and SplitJSONInto.
+type splitFunc func(dst [][]byte, body []byte, parts int, assign func(serial []byte) int, rep *quality.Report) ([][]byte, error)
+
+// lastByteOwner assigns a serial by its last byte.
+func lastByteOwner(parts int) func([]byte) int {
+	return func(serial []byte) int { return int(serial[len(serial)-1]) % parts }
+}
+
+// TestSplitIntoWarmBuffersAllocatesNothing: once its parts have grown
+// to the batches it splits, a reused split allocates nothing, in either
+// format. Skipped under the race detector.
+func TestSplitIntoWarmBuffersAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	obs := testMixedObs(200)
+	assign := lastByteOwner(2)
+	for _, tc := range []struct {
+		name  string
+		body  []byte
+		split splitFunc
+	}{
+		{"binary", EncodeBatch(obs), SplitFrameInto},
+		{"json", jsonFixture(obs), SplitJSONInto},
+	} {
+		var parts [][]byte
+		var rep quality.Report
+		var err error
+		split := func() {
+			if parts, err = tc.split(parts, tc.body, 2, assign, &rep); err != nil || len(parts[0]) == 0 || len(parts[1]) == 0 {
+				t.Fatalf("%s: split into %d parts, err %v", tc.name, len(parts), err)
+			}
+		}
+		split()
+		if allocs := testing.AllocsPerRun(100, split); allocs != 0 {
+			t.Fatalf("%s: a split into warm buffers allocates %.2f times, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -2,9 +2,9 @@
 // JSON body (application/json, the default; see DecodeJSON) and a
 // compact, CRC-framed binary batch frame negotiated with the
 // Content-Type "application/x-disksig-batch". One pooled Decoder reads
-// either into a reusable observation buffer with interned serials, so
-// the steady state allocates nothing per record in either format, and
-// routes every defect through the internal/quality taxonomy, keeping the
+// either into a reusable observation buffer whose serials slice one
+// string per batch, so the steady state allocates once per batch, not
+// per record, in either format, and routes every defect through the internal/quality taxonomy, keeping the
 // kept+quarantined+dropped accounting identical across the two.
 // SplitFrame and SplitJSON let a router partition a batch by owning node
 // by copying each record's bytes, with the nodes' own checks. The frame
@@ -221,14 +221,15 @@ func EncodedSize(obs []fleet.Observation) int {
 }
 
 // Decoder parses binary batch frames (Decode) and JSON bodies
-// (DecodeJSON) into observations. It is built for
-// the ingest hot path: the observation buffer is reused across calls and
-// serials are interned, so decoding a steady-state batch (every drive
-// already seen) allocates nothing per record. A Decoder is not safe for
-// concurrent use; pool one per in-flight request.
+// (DecodeJSON) into observations. It is built for the ingest hot path:
+// the observation buffer is reused across calls, and the kept
+// observations' serials slice one string per batch, so a batch of clean
+// records costs one allocation however many it holds, once the buffers
+// have grown to the batch. A Decoder is not safe for concurrent use;
+// pool one per in-flight request.
 type Decoder struct {
 	obs     []fleet.Observation
-	interns fleet.Interner
+	serials fleet.Serials
 	// js and held are DecodeJSON's scanner and the issues it holds back
 	// until the whole body has scanned.
 	js   jsonScanner
@@ -273,6 +274,7 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 	if cap(d.obs) < int(count) {
 		d.obs = make([]fleet.Observation, 0, count)
 	}
+	d.serials.Reset()
 	for i := uint32(0); i < count; i++ {
 		if len(p) < recHeader {
 			return nil, truncated("record %d torn: %d bytes left, need a %d-byte record header", i, len(p), recHeader)
@@ -363,8 +365,8 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 			rep.AddRows(1, 1, 0)
 			continue
 		}
+		d.serials.Add(serial)
 		d.obs = append(d.obs, fleet.Observation{
-			Serial: d.interns.Intern(serial),
 			Class:  class,
 			Record: smart.Record{Hour: hour, Values: v},
 		})
@@ -372,14 +374,15 @@ func (d *Decoder) Decode(frame []byte, rep *quality.Report) ([]fleet.Observation
 	if len(p) != 0 {
 		return nil, malformed("%d trailing bytes after %d records", len(p), count)
 	}
+	d.serials.Assign(d.obs)
 	return d.obs, nil
 }
 
 // noteBadRecord records one defective-record issue. The serial is copied
-// via interning (the frame buffer is the caller's to reuse).
+// (the frame buffer is the caller's to reuse).
 func (d *Decoder) noteBadRecord(rep *quality.Report, serial []byte, kind quality.Kind, format string, args ...any) {
 	rep.Note(quality.Issue{
-		Kind: kind, Drive: d.interns.Intern(serial),
+		Kind: kind, Drive: string(serial),
 		Detail: fmt.Sprintf(format, args...),
 	}, quality.Config{})
 }

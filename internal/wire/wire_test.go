@@ -85,29 +85,32 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeSteadyStateAllocs pins the zero-alloc contract: once a
-// decoder has seen a batch's serials, decoding further batches from the
-// same drives allocates nothing at all. Skipped under the race detector,
+// TestDecodeSteadyStateAllocs pins a warm decoder to one allocation per
+// frame, the string its observations' serials slice, at 10 records as
+// at 2,000, in both frame versions. Skipped under the race detector,
 // which instruments allocations.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	obs := testObs(64)
-	frame := EncodeBatch(obs)
-	var d Decoder
-	var rep quality.Report
-	if _, err := d.Decode(frame, &rep); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		got, err := d.Decode(frame, &rep)
-		if err != nil || len(got) != len(obs) {
-			t.Fatalf("decode: %d records, err %v", len(got), err)
+	for _, n := range []int{10, 2000} {
+		for _, obs := range [][]fleet.Observation{testObs(n), testMixedObs(n)} {
+			frame := EncodeBatch(obs)
+			var d Decoder
+			var rep quality.Report
+			if _, err := d.Decode(frame, &rep); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				got, err := d.Decode(frame, &rep)
+				if err != nil || len(got) != len(obs) {
+					t.Fatalf("decode: %d records, err %v", len(got), err)
+				}
+			})
+			if allocs != 1 {
+				t.Fatalf("%d records, version %d: steady-state decode allocates %.2f times per call, want 1", n, frame[0], allocs)
+			}
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("steady-state decode allocates %.2f times per call, want 0", allocs)
 	}
 }
 
